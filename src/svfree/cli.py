@@ -40,6 +40,9 @@ from .galerkin import (
 from .jet import E_SUMMAND_WEIGHTS, LOW_SUMMAND_WEIGHTS
 from .profile import (
     Field,
+    _is_int,
+    _is_real,
+    _validate_vacuum_profile,
     build_grid,
     differentiate,
     quadrature,
@@ -70,6 +73,7 @@ EXIT_CONFIG = 3
 
 _SCHEMES = ("implicit-euler", "crank-nicolson")
 _SOLVERS = ("galerkin", "fd-oracle", "both")
+_EMIT_DEFAULTS = {"energy": True, "contraction": True, "snapshots": 5, "boundary": True}
 
 
 @dataclass(frozen=True)
@@ -87,9 +91,7 @@ class RunConfig:
     initial_guess: str = "u0"
     windows: int = 1
     out_dir: str = "out"
-    emit: dict = field(default_factory=lambda: {
-        "energy": True, "contraction": True, "snapshots": 5, "boundary": True,
-    })
+    emit: dict = field(default_factory=lambda: dict(_EMIT_DEFAULTS))
 
     def n_steps(self) -> int:
         return round(self.t_final / self.dt)
@@ -125,22 +127,19 @@ class CheckResult:
     detail: str
 
 
-def _check_positive(key, value):
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-        raise ConfigurationError(f"config field '{key}' must be a positive number, got {value!r}")
-
-
 def _validate_config(cfg: RunConfig) -> RunConfig:
-    if cfg.n_nodes < 5 or cfg.n_nodes % 2 == 0:
-        raise ConfigurationError(f"config field 'n_nodes' must be odd and >= 5, got {cfg.n_nodes}")
-    if cfg.n_modes < 1:
-        raise ConfigurationError(f"config field 'n_modes' must be >= 1, got {cfg.n_modes}")
+    if not _is_int(cfg.n_nodes) or cfg.n_nodes < 5 or cfg.n_nodes % 2 == 0:
+        raise ConfigurationError(f"config field 'n_nodes' must be an odd integer >= 5, got {cfg.n_nodes!r}")
+    for key in ("n_modes", "max_iter", "windows"):
+        value = getattr(cfg, key)
+        if not _is_int(value) or value < 1:
+            raise ConfigurationError(f"config field '{key}' must be an integer >= 1, got {value!r}")
     for key in ("dt", "t_final", "picard_tol"):
-        _check_positive(key, getattr(cfg, key))
-    if cfg.max_iter < 1:
-        raise ConfigurationError(f"config field 'max_iter' must be >= 1, got {cfg.max_iter}")
-    if cfg.windows < 1:
-        raise ConfigurationError(f"config field 'windows' must be >= 1, got {cfg.windows}")
+        value = getattr(cfg, key)
+        if not _is_real(value) or value <= 0:
+            raise ConfigurationError(f"config field '{key}' must be a positive number, got {value!r}")
+    if not isinstance(cfg.out_dir, str):
+        raise ConfigurationError(f"config field 'out_dir' must be a string, got {cfg.out_dir!r}")
     steps = cfg.t_final / cfg.dt
     if abs(steps - round(steps)) > 1e-9 * max(1.0, steps) or round(steps) < 1:
         raise ConfigurationError(
@@ -158,17 +157,16 @@ def _validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigurationError("config field 'profile' must be an object with a 'kind'")
     if not isinstance(cfg.u0, dict) or "kind" not in cfg.u0:
         raise ConfigurationError("config field 'u0' must be an object with a 'kind'")
-    emit = dict(cfg.emit)
-    known_emit = {"energy", "contraction", "snapshots", "boundary"}
-    unknown = set(emit) - known_emit
+    if not isinstance(cfg.emit, dict):
+        raise ConfigurationError("config field 'emit' must be an object")
+    unknown = set(cfg.emit) - set(_EMIT_DEFAULTS)
     if unknown:
         raise ConfigurationError(f"unknown emit flag(s): {sorted(unknown)}")
-    for key, default in (("energy", True), ("contraction", True), ("snapshots", 5), ("boundary", True)):
-        emit.setdefault(key, default)
+    emit = {**_EMIT_DEFAULTS, **cfg.emit}
     for key in ("energy", "contraction", "boundary"):
         if not isinstance(emit[key], bool):
             raise ConfigurationError(f"config field 'emit.{key}' must be boolean")
-    if not isinstance(emit["snapshots"], int) or emit["snapshots"] < 0:
+    if not _is_int(emit["snapshots"]) or emit["snapshots"] < 0:
         raise ConfigurationError("config field 'emit.snapshots' must be a nonnegative integer")
     return dataclasses.replace(cfg, emit=emit)
 
@@ -223,82 +221,80 @@ def _fmt(x) -> str:
 ENERGY_COLUMNS = ["t"] + list(E_SUMMAND_WEIGHTS) + list(LOW_SUMMAND_WEIGHTS) + [
     "E_total", "lowE_total", "within_apriori",
 ]
+# stress_* is identically zero (the height vanishes on the moving boundary);
+# the columns stay for schema-1 stability
+BOUNDARY_COLUMNS = [
+    "t", "vx_left", "vx_right", "ux_left", "ux_right", "stress_left", "stress_right",
+    "soundspeed_slope_left", "soundspeed_slope_right",
+]
+SWEEP_COLUMNS = [
+    "t_final", "converged", "iterations", "final_ratio", "eta_x_min", "eta_x_max",
+    "within_apriori_all",
+]
+
+
+def _csv(columns, rows) -> str:
+    lines = [",".join(columns)] + [",".join(_fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _json(payload: dict, sort_keys: bool = True) -> str:
+    payload = {"schema_version": SCHEMA_VERSION, **payload}
+    return json.dumps(payload, indent=2, sort_keys=sort_keys) + "\n"
+
+
+def _energy_row(rep) -> list:
+    summands = [rep.summands[k] for k in (*E_SUMMAND_WEIGHTS, *LOW_SUMMAND_WEIGHTS)]
+    return [rep.t, *summands, rep.E_total, rep.lowE_total, rep.within_apriori]
+
+
+def _boundary_row(rep) -> tuple:
+    return (rep.t, *rep.vx_at_boundary, *rep.ux_at_boundary,
+            *rep.stress_at_boundary, *rep.soundspeed_slope)
+
+
+def _trajectory_csv(data) -> str:
+    times, values = data
+    columns = ["t"] + [f"v{i}" for i in range(values.shape[1])]
+    return _csv(columns, ((t, *row) for t, row in zip(times, values)))
+
+
+# report kind -> writer returning the file text; verification.json keeps
+# its check order (unsorted keys)
+_WRITERS = {
+    "energy": lambda reps: _csv(ENERGY_COLUMNS, map(_energy_row, reps)),
+    "contraction": lambda reps: _csv(
+        ["iteration", "sup_diff", "grad_diff", "ratio"],
+        ((r.iteration, r.sup_diff, r.grad_diff, r.ratio) for r in reps),
+    ),
+    "snapshot": lambda snap: _csv(["y", "rho", "u"], zip(snap.y, snap.rho, snap.u)),
+    "snapshot-header": lambda snap: _json({
+        "t": snap.t,
+        "boundary": list(snap.boundary),
+        "boundary_velocity": list(snap.boundary_velocity),
+    }),
+    "boundary": lambda reps: _csv(BOUNDARY_COLUMNS, map(_boundary_row, reps)),
+    "trajectory": _trajectory_csv,
+    "summary": lambda summary: _json(dataclasses.asdict(summary)),
+    "diff": _json,
+    "verification": lambda checks: _json({
+        "passed": all(c.passed for c in checks),
+        "checks": [dataclasses.asdict(c) for c in checks],
+    }, sort_keys=False),
+    "sweep": lambda rows: _csv(SWEEP_COLUMNS, rows),
+}
 
 
 def emit_report(kind: str, data, path) -> Path:
     """Write one report file; CSV for time series, JSON for summaries."""
+    writer = _WRITERS.get(kind)
+    if writer is None:
+        raise ConfigurationError(f"unknown report kind {kind!r}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    text = writer(data)
     try:
-        if kind == "energy":
-            lines = [",".join(ENERGY_COLUMNS)]
-            for rep in data:
-                row = [rep.t] + [rep.summands[k] for k in E_SUMMAND_WEIGHTS]
-                row += [rep.summands[k] for k in LOW_SUMMAND_WEIGHTS]
-                row += [rep.E_total, rep.lowE_total, rep.within_apriori]
-                lines.append(",".join(_fmt(v) for v in row))
-            path.write_text("\n".join(lines) + "\n")
-        elif kind == "contraction":
-            lines = ["iteration,sup_diff,grad_diff,ratio"]
-            for rep in data:
-                lines.append(
-                    ",".join(_fmt(v) for v in (rep.iteration, rep.sup_diff, rep.grad_diff, rep.ratio))
-                )
-            path.write_text("\n".join(lines) + "\n")
-        elif kind == "snapshot":
-            lines = ["y,rho,u"]
-            for y, r, u in zip(data.y, data.rho, data.u):
-                lines.append(",".join(_fmt(v) for v in (y, r, u)))
-            path.write_text("\n".join(lines) + "\n")
-        elif kind == "snapshot-header":
-            payload = {
-                "schema_version": SCHEMA_VERSION,
-                "t": data.t,
-                "boundary": list(data.boundary),
-                "boundary_velocity": list(data.boundary_velocity),
-            }
-            path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        elif kind == "boundary":
-            lines = [
-                "t,vx_left,vx_right,ux_left,ux_right,"
-                "stress_left,stress_right,soundspeed_slope_left,soundspeed_slope_right"
-            ]
-            for rep in data:
-                row = (
-                    rep.t, *rep.vx_at_boundary, *rep.ux_at_boundary,
-                    *rep.stress_at_boundary, *rep.soundspeed_slope,
-                )
-                lines.append(",".join(_fmt(v) for v in row))
-            path.write_text("\n".join(lines) + "\n")
-        elif kind == "trajectory":
-            times, values = data
-            n = values.shape[1]
-            lines = ["t," + ",".join(f"v{i}" for i in range(n))]
-            for t, row in zip(times, values):
-                lines.append(_fmt(t) + "," + ",".join(_fmt(v) for v in row))
-            path.write_text("\n".join(lines) + "\n")
-        elif kind == "summary":
-            payload = {"schema_version": SCHEMA_VERSION, **dataclasses.asdict(data)}
-            path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        elif kind == "diff":
-            payload = {"schema_version": SCHEMA_VERSION, **data}
-            path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        elif kind == "verification":
-            payload = {
-                "schema_version": SCHEMA_VERSION,
-                "passed": all(c.passed for c in data),
-                "checks": [dataclasses.asdict(c) for c in data],
-            }
-            path.write_text(json.dumps(payload, indent=2) + "\n")
-        elif kind == "sweep":
-            lines = [
-                "t_final,converged,iterations,final_ratio,eta_x_min,eta_x_max,within_apriori_all"
-            ]
-            for row in data:
-                lines.append(",".join(_fmt(v) for v in row))
-            path.write_text("\n".join(lines) + "\n")
-        else:
-            raise ConfigurationError(f"unknown report kind {kind!r}")
+        path.write_text(text)
     except OSError as exc:
         raise SvfreeError(f"failed to write report {path}: {exc}") from exc
     return path
@@ -318,6 +314,7 @@ def _snapshot_times(cfg: RunConfig) -> list[float]:
 
 
 def _energy_reports(sol, times) -> list:
+    """Energy reports at the given stored times, all against the first one's M0."""
     reports = []
     m0 = None
     for t in times:
@@ -328,33 +325,21 @@ def _energy_reports(sol, times) -> list:
     return reports
 
 
-def _emit_galerkin_outputs(cfg: RunConfig, out: Path, profile, sol) -> float:
-    max_gap = float("nan")
-    if cfg.emit["contraction"]:
-        emit_report("contraction", sol.history, out / "contraction.csv")
-    if cfg.emit["energy"]:
-        reports = _energy_reports(sol, list(sol.times))
-        emit_report("energy", reports, out / "energy.csv")
-        max_gap = max(abs(r.E_total - r.lowE_total) for r in reports)
-        if any(r.boundary_pole for r in reports):
-            log.warning(
-                "energy summands carry vacuum-boundary poles (incompatible "
-                "initial data); endpoint values are Hadamard finite parts"
-            )
-        violations = [r.t for r in reports if not r.within_apriori]
-        if violations:
-            log.warning(
-                "a-priori energy ceiling E <= 2*M0 violated at %d stored times "
-                "(first at t=%g)", len(violations), violations[0],
-            )
-    if cfg.emit["boundary"]:
-        reps = [eulerian.boundary_diagnostics(profile, sol, t) for t in sol.times]
-        emit_report("boundary", reps, out / "boundary.csv")
-    for k, t in enumerate(_snapshot_times(cfg)):
-        snap = eulerian.eulerian_fields(profile, sol, t, n_samples=401)
-        emit_report("snapshot", snap, out / f"snapshot_{k:03d}.csv")
-        emit_report("snapshot-header", snap, out / f"snapshot_{k:03d}.json")
-    return max_gap
+def _emit_energy(out: Path, sol) -> float:
+    reports = _energy_reports(sol, list(sol.times))
+    emit_report("energy", reports, out / "energy.csv")
+    if any(r.boundary_pole for r in reports):
+        log.warning(
+            "energy summands carry vacuum-boundary poles (incompatible "
+            "initial data); endpoint values are Hadamard finite parts"
+        )
+    violations = [r.t for r in reports if not r.within_apriori]
+    if violations:
+        log.warning(
+            "a-priori energy ceiling E <= 2*M0 violated at %d stored times "
+            "(first at t=%g)", len(violations), violations[0],
+        )
+    return max(abs(r.E_total - r.lowE_total) for r in reports)
 
 
 def _weighted_l2_diff(profile, galerkin_sol, fd_sol, t) -> float:
@@ -399,7 +384,25 @@ def run_simulation(cfg: RunConfig) -> RunSummary:
 
     max_gap = float("nan")
     if sol is not None:
-        max_gap = _emit_galerkin_outputs(cfg, out, profile, sol)
+        if cfg.emit["contraction"]:
+            emit_report("contraction", sol.history, out / "contraction.csv")
+        if cfg.emit["energy"]:
+            max_gap = _emit_energy(out, sol)
+    elif cfg.emit["energy"]:
+        log.info(
+            "energy monitoring needs the spectral solution; skipped for "
+            "the finite-difference oracle"
+        )
+    # boundary and snapshot reports follow the spectral solution when there is one
+    primary = sol if sol is not None else fd
+    if cfg.emit["boundary"]:
+        reps = [eulerian.boundary_diagnostics(profile, primary, t) for t in primary.times]
+        emit_report("boundary", reps, out / "boundary.csv")
+    for k, t in enumerate(_snapshot_times(cfg)):
+        snap = eulerian.eulerian_fields(profile, primary, t, n_samples=401)
+        emit_report("snapshot", snap, out / f"snapshot_{k:03d}.csv")
+        emit_report("snapshot-header", snap, out / f"snapshot_{k:03d}.json")
+    if sol is not None:
         emit_report(
             "trajectory",
             (sol.times, sol.coeffs @ sol.basis.table(0)),
@@ -411,19 +414,6 @@ def run_simulation(cfg: RunConfig) -> RunSummary:
             (fd.times, fd.v),
             out / ("trajectory_fd.csv" if cfg.solver == "both" else "trajectory.csv"),
         )
-        if cfg.emit["energy"] and sol is None:
-            log.info(
-                "energy monitoring needs the spectral solution; skipped for "
-                "the finite-difference oracle"
-            )
-        if cfg.emit["boundary"] and sol is None:
-            reps = [eulerian.boundary_diagnostics(profile, fd, t) for t in fd.times]
-            emit_report("boundary", reps, out / "boundary.csv")
-        for k, t in enumerate(_snapshot_times(cfg)):
-            if sol is None:
-                snap = eulerian.eulerian_fields(profile, fd, t, n_samples=401)
-                emit_report("snapshot", snap, out / f"snapshot_{k:03d}.csv")
-                emit_report("snapshot-header", snap, out / f"snapshot_{k:03d}.json")
     if sol is not None and fd is not None:
         sampled = list(sol.times[:: max(1, len(sol.times) // 50)]) + [sol.times[-1]]
         diffs = {
@@ -434,20 +424,12 @@ def run_simulation(cfg: RunConfig) -> RunSummary:
         }
         emit_report("diff", diffs, out / "diff.json")
 
-    if sol is not None:
-        eta_min, eta_max = sol.eta_x_min, sol.eta_x_max
-        iterations = sol.iterations
-        final_ratio = sol.history[-1].ratio if sol.history else float("nan")
-    else:
-        eta_min, eta_max = fd.eta_x_min, fd.eta_x_max
-        iterations = 0
-        final_ratio = float("nan")
     summary = RunSummary(
         converged=True,
-        iterations=iterations,
-        final_contraction_ratio=final_ratio,
-        eta_x_min=eta_min,
-        eta_x_max=eta_max,
+        iterations=sol.iterations if sol is not None else 0,
+        final_contraction_ratio=sol.history[-1].ratio if sol is not None and sol.history else float("nan"),
+        eta_x_min=primary.eta_x_min,
+        eta_x_max=primary.eta_x_max,
         max_energy_gap=max_gap,
         wall_time_s=time.perf_counter() - t0,
     )
@@ -457,18 +439,6 @@ def run_simulation(cfg: RunConfig) -> RunSummary:
 
 # ---------------------------------------------------------------------------
 # verification suite
-
-
-def _identity_family(grid):
-    """Test family {1, x, x^2, cos(pi x), cos(3 pi x)} with exact derivatives."""
-    x = grid.nodes
-    return [
-        ("one", np.ones_like(x), np.zeros_like(x)),
-        ("x", x.copy(), np.ones_like(x)),
-        ("x^2", x**2, 2 * x),
-        ("cos(pi x)", np.cos(np.pi * x), -np.pi * np.sin(np.pi * x)),
-        ("cos(3 pi x)", np.cos(3 * np.pi * x), -3 * np.pi * np.sin(3 * np.pi * x)),
-    ]
 
 
 def run_verification_suite(
@@ -494,18 +464,8 @@ def run_verification_suite(
 
     # physical vacuum condition on the active profile
     try:
-        vals = profile.values
-        d = np.minimum(grid.nodes, 1.0 - grid.nodes)
-        ok = (
-            vals[0] == 0.0
-            and vals[-1] == 0.0
-            and np.all(vals[1:-1] > 0.0)
-            and np.all(vals[1:-1] >= profile.c1 * d[1:-1] - 1e-12)
-            and np.all(vals[1:-1] <= profile.c2 * d[1:-1] + 1e-12)
-            and 1e-10 < abs(profile.derivative_values(1)[0])
-            and 1e-10 < abs(profile.derivative_values(1)[-1])
-        )
-        add("physical-vacuum", ok, f"c1={profile.c1:.4g}, c2={profile.c2:.4g}")
+        _validate_vacuum_profile(profile)
+        add("physical-vacuum", True, f"c1={profile.c1:.4g}, c2={profile.c2:.4g}")
     except SvfreeError as exc:
         add("physical-vacuum", False, str(exc))
 
@@ -546,54 +506,23 @@ def run_verification_suite(
     )
     add("forcing-zero-mode", force[0] == 0.0, f"F0 = {force[0]:.2e}")
 
-    # weighted inequality families on the distance weight
+    # weighted inequality families on the distance weight; the rows look the
+    # checks up on the module when they run, so wrappers installed on it apply
     dist = sample_height_profile("distance", {}, grid)
-    worst = 0.0
-    for name, f, fx in _identity_family(grid):
-        rep = wc.check_weighted_sobolev(f, 0, dist, field_x=fx)
-        worst = max(worst, rep.empirical_constant)
-    add("weighted-sobolev-family", worst <= 50.0, f"max empirical constant {worst:.3f}")
-
-    worst = 0.0
-    for name, f, fx in _identity_family(grid):
-        rep = wc.check_h_half_weighted(f, dist, field_x=fx)
-        worst = max(worst, rep.empirical_constant)
-    add("h-half-weighted-family", worst <= 50.0, f"max empirical constant {worst:.3f}")
-
-    worst = 0.0
-    for name, f, fx in _identity_family(grid):
-        rep = wc.check_interpolation_inequality(f, dist, field_x=fx)
-        worst = max(worst, rep.empirical_constant)
-    add("interpolation-inequality-family", worst <= 50.0, f"max empirical constant {worst:.3f}")
-
-    worst = 0.0
-    for name, f, fx in _identity_family(grid):
-        rep = wc.check_sobolev_embedding(f, dist, s=0.25)
-        worst = max(worst, rep.empirical_constant)
-    add("sobolev-embedding-quarter", worst <= 50.0, f"max empirical constant {worst:.3f}")
+    family = wc.identity_family(grid)
+    for name, check in (
+        ("weighted-sobolev-family", lambda f, fx: wc.check_weighted_sobolev(f, 0, dist, field_x=fx)),
+        ("h-half-weighted-family", lambda f, fx: wc.check_h_half_weighted(f, dist, field_x=fx)),
+        ("interpolation-inequality-family",
+         lambda f, fx: wc.check_interpolation_inequality(f, dist, field_x=fx)),
+        ("sobolev-embedding-quarter", lambda f, fx: wc.check_sobolev_embedding(f, dist, s=0.25)),
+    ):
+        worst = max(check(f, fx).empirical_constant for _, f, fx in family)
+        add(name, worst <= 50.0, f"max empirical constant {worst:.3f}")
 
     # half-interval identities at n=401 plus the refinement rate 101 -> 401
-    def identity_gaps(n):
-        g = build_grid(n)
-        dp = sample_height_profile("distance", {}, g)
-        gaps = []
-        xs = g.nodes
-        family = [
-            (np.ones_like(xs), np.zeros_like(xs)),
-            (xs.copy(), np.ones_like(xs)),
-            (xs**2, 2 * xs),
-            (np.cos(np.pi * xs), -np.pi * np.sin(np.pi * xs)),
-            (np.cos(3 * np.pi * xs), -3 * np.pi * np.sin(3 * np.pi * xs)),
-        ]
-        for f, fx in family:
-            for weighted in (False, True):
-                gaps.append(
-                    wc.check_interpolation_identity(f, dp, field_x=fx, weighted=weighted).abs_gap
-                )
-        return np.array(gaps)
-
-    g401 = identity_gaps(401)
-    g101 = identity_gaps(101)
+    g401 = wc.interpolation_identity_gaps(401)
+    g101 = wc.interpolation_identity_gaps(101)
     add(
         "interpolation-identity-gap",
         float(np.max(g401)) <= 1e-8,
@@ -639,9 +568,8 @@ def run_verification_suite(
     settings = picard.PicardSettings(
         t_final=0.0125, dt=1e-4, n_modes=min(cfg.n_modes, 16), picard_tol=1e-10, max_iter=50
     )
-    small_u0 = sample_velocity(cfg.u0["kind"], {k: v for k, v in cfg.u0.items() if k != "kind"}, grid)
     try:
-        sol = picard.solve_nonlinear(run_profile, small_u0, settings)
+        sol = picard.solve_nonlinear(run_profile, u0, settings)
         ratios = [r.ratio for r in sol.history if math.isfinite(r.ratio)]
         totals = [r.total for r in sol.history]
         add(
@@ -675,18 +603,17 @@ def run_verification_suite(
             f"vx at boundary {rep.vx_at_boundary}",
         )
 
-        m0 = None
-        ok = True
         sample = sol.times[:: max(1, len(sol.times) // 25)]
-        for t in sample:
-            er = jet.energy_high(sol, t, m0)
-            m0 = er.M0 if m0 is None else m0
-            ok = ok and er.within_apriori
-        add("apriori-ceiling", ok, f"E <= 2*M0 at {len(sample)} sampled steps")
+        reports = _energy_reports(sol, sample)
+        add(
+            "apriori-ceiling",
+            all(r.within_apriori for r in reports),
+            f"E <= 2*M0 at {len(sample)} sampled steps",
+        )
 
         # empirical embedding constants and the implied admissible window
         c1 = 0.0
-        for name, f, fx in _identity_family(grid):
+        for _, f, fx in family:
             h1 = math.sqrt(quadrature(f * f + fx * fx, 0, run_profile))
             if h1 > 0:
                 c1 = max(c1, float(np.max(np.abs(f))) / h1)
@@ -698,7 +625,7 @@ def run_verification_suite(
                 for k in (1, 2, 3)
             )
         )
-        eT = jet.energy_high(sol, settings.t_final)
+        eT = jet.energy_high(sol, settings.t_final, reports[0].M0)
         c2 = h3 / math.sqrt(eT.E_total) if eT.E_total > 0 else float("nan")
         m1 = 2.0 * eT.M0
         t_admissible = 1.0 / (2.0 * c1 * c2 * math.sqrt(m1)) if c1 * c2 > 0 and m1 > 0 else float("nan")
@@ -746,12 +673,8 @@ def run_sweep(cfg: RunConfig, spec: str) -> list:
         settings = dataclasses.replace(cfg.picard_settings(), t_final=t_adj)
         try:
             sol = picard.solve_nonlinear(profile, u0, settings)
-            within_all = True
-            m0 = None
-            for t in sol.times[:: max(1, len(sol.times) // 10)]:
-                er = jet.energy_high(sol, t, m0)
-                m0 = er.M0 if m0 is None else m0
-                within_all = within_all and er.within_apriori
+            sample = sol.times[:: max(1, len(sol.times) // 10)]
+            within_all = all(r.within_apriori for r in _energy_reports(sol, sample))
             if not within_all:
                 log.warning("a-priori ceiling violated in sweep run at T=%g", t_adj)
             rows.append(

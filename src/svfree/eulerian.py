@@ -21,8 +21,8 @@ from scipy.interpolate import PchipInterpolator
 from .errors import ConfigurationError, FlowMapDegeneracyError
 from .fd_oracle import FDTrajectory
 from .galerkin import ModalTrajectory
-from .picard import FlowTrajectory, SolutionTrajectory, _integrate_flow_coeffs
-from .profile import Field, HeightProfile
+from .picard import FlowTrajectory, SolutionTrajectory, _flow_from_coeffs, _integrate_flow_coeffs
+from .profile import Field, HeightProfile, _values_of, simpson_weights
 
 __all__ = [
     "EulerianSnapshot",
@@ -59,11 +59,7 @@ def flow_map(traj) -> FlowTrajectory:
     if isinstance(traj, SolutionTrajectory):
         return traj.flow()
     if isinstance(traj, ModalTrajectory):
-        mu = _integrate_flow_coeffs(traj)
-        grid = traj.basis.grid
-        eta = grid.nodes[None, :] + mu @ traj.basis.table(0)
-        eta_x = 1.0 + mu @ traj.basis.table(1)
-        return FlowTrajectory(traj.times, eta, eta_x, traj.dt)
+        return _flow_from_coeffs(_integrate_flow_coeffs(traj), traj.basis, traj.times, traj.dt)
     if isinstance(traj, FDTrajectory):
         h = traj.grid.spacing
         eta_x = np.gradient(traj.eta, h, axis=1, edge_order=2)
@@ -73,7 +69,7 @@ def flow_map(traj) -> FlowTrajectory:
 
 def lagrangian_density(profile: HeightProfile, eta_x, meta: str = "f") -> Field:
     """Lagrangian height rho0 / eta_x at the nodes."""
-    vals = eta_x.values if isinstance(eta_x, Field) else np.asarray(eta_x, dtype=float)
+    vals = _values_of(eta_x)
     if np.any(vals <= 0.0):
         raise FlowMapDegeneracyError("flow-map Jacobian must be positive")
     return Field(profile.values / vals, meta)
@@ -107,66 +103,58 @@ def eulerian_fields(
     """Sample the Eulerian height and velocity on a uniform grid of the domain."""
     if n_samples < 3 or n_samples % 2 == 0:
         raise ConfigurationError("n_samples must be odd and >= 3 (Simpson sampling)")
-    if isinstance(traj, (SolutionTrajectory, ModalTrajectory)):
-        sol = traj
-        if isinstance(traj, ModalTrajectory):
-            raise ConfigurationError(
-                "pass the converged solution trajectory (flow coefficients needed)"
-            )
-        idx = sol.index_of(t)
-        basis = sol.basis
-        mu = sol.flow_coeffs[idx]
-        lam = sol.coeffs[idx]
+    if isinstance(traj, ModalTrajectory):
+        raise ConfigurationError(
+            "pass the converged solution trajectory (flow coefficients needed)"
+        )
+    if isinstance(traj, SolutionTrajectory):
+        idx = traj.index_of(t)
+        basis = traj.basis
+        mu = traj.flow_coeffs[idx]
+        lam = traj.coeffs[idx]
         ends = np.array([0.0, 1.0])
         left, right = (ends + basis.evaluate(mu, ends, 0)).tolist()
-        if not left < right:
-            raise FlowMapDegeneracyError("flow map is not orientation preserving")
-        y = np.linspace(left, right, n_samples)
-        x = _invert_flow_modal(sol, idx, y)
-        x[0], x[-1] = 0.0, 1.0
-        eta_x = 1.0 + basis.evaluate(mu, x, 1)
-        if np.any(eta_x <= 0.0):
-            raise FlowMapDegeneracyError("flow map is not monotone at the samples")
-        rho = profile.sample(x) / eta_x
-        rho[0] = 0.0
-        rho[-1] = 0.0
-        u = basis.evaluate(lam, x, 0)
-        vb = basis.evaluate(lam, ends, 0)
-        return EulerianSnapshot(t, (left, right), (float(vb[0]), float(vb[1])), y, rho, u)
-    if isinstance(traj, FDTrajectory):
+        v_ends = basis.evaluate(lam, ends, 0)
+
+        def pull_back(y):
+            x = _invert_flow_modal(traj, idx, y)
+            x[0], x[-1] = 0.0, 1.0
+            return x, 1.0 + basis.evaluate(mu, x, 1), basis.evaluate(lam, x, 0)
+    elif isinstance(traj, FDTrajectory):
         idx = traj.index_of(t)
         eta = traj.eta[idx]
         v = traj.v[idx]
         nodes = traj.grid.nodes
         left, right = float(eta[0]), float(eta[-1])
-        if not left < right:
-            raise FlowMapDegeneracyError("flow map is not orientation preserving")
-        y = np.linspace(left, right, n_samples)
-        eta_interp = PchipInterpolator(nodes, eta)
-        x = np.interp(y, eta, nodes)
-        # one PCHIP-Newton polish on the piecewise-linear inverse
-        deta = eta_interp.derivative()
-        x = np.clip(x - (eta_interp(x) - y) / deta(x), 0.0, 1.0)
-        x[0], x[-1] = 0.0, 1.0
-        eta_x = deta(x)
-        if np.any(eta_x <= 0.0):
-            raise FlowMapDegeneracyError("flow map is not monotone at the samples")
-        rho = profile.sample(x) / eta_x
-        rho[0] = 0.0
-        rho[-1] = 0.0
-        u = np.interp(x, nodes, v)
-        return EulerianSnapshot(t, (left, right), (float(v[0]), float(v[-1])), y, rho, u)
-    raise ConfigurationError(f"unsupported trajectory type {type(traj).__name__}")
+        v_ends = (v[0], v[-1])
+
+        def pull_back(y):
+            eta_interp = PchipInterpolator(nodes, eta)
+            deta = eta_interp.derivative()
+            # one PCHIP-Newton polish on the piecewise-linear inverse
+            x = np.interp(y, eta, nodes)
+            x = np.clip(x - (eta_interp(x) - y) / deta(x), 0.0, 1.0)
+            x[0], x[-1] = 0.0, 1.0
+            return x, deta(x), np.interp(x, nodes, v)
+    else:
+        raise ConfigurationError(f"unsupported trajectory type {type(traj).__name__}")
+    if not left < right:
+        raise FlowMapDegeneracyError("flow map is not orientation preserving")
+    y = np.linspace(left, right, n_samples)
+    x, eta_x, u = pull_back(y)
+    if np.any(eta_x <= 0.0):
+        raise FlowMapDegeneracyError("flow map is not monotone at the samples")
+    rho = profile.sample(x) / eta_x
+    rho[0] = 0.0
+    rho[-1] = 0.0
+    return EulerianSnapshot(t, (left, right), (float(v_ends[0]), float(v_ends[1])), y, rho, u)
 
 
 def eulerian_mass(snapshot: EulerianSnapshot) -> float:
     """Simpson mass of the sampled Eulerian height over the moving domain."""
     n = len(snapshot.y)
     h = (snapshot.y[-1] - snapshot.y[0]) / (n - 1)
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return float(np.dot(w * (h / 3.0), snapshot.rho))
+    return float(np.dot(simpson_weights(n, h), snapshot.rho))
 
 
 def boundary_diagnostics(profile: HeightProfile, traj, t: float) -> BoundaryReport:
@@ -174,8 +162,8 @@ def boundary_diagnostics(profile: HeightProfile, traj, t: float) -> BoundaryRepo
 
     For spectral trajectories the endpoint slope of every mode vanishes
     identically, so vx is exactly zero; the finite-difference oracle reports
-    its genuine O(h^2) defect. The stress rho^2 - rho*u_x vanishes with rho;
-    the u_x factor is reported alongside so the automatic vanishing is visible.
+    its genuine O(h^2) defect. The stress rho^2 - rho*u_x is identically zero
+    because rho vanishes there; the u_x factor is reported alongside.
     """
     if isinstance(traj, SolutionTrajectory):
         idx = traj.index_of(t)
@@ -194,11 +182,7 @@ def boundary_diagnostics(profile: HeightProfile, traj, t: float) -> BoundaryRepo
     slope0 = abs(profile.endpoint_derivatives(0.0, 2)[1])
     slope1 = abs(profile.endpoint_derivatives(1.0, 2)[1])
     ux = (vx_pair[0] / float(eta_xb[0]), vx_pair[1] / float(eta_xb[1]))
-    rho_b = (0.0, 0.0)  # the height vanishes on the moving boundary
-    stress = (
-        rho_b[0] ** 2 - rho_b[0] * ux[0],
-        rho_b[1] ** 2 - rho_b[1] * ux[1],
-    )
+    stress = (0.0, 0.0)  # rho^2 - rho*u_x with rho = 0 on the moving boundary
     slopes = (
         float(slope0 / eta_xb[0] ** 2),
         float(slope1 / eta_xb[1] ** 2),

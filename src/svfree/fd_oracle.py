@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import ConfigurationError, FlowMapDegeneracyError
-from .galerkin import ETA_X_RANGE, n_steps_for
+from .galerkin import ETA_X_RANGE, n_steps_for, stored_index
 from .profile import AnalyticField, Field, HeightProfile, fornberg_weights
 
 __all__ = ["FDTrajectory", "fd_oracle_solve"]
@@ -40,10 +40,7 @@ class FDTrajectory:
         return self.profile.grid
 
     def index_of(self, t: float) -> int:
-        idx = int(round(t / self.dt)) if self.dt > 0 else 0
-        if idx < 0 or idx >= len(self.times) or abs(self.times[idx] - t) > 1e-10 * max(1.0, abs(t)):
-            raise ConfigurationError(f"t={t} is not a stored time of this trajectory")
-        return idx
+        return stored_index(self.times, self.dt, t)
 
     def velocity(self, t: float) -> Field:
         return Field(self.v[self.index_of(t)].copy(), "v_fd")

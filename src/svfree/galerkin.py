@@ -27,22 +27,20 @@ from .errors import (
     DegenerateMassError,
     FlowMapDegeneracyError,
 )
-from .profile import Field, Grid, HeightProfile
+from .profile import Grid, HeightProfile, _values_of
 
 __all__ = [
     "GalerkinBasis",
     "ModalField",
     "ModalTrajectory",
-    "LinearizedOperatorSet",
-    "neumann_basis",
     "assemble_mass",
     "assemble_stiffness",
     "assemble_forcing",
-    "assemble_operators",
     "project_initial",
     "step_linearized",
     "solve_linearized",
     "n_steps_for",
+    "stored_index",
     "energy_identity_residual",
 ]
 
@@ -124,10 +122,6 @@ class GalerkinBasis:
         return float(np.max(np.abs(gram - np.eye(self.n_modes))))
 
 
-def neumann_basis(n_modes: int, grid: Grid) -> GalerkinBasis:
-    return GalerkinBasis(n_modes, grid)
-
-
 @dataclass(frozen=True)
 class ModalField:
     """Cosine-series field; differentiates spectrally and composes exactly."""
@@ -144,9 +138,6 @@ class ModalField:
     def derivative(self, order: int = 1) -> "ModalField":
         return ModalField(self.coeffs, self.basis, self.deriv_order + order, self.meta)
 
-    def as_field(self) -> Field:
-        return Field(self.values, self.meta)
-
 
 @dataclass(frozen=True)
 class ModalTrajectory:
@@ -158,20 +149,18 @@ class ModalTrajectory:
     basis: GalerkinBasis
 
     def index_of(self, t: float) -> int:
-        idx = int(round(t / self.dt)) if self.dt > 0 else 0
-        if idx < 0 or idx >= len(self.times) or abs(self.times[idx] - t) > 1e-10 * max(1.0, abs(t)):
-            raise ConfigurationError(f"t={t} is not a stored time of this trajectory")
-        return idx
+        return stored_index(self.times, self.dt, t)
 
     def velocity(self, t: float) -> ModalField:
         return ModalField(self.coeffs[self.index_of(t)], self.basis, 0, "v")
 
 
-@dataclass(frozen=True)
-class LinearizedOperatorSet:
-    mass: np.ndarray
-    stiffness: np.ndarray
-    forcing: np.ndarray
+def stored_index(times: np.ndarray, dt: float, t: float) -> int:
+    """Index of the stored time t on a uniform time grid with step dt."""
+    idx = int(round(t / dt)) if dt > 0 else 0
+    if idx < 0 or idx >= len(times) or abs(times[idx] - t) > 1e-10 * max(1.0, abs(t)):
+        raise ConfigurationError(f"t={t} is not a stored time of this trajectory")
+    return idx
 
 
 def _check_eta_x(eta_x: np.ndarray) -> np.ndarray:
@@ -219,20 +208,9 @@ def assemble_forcing(
     return basis.table(1) @ w
 
 
-def assemble_operators(
-    profile: HeightProfile, basis: GalerkinBasis, eta_x: np.ndarray
-) -> LinearizedOperatorSet:
-    return LinearizedOperatorSet(
-        assemble_mass(profile, basis),
-        assemble_stiffness(profile, basis, eta_x),
-        assemble_forcing(profile, basis, eta_x),
-    )
-
-
 def project_initial(u0, basis: GalerkinBasis, grid: Grid) -> np.ndarray:
     """Plain (unweighted) L2 modal coefficients of the initial velocity."""
-    vals = u0.values if hasattr(u0, "values") else np.asarray(u0, dtype=float)
-    return basis.table(0) @ (grid.simpson_weights * vals)
+    return basis.table(0) @ (grid.simpson_weights * _values_of(u0))
 
 
 def step_linearized(

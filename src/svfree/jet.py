@@ -31,7 +31,6 @@ import sympy as sp
 
 from ._series import N_TERMS, LaurentSeries
 from .errors import (
-    ConfigurationError,
     FlowMapDegeneracyError,
     UnsupportedOperationError,
     ValidationError,
@@ -233,14 +232,6 @@ def _state_from_initial(profile: HeightProfile, u0: AnalyticField, include_press
     return _State(profile, w, j, w_atoms, tuple(j_atoms), include_pressure)
 
 
-def _require_stored_time(traj, t: float) -> int:
-    times = np.asarray(traj.times)
-    idx = int(round(t / traj.dt)) if traj.dt > 0 else 0
-    if idx < 0 or idx >= len(times) or abs(times[idx] - t) > 1e-10 * max(1.0, abs(t)):
-        raise ConfigurationError(f"t={t} is not a stored time of this trajectory")
-    return idx
-
-
 def _state_from_trajectory(traj, t: float) -> _State:
     if not hasattr(traj, "flow_coeffs"):
         raise UnsupportedOperationError(
@@ -248,7 +239,7 @@ def _state_from_trajectory(traj, t: float) -> _State:
             "spectral trajectory with exact spatial derivatives; the "
             "finite-difference oracle stores nodal data only"
         )
-    idx = _require_stored_time(traj, t)
+    idx = traj.index_of(t)
     basis = traj.basis
     grid = traj.profile.grid
     lam = traj.coeffs[idx]
@@ -445,7 +436,7 @@ def _report(traj, t: float, m0) -> EnergyReport:
     e_total = float(sum(summands[k] for k in E_SUMMAND_WEIGHTS))
     low_total = float(sum(summands[k] for k in LOW_SUMMAND_WEIGHTS))
     if m0 is None:
-        if t == 0.0 or _require_stored_time(traj, t) == 0:
+        if t == 0.0 or traj.index_of(t) == 0:
             m0 = e_total
         else:
             zero_summands, _ = _all_summands(traj, float(traj.times[0]))

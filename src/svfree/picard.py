@@ -25,7 +25,6 @@ from .errors import (
     NonConvergenceError,
     TimeWindowError,
 )
-from .fd_oracle import FDTrajectory, fd_oracle_solve
 from .galerkin import (
     GalerkinBasis,
     ModalField,
@@ -35,20 +34,17 @@ from .galerkin import (
     n_steps_for,
     project_initial,
     solve_linearized,
+    stored_index,
 )
-from .profile import AnalyticField, Field, HeightProfile
+from .profile import AnalyticField, HeightProfile
 
 __all__ = [
     "ContractionReport",
     "SolutionTrajectory",
     "FlowTrajectory",
     "PicardSettings",
-    "initial_flow_guess",
-    "picard_step",
     "contraction_metrics",
     "solve_nonlinear",
-    "fd_oracle_solve",
-    "FDTrajectory",
 ]
 
 log = logging.getLogger(__name__)
@@ -120,16 +116,10 @@ class SolutionTrajectory:
         return float(np.max(self.eta_x))
 
     def index_of(self, t: float) -> int:
-        idx = int(round(t / self.dt)) if self.dt > 0 else 0
-        if idx < 0 or idx >= len(self.times) or abs(self.times[idx] - t) > 1e-10 * max(1.0, abs(t)):
-            raise ConfigurationError(f"t={t} is not a stored time of this trajectory")
-        return idx
+        return stored_index(self.times, self.dt, t)
 
     def velocity(self, t: float) -> ModalField:
         return ModalField(self.coeffs[self.index_of(t)], self.basis, 0, "v")
-
-    def velocity_values(self, t: float) -> Field:
-        return Field(self.velocity(t).values, "v")
 
     def flow(self) -> FlowTrajectory:
         return FlowTrajectory(self.times, self.eta, self.eta_x, self.dt)
@@ -148,23 +138,10 @@ class PicardSettings:
     windows: int = 1
 
 
-def initial_flow_guess(u0: AnalyticField, times: np.ndarray, grid) -> FlowTrajectory:
-    """Guess flow eta(x, t) = x + t*u0(x), exactly, at every stored time."""
-    times = np.asarray(times, dtype=float)
-    u = u0.values
-    ux = u0.derivative_values(1)
-    eta = grid.nodes[None, :] + times[:, None] * u[None, :]
-    eta_x = 1.0 + times[:, None] * ux[None, :]
-    dt = float(times[1] - times[0]) if len(times) > 1 else 0.0
-    return FlowTrajectory(times, eta, eta_x, dt)
-
-
-def _integrate_flow_coeffs(traj: ModalTrajectory, mu0: np.ndarray | None = None) -> np.ndarray:
+def _integrate_flow_coeffs(traj: ModalTrajectory) -> np.ndarray:
     """Trapezoid-in-time modal coefficients of the displacement eta - x."""
     lam = traj.coeffs
     mu = np.zeros_like(lam)
-    if mu0 is not None:
-        mu[0] = mu0
     increments = 0.5 * traj.dt * (lam[:-1] + lam[1:])
     mu[1:] = mu[0] + np.cumsum(increments, axis=0)
     return mu
@@ -177,26 +154,6 @@ def _flow_from_coeffs(
     eta = grid.nodes[None, :] + mu @ basis.table(0)
     eta_x = 1.0 + mu @ basis.table(1)
     return FlowTrajectory(times, eta, eta_x, dt)
-
-
-def picard_step(
-    profile: HeightProfile,
-    u0: AnalyticField,
-    flow_prev: FlowTrajectory,
-    t_final: float,
-    dt: float,
-    n_modes: int,
-    scheme: str = "implicit-euler",
-    zero_forcing: bool = False,
-    basis: GalerkinBasis | None = None,
-) -> tuple[ModalTrajectory, FlowTrajectory]:
-    """One fixed-point pass: linearized solve against flow_prev, new flow out."""
-    traj = solve_linearized(
-        profile, u0, flow_prev.eta_x_at, t_final, dt, n_modes, scheme,
-        zero_forcing=zero_forcing, basis=basis,
-    )
-    mu = _integrate_flow_coeffs(traj)
-    return traj, _flow_from_coeffs(mu, traj.basis, traj.times, traj.dt)
 
 
 def contraction_metrics(
@@ -227,24 +184,21 @@ def _solve_window(
     u0,
     settings: PicardSettings,
     lam0: np.ndarray | None,
-    mu0: np.ndarray | None,
+    mu0: np.ndarray,
     basis: GalerkinBasis,
     history: list,
 ) -> tuple[ModalTrajectory, np.ndarray]:
     """Fixed-point loop over one time window; returns iterate and flow coeffs."""
     steps = n_steps_for(settings.t_final, settings.dt)
     times = np.linspace(0.0, settings.t_final, steps + 1)
-    if mu0 is None:
-        mu0 = np.zeros(basis.n_modes)
     if settings.initial_guess == "identity":
         mu_guess = np.tile(mu0, (steps + 1, 1))
-        flow = _flow_from_coeffs(mu_guess, basis, times, settings.dt)
     elif settings.initial_guess == "u0":
         lam_init = lam0 if lam0 is not None else project_initial(u0, basis, profile.grid)
         mu_guess = mu0[None, :] + times[:, None] * lam_init[None, :]
-        flow = _flow_from_coeffs(mu_guess, basis, times, settings.dt)
     else:
         raise ConfigurationError(f"unknown initial_guess {settings.initial_guess!r}")
+    flow = _flow_from_coeffs(mu_guess, basis, times, settings.dt)
 
     prev = None
     prev_total = None
@@ -283,27 +237,23 @@ def solve_nonlinear(
     basis = GalerkinBasis(settings.n_modes, profile.grid)
     history: list[ContractionReport] = []
     windows = max(1, settings.windows)
-    if windows == 1:
-        traj, mu = _solve_window(profile, u0, settings, None, None, basis, history)
-        times, coeffs = traj.times, traj.coeffs
-    else:
-        steps = n_steps_for(settings.t_final, settings.dt)
-        if steps % windows != 0:
-            raise ConfigurationError(
-                f"step count {steps} is not divisible into {windows} windows"
-            )
-        sub = replace(settings, t_final=settings.t_final / windows)
-        lam0 = None
-        mu0 = np.zeros(basis.n_modes)
-        chunks = []
-        for _ in range(windows):
-            traj, mu_chunk = _solve_window(profile, u0, sub, lam0, mu0, basis, history)
-            chunks.append((traj.coeffs, mu_chunk))
-            lam0 = traj.coeffs[-1]
-            mu0 = mu_chunk[-1]
-        coeffs = np.vstack([chunks[0][0]] + [c[1:] for c, _ in chunks[1:]])
-        mu = np.vstack([chunks[0][1]] + [m[1:] for _, m in chunks[1:]])
-        times = np.linspace(0.0, settings.t_final, steps + 1)
+    steps = n_steps_for(settings.t_final, settings.dt)
+    if steps % windows != 0:
+        raise ConfigurationError(
+            f"step count {steps} is not divisible into {windows} windows"
+        )
+    sub = replace(settings, t_final=settings.t_final / windows)
+    lam0 = None
+    mu0 = np.zeros(basis.n_modes)
+    chunks = []
+    for _ in range(windows):
+        traj, mu_chunk = _solve_window(profile, u0, sub, lam0, mu0, basis, history)
+        chunks.append((traj.coeffs, mu_chunk))
+        lam0 = traj.coeffs[-1]
+        mu0 = mu_chunk[-1]
+    coeffs = np.vstack([chunks[0][0]] + [c[1:] for c, _ in chunks[1:]])
+    mu = np.vstack([chunks[0][1]] + [m[1:] for _, m in chunks[1:]])
+    times = np.linspace(0.0, settings.t_final, steps + 1)
 
     flow = _flow_from_coeffs(mu, basis, times, settings.dt)
     final_diff = history[-1].total if history else 0.0

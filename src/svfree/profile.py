@@ -18,7 +18,7 @@ import sympy as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, UnsupportedOperationError, ValidationError
-from ._series import N_TERMS, LaurentSeries
+from ._series import N_TERMS
 
 __all__ = [
     "Grid",
@@ -26,6 +26,7 @@ __all__ = [
     "HeightProfile",
     "AnalyticField",
     "build_grid",
+    "simpson_weights",
     "sample_height_profile",
     "sample_velocity",
     "quadrature",
@@ -66,10 +67,7 @@ class Grid:
             raise ConfigurationError(
                 f"Simpson subrange [{i0}, {i1}] must span an even number of panels"
             )
-        w = np.ones(i1 - i0 + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        return w * (self.spacing / 3.0)
+        return simpson_weights(i1 - i0 + 1, self.spacing)
 
 
 @dataclass(frozen=True)
@@ -80,23 +78,26 @@ class Field:
     meta: str = ""
 
 
+def simpson_weights(n: int, h: float) -> np.ndarray:
+    """Composite Simpson weights for n equally spaced samples (n odd) of spacing h."""
+    w = np.ones(n)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w * (h / 3.0)
+
+
 def build_grid(n_nodes: int) -> Grid:
     if n_nodes < 5 or n_nodes % 2 == 0:
         raise ConfigurationError(
             f"n_nodes must be odd and >= 5 for composite Simpson, got {n_nodes}"
         )
-    nodes = np.linspace(0.0, 1.0, n_nodes)
     h = 1.0 / (n_nodes - 1)
-    w = np.ones(n_nodes)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return Grid(n_nodes, nodes, h, w * (h / 3.0))
+    return Grid(n_nodes, np.linspace(0.0, 1.0, n_nodes), h, simpson_weights(n_nodes, h))
 
 
 def _values_of(f) -> np.ndarray:
-    if isinstance(f, Field):
-        return f.values
-    return np.asarray(f, dtype=float)
+    """Nodal values of an array, a Field or any object with a ``values`` array."""
+    return np.asarray(getattr(f, "values", f), dtype=float)
 
 
 class _AnalyticBase:
@@ -152,9 +153,6 @@ class _AnalyticBase:
             self._taylor_cache[x0] = cached
         return cached[:n]
 
-    def endpoint_series(self, x0: float) -> LaurentSeries:
-        return LaurentSeries.from_derivatives(self.endpoint_derivatives(x0))
-
 
 class AnalyticField(_AnalyticBase):
     """Analytic velocity/test field with exact derivatives at the nodes."""
@@ -163,24 +161,19 @@ class AnalyticField(_AnalyticBase):
         super().__init__(expr, grid)
         self.kind = kind
 
-    def as_field(self, meta: str = "") -> Field:
-        return Field(self.values, meta)
-
 
 class HeightProfile(_AnalyticBase):
     """Initial height rho0 with its vacuum-rate constants c1, c2."""
 
-    def __init__(self, kind, expr, grid, c1, c2, params=None):
+    def __init__(self, kind, expr, grid, c1, c2):
         super().__init__(expr, grid)
         self.kind = kind
         self.c1 = float(c1)
         self.c2 = float(c2)
-        self.params = dict(params or {})
         vals = self.derivative_values(0)
         # endpoint values are analytic zeros; snap away lambdify dust
         vals[0] = 0.0
         vals[-1] = 0.0
-        self.derivatives = {k: self.derivative_values(k) for k in range(1, 6)}
 
     def weight_values(self, power: int) -> np.ndarray:
         if power == 0:
@@ -200,20 +193,6 @@ class _DistanceProfile(HeightProfile):
         self.kind = "distance"
         self.c1 = 1.0
         self.c2 = 1.0
-        self.params = {}
-        x = grid.nodes
-        vals = np.minimum(x, 1.0 - x)
-        d1 = np.where(x < 0.5, 1.0, -1.0)
-        d1[np.isclose(x, 0.5)] = 0.0
-        self._deriv_cache = {0: vals, 1: d1}
-        for k in range(2, 8):
-            self._deriv_cache[k] = np.zeros(grid.n_nodes)
-        self.derivatives = {k: self._deriv_cache[k] for k in range(1, 6)}
-
-    def derivative_values(self, order: int) -> np.ndarray:
-        if order not in self._deriv_cache:
-            self._deriv_cache[order] = np.zeros(self.grid.n_nodes)
-        return self._deriv_cache[order]
 
     def sample(self, x, order: int = 0) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -234,13 +213,17 @@ def _distance_values(grid: Grid) -> np.ndarray:
     return np.minimum(grid.nodes, 1.0 - grid.nodes)
 
 
-def _validate_vacuum_profile(profile: HeightProfile) -> None:
-    grid = profile.grid
-    vals = profile.values
+def _check_vanishes_on_boundary_only(vals: np.ndarray) -> None:
     if abs(vals[0]) > _ZERO_SNAP or abs(vals[-1]) > _ZERO_SNAP:
         raise ValidationError("height profile must vanish exactly on the boundary")
     if np.any(vals[1:-1] <= 0.0):
         raise ValidationError("height profile must be strictly positive inside")
+
+
+def _validate_vacuum_profile(profile: HeightProfile) -> None:
+    grid = profile.grid
+    vals = profile.values
+    _check_vanishes_on_boundary_only(vals)
     d1 = profile.derivative_values(1)
     for idx, name in ((0, "left"), (-1, "right")):
         if not (1e-10 < abs(d1[idx]) < math.inf):
@@ -260,6 +243,23 @@ def _validate_vacuum_profile(profile: HeightProfile) -> None:
         )
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; bool is an int subclass in Python but not a count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A finite JSON number, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _number_param(params: dict, key: str, default: float) -> float:
+    value = params.get(key, default)
+    if not _is_real(value):
+        raise ValidationError(f"'{key}' must be a finite number, got {value!r}")
+    return float(value)
+
+
 def sample_height_profile(kind: str, params: dict | None, grid: Grid) -> HeightProfile:
     """Build and validate an initial height profile.
 
@@ -268,19 +268,15 @@ def sample_height_profile(kind: str, params: dict | None, grid: Grid) -> HeightP
     """
     params = dict(params or {})
     if kind == "parabolic":
-        a = float(params.get("amplitude", 1.0))
+        a = _number_param(params, "amplitude", 1.0)
         if a <= 0:
             raise ValidationError("parabolic profile needs amplitude > 0")
-        profile = HeightProfile(
-            kind, a * _X * (1 - _X), grid, c1=a / 2.0, c2=a, params=params
-        )
+        profile = HeightProfile(kind, a * _X * (1 - _X), grid, c1=a / 2.0, c2=a)
     elif kind in ("sine", "sine-shaped"):
-        a = float(params.get("amplitude", 1.0))
+        a = _number_param(params, "amplitude", 1.0)
         if a <= 0:
             raise ValidationError("sine profile needs amplitude > 0")
-        profile = HeightProfile(
-            "sine", a * sp.sin(sp.pi * _X), grid, c1=2.0 * a, c2=a * math.pi, params=params
-        )
+        profile = HeightProfile("sine", a * sp.sin(sp.pi * _X), grid, c1=2.0 * a, c2=a * math.pi)
     elif kind == "distance":
         return _DistanceProfile(grid)
     elif kind in ("custom", "custom-analytic"):
@@ -288,11 +284,8 @@ def sample_height_profile(kind: str, params: dict | None, grid: Grid) -> HeightP
             raise ConfigurationError("custom profile needs an 'expr' entry")
         expr = _parse_expr(params["expr"])
         tmp = _AnalyticBase(expr, grid)
-        vals = tmp.derivative_values(0).copy()
-        if abs(vals[0]) > _ZERO_SNAP or abs(vals[-1]) > _ZERO_SNAP:
-            raise ValidationError("custom profile must vanish on the boundary")
-        if np.any(vals[1:-1] <= 0.0):
-            raise ValidationError("custom profile must be positive inside")
+        vals = tmp.derivative_values(0)
+        _check_vanishes_on_boundary_only(vals)
         d = _distance_values(grid)
         ratio = vals[1:-1] / d[1:-1]
         d1 = tmp.derivative_values(1)
@@ -304,7 +297,7 @@ def sample_height_profile(kind: str, params: dict | None, grid: Grid) -> HeightP
                 "custom profile violates the physical vacuum condition "
                 "(vanishing or unbounded slope at an endpoint)"
             )
-        profile = HeightProfile("custom", expr, grid, c1=c1, c2=c2, params=params)
+        profile = HeightProfile("custom", expr, grid, c1=c1, c2=c2)
     else:
         raise ConfigurationError(f"unknown profile kind {kind!r}")
     _validate_vacuum_profile(profile)
@@ -317,10 +310,10 @@ def sample_velocity(kind: str, params: dict | None, grid: Grid) -> AnalyticField
     if kind == "zero":
         return AnalyticField(sp.Integer(0), grid, kind)
     if kind == "cosine":
-        a = float(params.get("amplitude", 1.0))
-        m = int(params.get("mode", 1))
-        if m < 1:
-            raise ValidationError("cosine velocity needs mode >= 1")
+        a = _number_param(params, "amplitude", 1.0)
+        m = params.get("mode", 1)
+        if not _is_int(m) or m < 1:
+            raise ValidationError(f"cosine velocity needs an integer 'mode' >= 1, got {m!r}")
         u0 = AnalyticField(a * sp.cos(m * sp.pi * _X), grid, kind)
     elif kind == "custom":
         if "expr" not in params:

@@ -16,7 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InequalityViolationError, ValidationError
-from .profile import Field, HeightProfile, differentiate, quadrature
+from .profile import (
+    Field,
+    HeightProfile,
+    _values_of,
+    build_grid,
+    differentiate,
+    quadrature,
+    sample_height_profile,
+)
 
 __all__ = [
     "RatioReport",
@@ -30,6 +38,8 @@ __all__ = [
     "check_sobolev_embedding",
     "check_interpolation_identity",
     "check_interpolation_inequality",
+    "identity_family",
+    "interpolation_identity_gaps",
 ]
 
 
@@ -44,6 +54,13 @@ class RatioReport:
         return self.rhs == 0.0 or self.empirical_constant <= self.satisfied_with
 
 
+def _ratio_report(lhs: float, rhs: float, ceiling: float, vanished: str, floor=1e-14) -> RatioReport:
+    """lhs/rhs as the empirical constant; a zero majorant under lhs > floor is a violation."""
+    if rhs == 0.0 and lhs > floor:
+        raise InequalityViolationError(vanished)
+    return RatioReport(lhs, rhs, lhs / rhs if rhs > 0.0 else 0.0, ceiling)
+
+
 @dataclass(frozen=True)
 class IdentityReport:
     lhs: float
@@ -54,33 +71,25 @@ class IdentityReport:
         return abs(self.lhs - self.rhs)
 
 
-def _values(f) -> np.ndarray:
-    if isinstance(f, Field):
-        return f.values
-    if hasattr(f, "values"):
-        return np.asarray(f.values, dtype=float)
-    return np.asarray(f, dtype=float)
-
-
 def _gradient(f, field_x, profile: HeightProfile) -> np.ndarray:
     if field_x is not None:
-        return _values(field_x)
+        return _values_of(field_x)
     if hasattr(f, "derivative") and not isinstance(f, Field):
-        return _values(f.derivative(1))
+        return _values_of(f.derivative(1))
     if hasattr(f, "derivative_values"):
         return f.derivative_values(1)
-    return differentiate(Field(_values(f)), 1, profile.grid).values
+    return differentiate(Field(_values_of(f)), 1, profile.grid).values
 
 
 def weighted_l2_norm(f, weight_power: int, profile: HeightProfile) -> float:
     """sqrt of int rho0^k g^2."""
-    vals = _values(f)
+    vals = _values_of(f)
     return math.sqrt(max(quadrature(vals * vals, weight_power, profile), 0.0))
 
 
 def weighted_h1_norm(f, weight_power: int, profile: HeightProfile, field_x=None) -> float:
     """sqrt of int rho0^k (g^2 + g_x^2)."""
-    vals = _values(f)
+    vals = _values_of(f)
     grad = _gradient(f, field_x, profile)
     return math.sqrt(max(quadrature(vals * vals + grad * grad, weight_power, profile), 0.0))
 
@@ -88,7 +97,7 @@ def weighted_h1_norm(f, weight_power: int, profile: HeightProfile, field_x=None)
 def project_cosine(f, profile: HeightProfile, n_modes: int | None = None) -> np.ndarray:
     """Unweighted cosine-mode coefficients of a nodal field (Simpson pairing)."""
     grid = profile.grid
-    vals = _values(f)
+    vals = _values_of(f)
     if n_modes is None:
         n_modes = min((grid.n_nodes - 1) // 2, 129)
     coeffs = np.empty(n_modes)
@@ -122,33 +131,29 @@ def check_weighted_sobolev(
     """Distance-weighted Poincare-type bound: int d^k w^2 <= C int d^{k+2}(w^2 + w_x^2)."""
     if weight_power < 0:
         raise ConfigurationError("weight_power must be >= 0")
-    vals = _values(f)
+    vals = _values_of(f)
     grad = _gradient(f, field_x, profile)
     lhs = quadrature(vals * vals, weight_power, profile)
     rhs = quadrature(vals * vals + grad * grad, weight_power + 2, profile)
-    if rhs == 0.0 and lhs > 0.0:
-        raise InequalityViolationError(
-            "weighted majorant vanished with nonzero minorant; the profile is "
-            "degenerate beyond the admissible vacuum rate"
-        )
-    const = lhs / rhs if rhs > 0.0 else 0.0
-    return RatioReport(lhs, rhs, const, ceiling)
+    return _ratio_report(
+        lhs, rhs, ceiling,
+        "weighted majorant vanished with nonzero minorant; the profile is "
+        "degenerate beyond the admissible vacuum rate",
+        floor=0.0,
+    )
 
 
 def check_h_half_weighted(
     f, profile: HeightProfile, field_x=None, ceiling: float = 50.0
 ) -> RatioReport:
     """Half-derivative norm controlled by first-order distance-weighted data."""
-    vals = _values(f)
+    vals = _values_of(f)
     grad = _gradient(f, field_x, profile)
     lhs = h_half_norm(f, profile) ** 2
     rhs = quadrature(vals * vals + grad * grad, 1, profile)
-    if rhs == 0.0 and lhs > 1e-14:
-        raise InequalityViolationError(
-            "weighted majorant vanished with nonzero half-derivative norm"
-        )
-    const = lhs / rhs if rhs > 0.0 else 0.0
-    return RatioReport(lhs, rhs, const, ceiling)
+    return _ratio_report(
+        lhs, rhs, ceiling, "weighted majorant vanished with nonzero half-derivative norm"
+    )
 
 
 def _half_interval_ranges(profile: HeightProfile, side: str):
@@ -179,7 +184,7 @@ def check_interpolation_identity(
     grid = profile.grid
     i0, i1 = _half_interval_ranges(profile, side)
     w = grid.subrange_weights(i0, i1)
-    vals = _values(f)
+    vals = _values_of(f)
     grad = _gradient(f, field_x, profile)
     rho = profile.values
     mid = (grid.n_nodes - 1) // 2
@@ -205,17 +210,14 @@ def check_sobolev_embedding(
     """
     if not 0.0 < s < 0.5:
         raise ConfigurationError(f"embedding exponent must be in (0, 1/2), got {s}")
-    vals = _values(f)
+    vals = _values_of(f)
     p = 2.0 / (1.0 - 2.0 * s)
     lhs = quadrature(np.abs(vals) ** p, 0, profile) ** (1.0 / p)
     coeffs = project_cosine(vals, profile)
     n = np.arange(len(coeffs))
     symbol = (1.0 + (n * np.pi) ** 2) ** s
     rhs = math.sqrt(float(np.dot(symbol, coeffs**2)))
-    if rhs == 0.0 and lhs > 1e-14:
-        raise InequalityViolationError("spectral norm vanished with nonzero Lp norm")
-    const = lhs / rhs if rhs > 0.0 else 0.0
-    return RatioReport(lhs, rhs, const, ceiling)
+    return _ratio_report(lhs, rhs, ceiling, "spectral norm vanished with nonzero Lp norm")
 
 
 def check_interpolation_inequality(
@@ -225,13 +227,36 @@ def check_interpolation_inequality(
 
         ||g||_L2 <= C ||g||_{L2,rho0}^(1/2) ||g||_{H1,rho0}^(1/2).
     """
-    vals = _values(f)
+    vals = _values_of(f)
     grad = _gradient(f, field_x, profile)
     lhs = weighted_l2_norm(vals, 0, profile)
     l2w = weighted_l2_norm(vals, 1, profile)
     h1w = weighted_h1_norm(vals, 1, profile, field_x=grad)
     rhs = math.sqrt(l2w) * math.sqrt(h1w)
-    if rhs == 0.0 and lhs > 1e-14:
-        raise InequalityViolationError("weighted norms vanished with nonzero L2 norm")
-    const = lhs / rhs if rhs > 0.0 else 0.0
-    return RatioReport(lhs, rhs, const, ceiling)
+    return _ratio_report(lhs, rhs, ceiling, "weighted norms vanished with nonzero L2 norm")
+
+
+def identity_family(grid) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """Test family {1, x, x^2, cos(pi x), cos(3 pi x)} with exact derivatives."""
+    x = grid.nodes
+    return [
+        ("one", np.ones_like(x), np.zeros_like(x)),
+        ("x", x.copy(), np.ones_like(x)),
+        ("x^2", x**2, 2 * x),
+        ("cos(pi x)", np.cos(np.pi * x), -np.pi * np.sin(np.pi * x)),
+        ("cos(3 pi x)", np.cos(3 * np.pi * x), -3 * np.pi * np.sin(3 * np.pi * x)),
+    ]
+
+
+def interpolation_identity_gaps(n_nodes: int) -> np.ndarray:
+    """|lhs - rhs| of both half-interval identities over the identity family.
+
+    Uses the distance weight on an n_nodes grid; entries alternate
+    unweighted/weighted per family member.
+    """
+    dist = sample_height_profile("distance", {}, build_grid(n_nodes))
+    return np.array([
+        check_interpolation_identity(f, dist, field_x=fx, weighted=weighted).abs_gap
+        for _, f, fx in identity_family(dist.grid)
+        for weighted in (False, True)
+    ])

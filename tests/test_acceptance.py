@@ -29,7 +29,7 @@ from svfree.profile import (
     sample_height_profile,
     sample_velocity,
 )
-from svfree.weighted_calculus import check_interpolation_identity
+from svfree.weighted_calculus import interpolation_identity_gaps
 
 CANONICAL = dict(t_final=0.05, dt=1e-4, n_modes=32)
 
@@ -71,28 +71,7 @@ def test_criterion_2_picard_contraction(para401, u0zero401, t_final):
 
 
 def test_criterion_3_interpolation_identities():
-    def gaps(n):
-        grid = build_grid(n)
-        dist = sample_height_profile("distance", {}, grid)
-        x = grid.nodes
-        family = [
-            (np.ones_like(x), np.zeros_like(x)),
-            (x.copy(), np.ones_like(x)),
-            (x**2, 2 * x),
-            (np.cos(np.pi * x), -np.pi * np.sin(np.pi * x)),
-            (np.cos(3 * np.pi * x), -3 * np.pi * np.sin(3 * np.pi * x)),
-        ]
-        out = []
-        for f, fx in family:
-            for weighted in (False, True):
-                out.append(
-                    check_interpolation_identity(
-                        f, dist, field_x=fx, weighted=weighted
-                    ).abs_gap
-                )
-        return np.array(out)
-
-    g401, g101 = gaps(401), gaps(101)
+    g401, g101 = interpolation_identity_gaps(401), interpolation_identity_gaps(101)
     assert np.max(g401) <= 1e-8
     nontrivial = g101 > 1e-14
     assert np.any(nontrivial)

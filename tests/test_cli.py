@@ -153,12 +153,25 @@ class TestRunSimulation:
         assert diff["final_weighted_l2_diff"] < 1e-3
 
 
+VERIFY_CHECK_ORDER = [
+    "grid-uniformity", "physical-vacuum", "quadrature-cubic-exactness",
+    "spectral-derivative-consistency", "basis-orthonormality",
+    "assembly-mass-closed-form", "assembly-stiffness-closed-form", "forcing-zero-mode",
+    "weighted-sobolev-family", "h-half-weighted-family", "interpolation-inequality-family",
+    "sobolev-embedding-quarter", "interpolation-identity-gap", "identity-refinement-rate",
+    "norm-homogeneity", "energy-identity-residual", "contraction-monotonicity", "eta-bound",
+    "mass-conservation", "roundtrip-inverse-map", "boundary-neumann-spectral",
+    "apriori-ceiling", "embedding-constants",
+]
+
+
 class TestVerificationSuite:
     def test_default_config_all_pass(self, tmp_path):
         cfg = config_from_dict({**SMALL, "n_nodes": 201, "n_modes": 16})
         checks = run_verification_suite(cfg)
         failed = [c.name for c in checks if not c.passed]
         assert failed == []
+        assert [c.name for c in checks] == VERIFY_CHECK_ORDER
 
     def test_corrupted_profile_fails_by_name(self):
         from svfree.profile import sample_height_profile
@@ -187,6 +200,27 @@ class TestMainExitCodes:
     def test_config_error_is_3(self, tmp_path, capsys):
         bad = _write_config(tmp_path, {"dt": -1})
         assert main(["simulate", "--config", str(bad)]) == 3
+
+    @pytest.mark.parametrize("patch, field", [
+        ({"n_nodes": 21.0}, "n_nodes"),
+        ({"n_modes": 4.0}, "n_modes"),
+        ({"dt": True, "t_final": 2.0}, "dt"),
+        ({"max_iter": True}, "max_iter"),
+        ({"windows": 1.0}, "windows"),
+        ({"emit": {"snapshots": True}}, "snapshots"),
+        ({"emit": 5}, "emit"),
+        ({"out_dir": 5}, "out_dir"),
+        ({"u0": {"kind": "cosine", "mode": 1.5}}, "mode"),
+        ({"u0": {"kind": "cosine", "mode": True}}, "mode"),
+        ({"u0": {"kind": "cosine", "amplitude": "big"}}, "amplitude"),
+        ({"profile": {"kind": "parabolic", "amplitude": "big"}}, "amplitude"),
+        ({"profile": {"kind": "sine", "amplitude": True}}, "amplitude"),
+    ])
+    def test_bad_field_type_is_3_and_named(self, tmp_path, monkeypatch, capsys, patch, field):
+        monkeypatch.setenv("SVFREE_OUT", str(tmp_path / "out"))
+        cfg = _write_config(tmp_path, {**SMALL, **patch})
+        assert main(["simulate", "--config", str(cfg)]) == 3
+        assert field in capsys.readouterr().err
 
     def test_simulate_ok_is_0(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SVFREE_OUT", str(tmp_path / "out"))

@@ -12,7 +12,6 @@ from svfree.galerkin import (
     assemble_stiffness,
     energy_identity_residual,
     n_steps_for,
-    neumann_basis,
     project_initial,
     solve_linearized,
     step_linearized,
@@ -34,27 +33,27 @@ def grid401_mod():
 
 class TestBasis:
     def test_single_mode_is_constant(self, grid401):
-        b = neumann_basis(1, grid401)
+        b = GalerkinBasis(1, grid401)
         assert np.all(b.table(0)[0] == 1.0)
 
     def test_first_mode_normalized(self, grid401, para401):
         # (e1, e1) = int 2 cos^2(pi x) = 1, antiderivative x + sin(2 pi x)/(4 pi)
-        b = neumann_basis(2, grid401)
+        b = GalerkinBasis(2, grid401)
         e1 = b.table(0)[1]
         assert np.dot(grid401.simpson_weights, e1 * e1) == pytest.approx(1.0, abs=1e-10)
 
     def test_endpoint_slopes_exactly_zero(self, grid401):
-        b = neumann_basis(6, grid401)
+        b = GalerkinBasis(6, grid401)
         d1 = b.table(1)
         assert np.all(d1[:, 0] == 0.0)
         assert np.all(d1[:, -1] == 0.0)
 
     def test_orthonormality_defect(self, grid401):
-        b = neumann_basis(32, grid401)
+        b = GalerkinBasis(32, grid401)
         assert b.orthonormality_defect() <= 1e-10
 
     def test_endpoint_derivatives_match_tables(self, grid401):
-        b = neumann_basis(5, grid401)
+        b = GalerkinBasis(5, grid401)
         coeffs = np.array([0.3, -1.2, 0.5, 0.0, 2.0])
         for x0, idx in ((0.0, 0), (1.0, -1)):
             derivs = b.endpoint_derivatives(coeffs, x0, 5)
@@ -64,7 +63,7 @@ class TestBasis:
 
     def test_bad_mode_count(self, grid401):
         with pytest.raises(ConfigurationError):
-            neumann_basis(0, grid401)
+            GalerkinBasis(0, grid401)
 
 
 class TestAssembly:

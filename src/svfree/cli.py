@@ -134,6 +134,11 @@ def _validate_config(cfg: RunConfig) -> RunConfig:
         value = getattr(cfg, key)
         if not _is_int(value) or value < 1:
             raise ConfigurationError(f"config field '{key}' must be an integer >= 1, got {value!r}")
+    if cfg.n_modes > (cfg.n_nodes - 1) // 2:
+        raise ConfigurationError(
+            f"config field 'n_modes' must be <= (n_nodes-1)//2 = {(cfg.n_nodes - 1) // 2} "
+            f"so the grid resolves every mode, got {cfg.n_modes}"
+        )
     for key in ("dt", "t_final", "picard_tol"):
         value = getattr(cfg, key)
         if not _is_real(value) or value <= 0:
@@ -553,8 +558,8 @@ def run_verification_suite(
     ones = np.ones(small_grid.n_nodes)
 
     def identity_residual(dt):
-        traj = solve_linearized(sp_para, sp_u0, lambda t: ones, 0.01, dt, 16)
-        return energy_identity_residual(traj, sp_para, lambda t: ones)
+        traj = solve_linearized(sp_para, sp_u0, ones, 0.01, dt, 16)
+        return energy_identity_residual(traj, sp_para, ones)
 
     r1, r2 = identity_residual(2e-4), identity_residual(1e-4)
     add(

@@ -46,6 +46,10 @@ __all__ = [
 
 ETA_X_RANGE = (0.1, 10.0)
 
+# steps whose operators the march assembles at once: one GEMM per block,
+# with the stack of stiffness matrices kept small
+_BLOCK_STEPS = 128
+
 
 class GalerkinBasis:
     """Neumann cosine eigenbasis sampled on a grid, with exact derivatives."""
@@ -56,6 +60,7 @@ class GalerkinBasis:
         self.n_modes = n_modes
         self.grid = grid
         self._tables: dict[int, np.ndarray] = {}
+        self._gradient_products: tuple[np.ndarray, np.ndarray] | None = None
 
     def table(self, order: int = 0) -> np.ndarray:
         """(n_modes, n_nodes) array of order-th mode derivatives at the nodes."""
@@ -65,23 +70,29 @@ class GalerkinBasis:
             self._tables[order] = tab
         return tab
 
+    def gradient_products(self) -> tuple[np.ndarray, np.ndarray]:
+        """(n_nodes, m(m+1)/2) products (e_i)_x (e_j)_x, i <= j, and an (m*m,) column index.
+
+        (w @ table)[..., index] are row-major weighted Gram matrices, exactly symmetric.
+        """
+        if self._gradient_products is None:
+            d = self.table(1).T
+            i, j = np.triu_indices(self.n_modes)
+            index = np.empty((self.n_modes, self.n_modes), dtype=np.intp)
+            index[i, j] = index[j, i] = np.arange(len(i))
+            self._gradient_products = (d[:, i] * d[:, j], index.ravel())
+        return self._gradient_products
+
     def evaluate_modes(self, x, order: int = 0) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.zeros((self.n_modes, x.size))
         if order == 0:
             out[0] = 1.0
+        # d^k/dx^k cos(w x) = sign * w^k * trig(w x), by k mod 4
+        trig, sign = ((np.cos, 1.0), (np.sin, -1.0), (np.cos, -1.0), (np.sin, 1.0))[order % 4]
         for n in range(1, self.n_modes):
             w = n * np.pi
-            phase = order % 4
-            amp = np.sqrt(2.0) * w**order
-            if phase == 0:
-                out[n] = amp * np.cos(w * x)
-            elif phase == 1:
-                out[n] = -amp * np.sin(w * x)
-            elif phase == 2:
-                out[n] = -amp * np.cos(w * x)
-            else:
-                out[n] = amp * np.sin(w * x)
+            out[n] = sign * np.sqrt(2.0) * w**order * trig(w * x)
         if order % 2 == 1:
             # sin(n pi x) vanishes identically on the boundary; keep it exact
             edge = (x == 0.0) | (x == 1.0)
@@ -115,8 +126,7 @@ class GalerkinBasis:
         cosine below the aliasing limit exactly, so the defect is rounding-level.
         """
         w = np.full(self.grid.n_nodes, self.grid.spacing)
-        w[0] *= 0.5
-        w[-1] *= 0.5
+        w[[0, -1]] *= 0.5
         e = self.table(0)
         gram = (e * w) @ e.T
         return float(np.max(np.abs(gram - np.eye(self.n_modes))))
@@ -133,7 +143,7 @@ class ModalField:
 
     @property
     def values(self) -> np.ndarray:
-        return self.basis.evaluate(self.coeffs, self.basis.grid.nodes, self.deriv_order)
+        return self.coeffs @ self.basis.table(self.deriv_order)
 
     def derivative(self, order: int = 1) -> "ModalField":
         return ModalField(self.coeffs, self.basis, self.deriv_order + order, self.meta)
@@ -163,7 +173,8 @@ def stored_index(times: np.ndarray, dt: float, t: float) -> int:
     return idx
 
 
-def _check_eta_x(eta_x: np.ndarray) -> np.ndarray:
+def _jacobian_weights(profile: HeightProfile, eta_x, rho_power: int) -> np.ndarray:
+    """Quadrature weights rho0^rho_power / eta_x^2 for rows of nodal Jacobians."""
     eta_x = np.asarray(eta_x, dtype=float)
     lo, hi = ETA_X_RANGE
     if np.any(~np.isfinite(eta_x)) or np.any(eta_x <= lo) or np.any(eta_x >= hi):
@@ -171,17 +182,14 @@ def _check_eta_x(eta_x: np.ndarray) -> np.ndarray:
             f"flow-map Jacobian left the admissible range {ETA_X_RANGE}: "
             f"min={np.min(eta_x):.3g}, max={np.max(eta_x):.3g}"
         )
-    return eta_x
-
-
-def _symmetrized_weighted_gram(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    g = (rows * weights) @ rows.T
-    return (g + g.T) / 2.0
+    return profile.grid.simpson_weights * profile.values**rho_power / eta_x**2
 
 
 def assemble_mass(profile: HeightProfile, basis: GalerkinBasis) -> np.ndarray:
     w = profile.grid.simpson_weights * profile.values
-    mass = _symmetrized_weighted_gram(basis.table(0), w)
+    e = basis.table(0)
+    mass = (e * w) @ e.T
+    mass = (mass + mass.T) / 2.0
     try:
         np.linalg.cholesky(mass)
     except np.linalg.LinAlgError as exc:
@@ -195,17 +203,17 @@ def assemble_mass(profile: HeightProfile, basis: GalerkinBasis) -> np.ndarray:
 def assemble_stiffness(
     profile: HeightProfile, basis: GalerkinBasis, eta_x: np.ndarray
 ) -> np.ndarray:
-    eta_x = _check_eta_x(eta_x)
-    w = profile.grid.simpson_weights * profile.values / eta_x**2
-    return _symmetrized_weighted_gram(basis.table(1), w)
+    """Stiffness matrices for Jacobian rows of shape (..., n_nodes): (..., m, m)."""
+    table, index = basis.gradient_products()
+    w = _jacobian_weights(profile, eta_x, 1)
+    return np.take(w @ table, index, axis=-1).reshape(w.shape[:-1] + (basis.n_modes,) * 2)
 
 
 def assemble_forcing(
     profile: HeightProfile, basis: GalerkinBasis, eta_x: np.ndarray
 ) -> np.ndarray:
-    eta_x = _check_eta_x(eta_x)
-    w = profile.grid.simpson_weights * profile.values**2 / eta_x**2
-    return basis.table(1) @ w
+    """Forcing vectors for Jacobian rows of shape (..., n_nodes): (..., m)."""
+    return _jacobian_weights(profile, eta_x, 2) @ basis.table(1).T
 
 
 def project_initial(u0, basis: GalerkinBasis, grid: Grid) -> np.ndarray:
@@ -225,21 +233,16 @@ def step_linearized(
 ) -> np.ndarray:
     if dt <= 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
+    if scheme == "implicit-euler":
+        lhs, rhs = mass + dt * stiffness_next, mass @ lam + dt * forcing_next
+    elif scheme == "crank-nicolson":
+        if stiffness_cur is None or forcing_cur is None:
+            raise ConfigurationError("crank-nicolson needs operators at both step endpoints")
+        lhs = mass + 0.5 * dt * stiffness_next
+        rhs = (mass - 0.5 * dt * stiffness_cur) @ lam + 0.5 * dt * (forcing_cur + forcing_next)
+    else:
+        raise ConfigurationError(f"unknown scheme {scheme!r}")
     try:
-        if scheme == "implicit-euler":
-            lhs = mass + dt * stiffness_next
-            rhs = mass @ lam + dt * forcing_next
-        elif scheme == "crank-nicolson":
-            if stiffness_cur is None or forcing_cur is None:
-                raise ConfigurationError(
-                    "crank-nicolson needs operators at both step endpoints"
-                )
-            lhs = mass + 0.5 * dt * stiffness_next
-            rhs = (mass - 0.5 * dt * stiffness_cur) @ lam + 0.5 * dt * (
-                forcing_cur + forcing_next
-            )
-        else:
-            raise ConfigurationError(f"unknown scheme {scheme!r}")
         return np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError as exc:
         raise DegenerateMassError("implicit step system failed to solve") from exc
@@ -257,10 +260,30 @@ def n_steps_for(t_final: float, dt: float) -> int:
     return steps
 
 
+def _operator_blocks(profile, basis, eta_x, steps: int, first: int = 0, zero_forcing=False):
+    """Yield (row, stiffness, forcing stacks) for Jacobian rows first..steps, in blocks.
+
+    eta_x must broadcast to (steps+1, n_nodes): one nodal row per step time,
+    or one row for every step.
+    """
+    shape = (steps + 1, profile.grid.n_nodes)
+    try:
+        rows = np.broadcast_to(np.asarray(eta_x, dtype=float), shape)
+    except ValueError:
+        raise ConfigurationError(
+            f"eta_x must broadcast to (steps+1, n_nodes) = {shape}, got shape {np.shape(eta_x)}"
+        ) from None
+    for start in range(first, steps + 1, _BLOCK_STEPS):
+        block = rows[start:start + _BLOCK_STEPS]
+        force = (np.zeros((len(block), basis.n_modes)) if zero_forcing
+                 else assemble_forcing(profile, basis, block))
+        yield start, assemble_stiffness(profile, basis, block), force
+
+
 def solve_linearized(
     profile: HeightProfile,
     u0,
-    eta_x_at,
+    eta_x,
     t_final: float,
     dt: float,
     n_modes: int,
@@ -271,10 +294,10 @@ def solve_linearized(
 ) -> ModalTrajectory:
     """March the modal system over [0, t_final] against a frozen flow guess.
 
-    eta_x_at(t) must return the nodal Jacobian of the guess flow at any step
-    time (interpolate between its stored times if needed). lam0 overrides the
-    initial modal coefficients (windowed restarts hand over modal data
-    directly instead of reprojecting).
+    eta_x is the nodal Jacobian of the guess flow at the step times: an array
+    that broadcasts to (steps+1, n_nodes), so one row serves every step. lam0
+    overrides the initial modal coefficients (windowed restarts hand over
+    modal data directly instead of reprojecting).
     """
     grid = profile.grid
     if basis is None:
@@ -285,37 +308,31 @@ def solve_linearized(
     coeffs = np.zeros((steps + 1, basis.n_modes))
     coeffs[0] = lam0 if lam0 is not None else project_initial(u0, basis, grid)
 
-    def ops_at(t: float):
-        eta_x = eta_x_at(t)
-        stiff = assemble_stiffness(profile, basis, eta_x)
-        if zero_forcing:
-            force = np.zeros(basis.n_modes)
-        else:
-            force = assemble_forcing(profile, basis, eta_x)
-        return stiff, force
-
-    stiff_cur, force_cur = ops_at(0.0) if scheme == "crank-nicolson" else (None, None)
-    for m in range(steps):
-        stiff_next, force_next = ops_at(times[m + 1])
-        coeffs[m + 1] = step_linearized(
-            coeffs[m], dt, mass, stiff_next, force_next, scheme, stiff_cur, force_cur
-        )
-        stiff_cur, force_cur = stiff_next, force_next
+    # operators of row m are the "next" ones of step m and the "current" ones
+    # of step m + 1 (Crank-Nicolson), also across block seams
+    cur = (None, None)
+    for start, stiff, force in _operator_blocks(profile, basis, eta_x, steps, 0, zero_forcing):
+        for k, ops in enumerate(zip(stiff, force)):
+            m = start + k
+            if m > 0:
+                coeffs[m] = step_linearized(coeffs[m - 1], dt, mass, *ops, scheme, *cur)
+            cur = ops
     return ModalTrajectory(times, coeffs, dt, basis)
 
 
 def energy_identity_residual(
     traj: ModalTrajectory,
     profile: HeightProfile,
-    eta_x_at,
+    eta_x,
 ) -> float:
     """Residual of the discrete balance obtained by testing with the solution:
 
         1/2 ||sqrt(rho0) v(T)||^2 + sum dt int rho0 v_x^2 / eta_bar_x^2
             = 1/2 ||sqrt(rho0) v(0)||^2 + sum dt int rho0^2 v_x / eta_bar_x^2,
 
-    sums over step right-endpoints. For the backward-Euler trajectory the
-    residual equals the accumulated jump dissipation, O(dt).
+    sums over step right-endpoints. eta_x broadcasts to (steps+1, n_nodes) as
+    in solve_linearized. For the backward-Euler trajectory the residual
+    equals the accumulated jump dissipation, O(dt).
     """
     basis = traj.basis
     mass = assemble_mass(profile, basis)
@@ -323,12 +340,10 @@ def energy_identity_residual(
     dt = traj.dt
     dissip = 0.0
     work = 0.0
-    for m in range(len(traj.times) - 1):
-        eta_x = eta_x_at(traj.times[m + 1])
-        stiff = assemble_stiffness(profile, basis, eta_x)
-        force = assemble_forcing(profile, basis, eta_x)
-        dissip += dt * lam[m + 1] @ stiff @ lam[m + 1]
-        work += dt * force @ lam[m + 1]
+    for start, stiff, force in _operator_blocks(profile, basis, eta_x, len(lam) - 1, first=1):
+        lam_b = lam[start:start + len(stiff)]
+        dissip += dt * np.einsum("ti,tij,tj->", lam_b, stiff, lam_b)
+        work += dt * np.einsum("ti,ti->", force, lam_b)
     lhs = 0.5 * lam[-1] @ mass @ lam[-1] + dissip
     rhs = 0.5 * lam[0] @ mass @ lam[0] + work
     return float(abs(lhs - rhs))

@@ -244,11 +244,8 @@ def _state_from_trajectory(traj, t: float) -> _State:
     grid = traj.profile.grid
     lam = traj.coeffs[idx]
     mu = traj.flow_coeffs[idx]
-    n = grid.n_nodes
-    w = np.stack([basis.evaluate(lam, grid.nodes, k) for k in range(_DEPTH)])
-    j = np.zeros((_DEPTH, n))
-    for k in range(_DEPTH):
-        j[k] = basis.evaluate(mu, grid.nodes, k)
+    w = np.stack([lam @ basis.table(k) for k in range(_DEPTH)])
+    j = np.stack([mu @ basis.table(k) for k in range(_DEPTH)])
     j[0] += grid.nodes
     j[1] += 1.0
     w_atoms = tuple(basis.endpoint_derivatives(lam, float(s), _ATOM_ORDERS) for s in (0, 1))

@@ -61,17 +61,6 @@ class FlowTrajectory:
     eta_x: np.ndarray
     dt: float
 
-    def eta_x_at(self, t: float) -> np.ndarray:
-        pos = t / self.dt
-        idx = int(round(pos))
-        if idx < len(self.times) and abs(self.times[idx] - t) <= 1e-10 * max(1.0, abs(t)):
-            return self.eta_x[idx]
-        if t < self.times[0] or t > self.times[-1]:
-            raise ConfigurationError(f"t={t} outside the stored flow window")
-        i0 = min(int(pos), len(self.times) - 2)
-        w = (t - self.times[i0]) / self.dt
-        return (1.0 - w) * self.eta_x[i0] + w * self.eta_x[i0 + 1]
-
 
 @dataclass(frozen=True)
 class ContractionReport:
@@ -147,13 +136,9 @@ def _integrate_flow_coeffs(traj: ModalTrajectory) -> np.ndarray:
     return mu
 
 
-def _flow_from_coeffs(
-    mu: np.ndarray, basis: GalerkinBasis, times: np.ndarray, dt: float
-) -> FlowTrajectory:
-    grid = basis.grid
-    eta = grid.nodes[None, :] + mu @ basis.table(0)
-    eta_x = 1.0 + mu @ basis.table(1)
-    return FlowTrajectory(times, eta, eta_x, dt)
+def _flow_from_coeffs(mu: np.ndarray, basis: GalerkinBasis, times, dt: float) -> FlowTrajectory:
+    eta = basis.grid.nodes[None, :] + mu @ basis.table(0)
+    return FlowTrajectory(times, eta, 1.0 + mu @ basis.table(1), dt)
 
 
 def contraction_metrics(
@@ -198,18 +183,18 @@ def _solve_window(
         mu_guess = mu0[None, :] + times[:, None] * lam_init[None, :]
     else:
         raise ConfigurationError(f"unknown initial_guess {settings.initial_guess!r}")
-    flow = _flow_from_coeffs(mu_guess, basis, times, settings.dt)
+    eta_x = 1.0 + mu_guess @ basis.table(1)
 
     prev = None
     prev_total = None
     for it in range(1, settings.max_iter + 1):
         traj = solve_linearized(
-            profile, u0, flow.eta_x_at, settings.t_final, settings.dt,
+            profile, u0, eta_x, settings.t_final, settings.dt,
             settings.n_modes, settings.scheme, settings.zero_forcing,
             basis=basis, lam0=lam0,
         )
         mu = mu0[None, :] + _integrate_flow_coeffs(traj)
-        flow = _flow_from_coeffs(mu, basis, times, settings.dt)
+        eta_x = 1.0 + mu @ basis.table(1)
         if prev is not None:
             report = contraction_metrics(prev, traj, profile, it - 1, prev_total)
             history.append(report)
@@ -239,9 +224,7 @@ def solve_nonlinear(
     windows = max(1, settings.windows)
     steps = n_steps_for(settings.t_final, settings.dt)
     if steps % windows != 0:
-        raise ConfigurationError(
-            f"step count {steps} is not divisible into {windows} windows"
-        )
+        raise ConfigurationError(f"step count {steps} is not divisible into {windows} windows")
     sub = replace(settings, t_final=settings.t_final / windows)
     lam0 = None
     mu0 = np.zeros(basis.n_modes)

@@ -10,7 +10,9 @@ never see differencing noise.
 
 from __future__ import annotations
 
+import ast
 import math
+import tokenize
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,17 +41,47 @@ _X = sp.Symbol("x", real=True)
 _ZERO_SNAP = 1e-12
 
 
-def _parse_expr(expr):
-    """Sympify and rebind any symbol named x to the module's real symbol."""
-    e = sp.sympify(expr)
-    for s in e.free_symbols:
-        if s.name == "x":
-            e = e.subs(s, _X)
+# the grammar of a closed-form `expr` string: numbers, the names below, calls
+# of the named functions, unary +/- and + - * / **
+_EXPR_NAMES = frozenset({"x", "pi", "E"})
+_EXPR_FUNCTIONS = frozenset("sin cos tan asin acos atan sinh cosh tanh exp log sqrt".split())
+_EXPR_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub)
+
+
+def _check_expr_grammar(text: str) -> None:
+    """Raise SyntaxError or ValueError for a string outside the allow-listed grammar."""
+    nodes = list(ast.walk(ast.parse(text, mode="eval")))
+    called = {id(n.func) for n in nodes if isinstance(n, ast.Call)}
+    for node in nodes:
+        if isinstance(node, ast.Name):
+            ok = node.id in _EXPR_NAMES or (id(node) in called and node.id in _EXPR_FUNCTIONS)
+        elif isinstance(node, ast.Call):
+            ok = isinstance(node.func, ast.Name) and not node.keywords
+        elif isinstance(node, ast.Constant):
+            ok = type(node.value) in (int, float)
         else:
-            raise ConfigurationError(
-                f"closed-form expressions may only use 'x', found {s.name!r}"
-            )
-    return e
+            ok = isinstance(node, (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Load, *_EXPR_OPS))
+        if not ok:
+            what = ast.unparse(node) if isinstance(node, ast.expr) else type(node).__name__
+            raise ValueError(f"{what!r} is not allowed")
+
+
+def _parse_expr(expr):
+    """A sympy expression in the module's real symbol x.
+
+    A string must pass the allow-listed grammar before sympy sees it, so it is
+    never run as Python; sympy objects built inside the package pass as they are.
+    """
+    if isinstance(expr, sp.Basic):
+        return expr
+    if not isinstance(expr, str):
+        raise ConfigurationError(f"'expr' must be a string, got {expr!r}")
+    try:
+        _check_expr_grammar(expr)
+        return sp.sympify(expr).subs(sp.Symbol("x"), _X)
+    except (SyntaxError, ValueError, TypeError, RecursionError,
+            sp.SympifyError, tokenize.TokenError) as exc:
+        raise ConfigurationError(f"'expr' {expr!r} is not a closed form in x: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -171,9 +203,10 @@ class HeightProfile(_AnalyticBase):
         self.c1 = float(c1)
         self.c2 = float(c2)
         vals = self.derivative_values(0)
-        # endpoint values are analytic zeros; snap away lambdify dust
-        vals[0] = 0.0
-        vals[-1] = 0.0
+        # snap lambdify dust; a real boundary value stays for the validator to reject
+        for i in (0, -1):
+            if abs(vals[i]) <= _ZERO_SNAP:
+                vals[i] = 0.0
 
     def weight_values(self, power: int) -> np.ndarray:
         if power == 0:
@@ -253,6 +286,15 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def _known_params(params: dict | None, what: str, *allowed: str) -> dict:
+    """A copy of params, which may hold only the allowed keys."""
+    params = dict(params or {})
+    unknown = sorted(set(params) - set(allowed))
+    if unknown:
+        raise ConfigurationError(f"{what} got unknown key(s) {unknown}; it takes {sorted(allowed)}")
+    return params
+
+
 def _number_param(params: dict, key: str, default: float) -> float:
     value = params.get(key, default)
     if not _is_real(value):
@@ -266,20 +308,23 @@ def sample_height_profile(kind: str, params: dict | None, grid: Grid) -> HeightP
     kinds: ``parabolic`` a*x*(1-x); ``sine`` a*sin(pi*x); ``distance``
     min(x, 1-x); ``custom`` with a closed-form ``expr`` in x.
     """
-    params = dict(params or {})
     if kind == "parabolic":
+        params = _known_params(params, "parabolic profile", "amplitude")
         a = _number_param(params, "amplitude", 1.0)
         if a <= 0:
             raise ValidationError("parabolic profile needs amplitude > 0")
         profile = HeightProfile(kind, a * _X * (1 - _X), grid, c1=a / 2.0, c2=a)
     elif kind in ("sine", "sine-shaped"):
+        params = _known_params(params, "sine profile", "amplitude")
         a = _number_param(params, "amplitude", 1.0)
         if a <= 0:
             raise ValidationError("sine profile needs amplitude > 0")
         profile = HeightProfile("sine", a * sp.sin(sp.pi * _X), grid, c1=2.0 * a, c2=a * math.pi)
     elif kind == "distance":
+        _known_params(params, "distance profile")
         return _DistanceProfile(grid)
     elif kind in ("custom", "custom-analytic"):
+        params = _known_params(params, "custom profile", "expr")
         if "expr" not in params:
             raise ConfigurationError("custom profile needs an 'expr' entry")
         expr = _parse_expr(params["expr"])
@@ -306,16 +351,18 @@ def sample_height_profile(kind: str, params: dict | None, grid: Grid) -> HeightP
 
 def sample_velocity(kind: str, params: dict | None, grid: Grid) -> AnalyticField:
     """Build an initial velocity with endpoint-Neumann compatibility u0_x = 0."""
-    params = dict(params or {})
     if kind == "zero":
+        _known_params(params, "zero velocity")
         return AnalyticField(sp.Integer(0), grid, kind)
     if kind == "cosine":
+        params = _known_params(params, "cosine velocity", "amplitude", "mode")
         a = _number_param(params, "amplitude", 1.0)
         m = params.get("mode", 1)
         if not _is_int(m) or m < 1:
             raise ValidationError(f"cosine velocity needs an integer 'mode' >= 1, got {m!r}")
         u0 = AnalyticField(a * sp.cos(m * sp.pi * _X), grid, kind)
     elif kind == "custom":
+        params = _known_params(params, "custom velocity", "expr")
         if "expr" not in params:
             raise ConfigurationError("custom velocity needs an 'expr' entry")
         u0 = AnalyticField(_parse_expr(params["expr"]), grid, kind)

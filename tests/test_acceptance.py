@@ -86,8 +86,8 @@ def test_criterion_4_energy_identity_residual(para401, u0zero401):
     ones = np.ones(401)
     residuals = {}
     for dt in (1e-4, 5e-5):
-        traj = solve_linearized(para401, u0zero401, lambda t: ones, 0.05, dt, 32)
-        residuals[dt] = energy_identity_residual(traj, para401, lambda t: ones)
+        traj = solve_linearized(para401, u0zero401, ones, 0.05, dt, 32)
+        residuals[dt] = energy_identity_residual(traj, para401, ones)
     scale = 1.0
     assert residuals[1e-4] <= 5.0 * 1e-4 * scale
     assert residuals[5e-5] <= 0.6 * residuals[1e-4]

@@ -185,6 +185,16 @@ class TestVerificationSuite:
         assert "physical-vacuum" in failed
 
 
+    def test_nonvanishing_boundary_fails_physical_vacuum(self):
+        from svfree.profile import HeightProfile
+
+        cfg = config_from_dict({**SMALL, "n_nodes": 201, "n_modes": 16})
+        lifted = HeightProfile("custom", "x*(1-x) + 1/10", build_grid(201), c1=0.1, c2=1.0)
+        checks = run_verification_suite(cfg, profile_override=lifted)
+        failed = {c.name: c.detail for c in checks if not c.passed}
+        assert "vanish" in failed["physical-vacuum"]
+
+
 class TestSweep:
     def test_parse_range(self):
         vals = parse_sweep_range("T=0.01:0.03:3")
@@ -215,6 +225,11 @@ class TestMainExitCodes:
         ({"u0": {"kind": "cosine", "amplitude": "big"}}, "amplitude"),
         ({"profile": {"kind": "parabolic", "amplitude": "big"}}, "amplitude"),
         ({"profile": {"kind": "sine", "amplitude": True}}, "amplitude"),
+        ({"profile": {"kind": "parabolic", "amplitud": 5.0}}, "amplitud"),
+        ({"u0": {"kind": "cosine", "amplitude": 0.5, "modes": 2}}, "modes"),
+        ({"profile": {"kind": "custom", "expr": "x*(1-x"}}, "expr"),
+        ({"profile": {"kind": "custom", "expr": "__import__('os')"}}, "expr"),
+        ({"n_nodes": 21, "n_modes": 40}, "n_modes"),
     ])
     def test_bad_field_type_is_3_and_named(self, tmp_path, monkeypatch, capsys, patch, field):
         monkeypatch.setenv("SVFREE_OUT", str(tmp_path / "out"))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
 from svfree.errors import ConfigurationError, FlowMapDegeneracyError
@@ -127,6 +129,30 @@ class TestAssembly:
         f2 = assemble_forcing(para401, b, np.full(401, 2.0))
         assert np.allclose(f2, f1 / 4.0, rtol=0, atol=1e-18)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_modes=st.integers(1, 12),
+        lead=st.lists(st.integers(1, 4), max_size=2).map(tuple),
+        data=st.data(),
+    )
+    def test_stacked_assembly_matches_per_row_reference(self, para201, n_modes, lead, data):
+        eta_x = data.draw(arrays(float, lead + (201,), elements=st.floats(0.2, 5.0)))
+        b = GalerkinBasis(n_modes, para201.grid)
+        stiff = assemble_stiffness(para201, b, eta_x)
+        force = assemble_forcing(para201, b, eta_x)
+        assert stiff.shape == lead + (n_modes, n_modes)
+        assert force.shape == lead + (n_modes,)
+        d1 = b.table(1)
+        simpson = para201.grid.simpson_weights
+        for idx in np.ndindex(*lead):
+            w = simpson * para201.values / eta_x[idx] ** 2
+            s_ref = (d1 * w) @ d1.T
+            f_ref = d1 @ (simpson * para201.values**2 / eta_x[idx] ** 2)
+            s_scale = max(np.max(np.abs(s_ref)), 1e-300)
+            f_scale = max(np.max(np.abs(f_ref)), 1e-300)
+            assert np.max(np.abs(stiff[idx] - s_ref)) <= 1e-12 * s_scale
+            assert np.max(np.abs(force[idx] - f_ref)) <= 1e-12 * f_scale
+
 
 class TestProjection:
     def test_zero_velocity(self, grid401, para401, u0zero401):
@@ -191,9 +217,39 @@ class TestStepping:
 class TestSolveLinearized:
     def test_zero_data_zero_forcing_stays_zero(self, grid201, para201, u0zero201):
         traj = solve_linearized(
-            para201, u0zero201, lambda t: np.ones(201), 0.01, 1e-3, 8, zero_forcing=True
+            para201, u0zero201, np.ones(201), 0.01, 1e-3, 8, zero_forcing=True
         )
         assert np.all(traj.coeffs == 0.0)
+
+    @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
+    def test_blocked_march_matches_per_step_reference(self, grid201, para201, scheme):
+        # 300 steps span three assembly blocks, the last one partial; a
+        # Jacobian that changes every step exposes a wrong block seam
+        steps, dt, n_modes = 300, 1e-4, 8
+        u0 = sample_velocity("cosine", {"amplitude": 1.0, "mode": 2}, grid201)
+        phase = np.cos(0.1 * np.arange(steps + 1))[:, None]
+        eta_x = 1.0 + 0.4 * phase * np.sin(np.pi * grid201.nodes)[None, :]
+        traj = solve_linearized(para201, u0, eta_x, steps * dt, dt, n_modes, scheme)
+
+        b = traj.basis
+        mass = assemble_mass(para201, b)
+        lam = [project_initial(u0, b, grid201)]
+        for m in range(steps):
+            lam.append(step_linearized(
+                lam[-1], dt, mass,
+                assemble_stiffness(para201, b, eta_x[m + 1]),
+                assemble_forcing(para201, b, eta_x[m + 1]),
+                scheme,
+                assemble_stiffness(para201, b, eta_x[m]),
+                assemble_forcing(para201, b, eta_x[m]),
+            ))
+        ref = np.array(lam)
+        assert np.max(np.abs(traj.coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_residual_rejects_jacobian_of_wrong_shape(self, para201, u0zero201):
+        traj = solve_linearized(para201, u0zero201, np.ones(201), 0.01, 1e-3, 8)
+        with pytest.raises(ConfigurationError, match="broadcast"):
+            energy_identity_residual(traj, para201, np.ones((5, 201)))
 
     def test_step_count_validation(self):
         with pytest.raises(ConfigurationError):
@@ -204,8 +260,8 @@ class TestSolveLinearized:
         ones = np.ones(201)
         residuals = []
         for dt in (2e-4, 1e-4):
-            traj = solve_linearized(para201, u0zero201, lambda t: ones, 0.01, dt, 16)
-            residuals.append(energy_identity_residual(traj, para201, lambda t: ones))
+            traj = solve_linearized(para201, u0zero201, ones, 0.01, dt, 16)
+            residuals.append(energy_identity_residual(traj, para201, ones))
         assert residuals[0] <= 5.0 * 2e-4
         assert residuals[1] <= 0.6 * residuals[0]
 
@@ -215,7 +271,7 @@ class TestSolveLinearized:
         t_final, dt = 0.01, 1e-4
         for kind, params in (("zero", {}), ("cosine", {"amplitude": 1.0, "mode": 2})):
             u0 = sample_velocity(kind, params, build_grid(201))
-            traj = solve_linearized(para201, u0, lambda t: ones, t_final, dt, 16)
+            traj = solve_linearized(para201, u0, ones, t_final, dt, 16)
             b = traj.basis
             mass = assemble_mass(para201, b)
             grad = assemble_stiffness(para201, b, ones)
@@ -230,7 +286,7 @@ class TestSolveLinearized:
         ones = np.ones(201)
         norms = []
         for n_modes in (4, 8, 16, 32):
-            traj = solve_linearized(para201, u0zero201, lambda t: ones, 0.01, 2e-4, n_modes)
+            traj = solve_linearized(para201, u0zero201, ones, 0.01, 2e-4, n_modes)
             b = traj.basis
             mass = assemble_mass(para201, b)
             lam = traj.coeffs[-1]
@@ -245,7 +301,7 @@ class TestTimeConvergenceOrder:
     @staticmethod
     def _final_state(scheme, dt, para, u0):
         ones = np.ones(201)
-        traj = solve_linearized(para, u0, lambda t: ones, 0.02, dt, 8, scheme)
+        traj = solve_linearized(para, u0, ones, 0.02, dt, 8, scheme)
         return traj.coeffs[-1]
 
     def test_backward_euler_is_first_order(self, para201):

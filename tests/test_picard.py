@@ -62,16 +62,16 @@ class TestPicardStep:
     ):
         times = np.linspace(0.0, 0.01, 101)
         flow0 = guess_flow(u0zero201, times, grid201)  # u0=0: eta = x
-        v1 = solve_linearized(para201, u0zero201, flow0.eta_x_at, 0.01, 1e-4, 8)
+        v1 = solve_linearized(para201, u0zero201, flow0.eta_x, 0.01, 1e-4, 8)
         ref = solve_linearized(
-            para201, u0zero201, lambda t: np.ones(201), 0.01, 1e-4, 8
+            para201, u0zero201, np.ones(201), 0.01, 1e-4, 8
         )
         assert np.array_equal(v1.coeffs, ref.coeffs)
 
     def test_converged_flow_is_a_fixed_point(self, small_solution, para201, u0zero201):
         sol = small_solution
         v_next = solve_linearized(
-            para201, u0zero201, sol.flow().eta_x_at, float(sol.times[-1]), sol.dt,
+            para201, u0zero201, sol.eta_x, float(sol.times[-1]), sol.dt,
             sol.basis.n_modes, basis=sol.basis,
         )
         rep = contraction_metrics(
@@ -83,14 +83,14 @@ class TestPicardStep:
 class TestContractionMetrics:
     def test_identical_trajectories_zero(self, para201, u0zero201):
         traj = solve_linearized(
-            para201, u0zero201, lambda t: np.ones(201), 0.01, 1e-3, 8
+            para201, u0zero201, np.ones(201), 0.01, 1e-3, 8
         )
         rep = contraction_metrics(traj, traj, para201)
         assert rep.sup_diff == 0.0 and rep.grad_diff == 0.0
 
     def test_single_mode_perturbation_closed_form(self, para201, u0zero201):
         t_final, dt, eps = 0.02, 1e-3, 1e-3
-        base = solve_linearized(para201, u0zero201, lambda t: np.ones(201), t_final, dt, 4)
+        base = solve_linearized(para201, u0zero201, np.ones(201), t_final, dt, 4)
         pert = type(base)(base.times, base.coeffs.copy(), base.dt, base.basis)
         pert.coeffs[:, 1] += eps
         rep = contraction_metrics(base, pert, para201)
@@ -98,8 +98,8 @@ class TestContractionMetrics:
         assert rep.grad_diff == pytest.approx(eps * math.sqrt(t_final * S11), rel=1e-6)
 
     def test_mismatched_grids_rejected(self, para201, u0zero201):
-        a = solve_linearized(para201, u0zero201, lambda t: np.ones(201), 0.01, 1e-3, 8)
-        b = solve_linearized(para201, u0zero201, lambda t: np.ones(201), 0.01, 5e-4, 8)
+        a = solve_linearized(para201, u0zero201, np.ones(201), 0.01, 1e-3, 8)
+        b = solve_linearized(para201, u0zero201, np.ones(201), 0.01, 5e-4, 8)
         with pytest.raises(ConfigurationError):
             contraction_metrics(a, b, para201)
 
@@ -238,17 +238,9 @@ class TestSchemeAndFlowInterp:
         # the schemes differ at O(dt) but solve the same problem
         assert 0.0 < math.sqrt(quadrature(d * d, 1, para201)) < 1e-3
 
-    def test_flow_interpolates_between_stored_times(self, grid201, u0zero201):
-        u0 = sample_velocity("cosine", {"amplitude": 0.5, "mode": 1}, grid201)
-        times = np.array([0.0, 0.01, 0.02])
-        flow = guess_flow(u0, times, grid201)
-        mid = flow.eta_x_at(0.005)
-        exact = 1.0 - 0.005 * 0.5 * np.pi * np.sin(np.pi * grid201.nodes)
-        # the guess flow is linear in t, so linear interpolation is exact
-        assert np.max(np.abs(mid - exact)) < 1e-15
-
-    def test_flow_outside_window_rejected(self, grid201, u0zero201):
+    def test_flow_outside_window_rejected(self, grid201, para201, u0zero201):
+        # a flow stored at 2 times cannot drive a 10-step march
         times = np.array([0.0, 0.01])
         flow = guess_flow(u0zero201, times, grid201)
-        with pytest.raises(ConfigurationError):
-            flow.eta_x_at(0.05)
+        with pytest.raises(ConfigurationError, match=r"\(steps\+1, n_nodes\) = \(11, 201\)"):
+            solve_linearized(para201, u0zero201, flow.eta_x, 0.01, 1e-3, 8)

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+import sympy as sp
 
 from svfree.errors import ConfigurationError, ValidationError
 from svfree.galerkin import GalerkinBasis, ModalField
 from svfree.profile import (
     Field,
+    HeightProfile,
+    _parse_expr,
+    _validate_vacuum_profile,
     build_grid,
     differentiate,
     fornberg_weights,
@@ -78,6 +82,23 @@ class TestHeightProfiles:
         with pytest.raises(ConfigurationError):
             sample_height_profile("gaussian", {}, grid201)
 
+    def test_hand_built_nonvanishing_boundary_fails_validator(self, grid201):
+        # the endpoint snap only removes rounding dust, not a real boundary value
+        lifted = HeightProfile("custom", "x*(1-x) + 1/10", grid201, c1=0.1, c2=1.0)
+        assert lifted.values[0] == pytest.approx(0.1) and lifted.values[-1] == pytest.approx(0.1)
+        with pytest.raises(ValidationError, match="vanish"):
+            _validate_vacuum_profile(lifted)
+
+    @pytest.mark.parametrize("kind,params", [
+        ("parabolic", {"amplitude": 1.0, "amplitud": 5.0}),
+        ("sine", {"scale": 2.0}),
+        ("distance", {"amplitude": 1.0}),
+        ("custom", {"expr": "x*(1-x)", "amplitude": 2.0}),
+    ])
+    def test_unknown_key_rejected(self, grid201, kind, params):
+        with pytest.raises(ConfigurationError, match="unknown key"):
+            sample_height_profile(kind, params, grid201)
+
     def test_endpoint_derivatives_exact(self, para401):
         left = para401.endpoint_derivatives(0.0, 4)
         assert left[0] == 0.0
@@ -88,6 +109,23 @@ class TestHeightProfiles:
         d = np.minimum(grid401.nodes, 1.0 - grid401.nodes)
         assert np.array_equal(dist401.values, d)
         assert (dist401.c1, dist401.c2) == (1.0, 1.0)
+
+
+class TestExpressionGrammar:
+    @pytest.mark.parametrize("expr", [
+        "x*(1-x)*(1 + x/2)", "x**2*(1-x)**2", "x*(1-x) + 1/10", "1", "x", "cos(pi*x)**2",
+        "-x + E", "+2.5e-1*sqrt(x)*exp(-x)", "log(1 + x) - tanh(x)/3",
+    ])
+    def test_closed_forms_parse(self, expr):
+        assert _parse_expr(expr).free_symbols <= {sp.Symbol("x", real=True)}
+
+    @pytest.mark.parametrize("expr", [
+        "__import__('os')", "x*(1-x", "os.system", "sin", "x^2", "1j", "'x'", "True",
+        "lambda: x", "x if x else 1", "[x]", "x.real", "sin(x=1)", "y", "x < 1", 5,
+    ])
+    def test_anything_else_is_a_configuration_error(self, grid201, expr):
+        with pytest.raises(ConfigurationError, match="expr"):
+            sample_height_profile("custom", {"expr": expr}, grid201)
 
 
 class TestQuadrature:
@@ -193,6 +231,12 @@ class TestVelocity:
     def test_custom_violating_neumann_rejected(self, grid201):
         with pytest.raises(ValidationError):
             sample_velocity("custom", {"expr": "x"}, grid201)
+
+    def test_unknown_key_rejected(self, grid201):
+        with pytest.raises(ConfigurationError, match=r"\['modes'\]"):
+            sample_velocity("cosine", {"amplitude": 1.0, "modes": 2}, grid201)
+        with pytest.raises(ConfigurationError, match="unknown key"):
+            sample_velocity("zero", {"amplitude": 1.0}, grid201)
 
     def test_custom_compatible_accepted(self, grid201):
         u0 = sample_velocity("custom", {"expr": "cos(pi*x)**2"}, grid201)

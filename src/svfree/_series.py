@@ -9,7 +9,12 @@ the constant coefficient is the Hadamard finite part and the pole is flagged.
 
 Series objects support +, -, *, /, ** with integers and mix freely with
 Python scalars, so they can be fed straight through sympy-lambdified
-rational expressions.
+rational expressions. A series is one row of coefficients or a batch of rows
+that share one offset (one stored time per row); the arithmetic broadcasts
+across rows like numpy, so a single pass through a lambdified expression
+evaluates every row at once. The recurrences for the product and the inverse
+are the standard Taylor-coefficient ones (Griewank & Walther, Evaluating
+Derivatives, 2nd ed., ch. 13); only the batch axis is added.
 """
 
 from __future__ import annotations
@@ -28,20 +33,45 @@ _VALUATION_DUST = 1e-12
 # reported as a genuine pole rather than rounding residue.
 _POLE_DUST = 1e-8
 
+_SCALARS = (int, float, np.integer, np.floating)
+
+_FACTORIALS = np.array([float(math.factorial(k)) for k in range(N_TERMS)])
+
+# the truncated Cauchy product sums a_i b_j over i + j = k < N_TERMS: the
+# (i, j) pairs of that triangle, and the 0/1 matrix sending each to its k
+_PAIR_I, _PAIR_J = np.nonzero(np.add.outer(np.arange(N_TERMS), np.arange(N_TERMS)) < N_TERMS)
+_CAUCHY = np.zeros((len(_PAIR_I), N_TERMS))
+_CAUCHY[np.arange(len(_PAIR_I)), _PAIR_I + _PAIR_J] = 1.0
+
+
+class MixedValuationError(ArithmeticError):
+    """The rows of a batched denominator have different valuations.
+
+    Rows share one offset, so such a batch has no common inverse; evaluate
+    its rows one at a time instead.
+    """
+
 
 class LaurentSeries:
-    """Power series sum_k c_k xi^(offset+k), truncated to N_TERMS coefficients."""
+    """Power series sum_k c_k xi^(offset+k), truncated to N_TERMS coefficients.
 
-    __slots__ = ("offset", "coeffs")
+    ``coeffs`` has shape ``(..., N_TERMS)``: one series, or a batch of rows
+    sharing ``offset``. Extraction returns a float or bool for one series and
+    a per-row array for a batch.
+    """
+
+    __slots__ = ("offset", "coeffs", "_inv")
 
     def __init__(self, coeffs, offset=0):
         c = np.asarray(coeffs, dtype=float)
-        if c.shape != (N_TERMS,):
-            full = np.zeros(N_TERMS)
-            full[: min(len(c), N_TERMS)] = c[:N_TERMS]
+        if c.shape[-1] != N_TERMS:
+            full = np.zeros(c.shape[:-1] + (N_TERMS,))
+            m = min(c.shape[-1], N_TERMS)
+            full[..., :m] = c[..., :m]
             c = full
         self.coeffs = c
         self.offset = int(offset)
+        self._inv = None
 
     # -- constructors -------------------------------------------------
 
@@ -53,11 +83,9 @@ class LaurentSeries:
 
     @classmethod
     def from_derivatives(cls, derivs):
-        """Series with coefficients derivs[m] / m! (Taylor data at the endpoint)."""
-        c = np.zeros(N_TERMS)
-        m = min(len(derivs), N_TERMS)
-        c[:m] = [derivs[k] / math.factorial(k) for k in range(m)]
-        return cls(c, 0)
+        """Series with coefficients derivs[..., m] / m! (Taylor data at the endpoint)."""
+        d = np.asarray(derivs, dtype=float)[..., :N_TERMS]
+        return cls(d / _FACTORIALS[: d.shape[-1]], 0)
 
     # -- helpers ------------------------------------------------------
 
@@ -65,28 +93,25 @@ class LaurentSeries:
     def _coerce(other):
         if isinstance(other, LaurentSeries):
             return other
-        if isinstance(other, (int, float, np.integer, np.floating)):
+        if isinstance(other, _SCALARS):
             return LaurentSeries.constant(other)
         return NotImplemented
 
     def _shifted_to(self, offset):
         """Coefficients of self re-expressed with the given (lower) offset."""
         shift = self.offset - offset
-        c = np.zeros(N_TERMS)
-        upper = N_TERMS - shift
-        if upper > 0:
-            c[shift : shift + upper] = self.coeffs[:upper]
+        if shift == 0:
+            return self.coeffs
+        c = np.zeros(self.coeffs.shape)
+        if shift < N_TERMS:
+            c[..., shift:] = self.coeffs[..., : N_TERMS - shift]
         return c
 
-    def _valuation(self):
-        scale = np.max(np.abs(self.coeffs))
-        if scale == 0.0:
-            return None
-        sig = np.abs(self.coeffs) > _VALUATION_DUST * scale
-        idx = int(np.argmax(sig))
-        if not sig[idx]:
-            return None
-        return idx
+    def _valuations(self):
+        """Per-row index of the first significant coefficient; -1 for a zero row."""
+        mag = np.abs(self.coeffs)
+        sig = mag > _VALUATION_DUST * np.max(mag, axis=-1, keepdims=True)
+        return np.where(np.any(sig, axis=-1), np.argmax(sig, axis=-1), -1)
 
     # -- ring operations ----------------------------------------------
 
@@ -112,27 +137,35 @@ class LaurentSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, _SCALARS):
+            # the Cauchy product with a constant series, without its zero terms
+            return LaurentSeries(self.coeffs * float(other), self.offset)
+        if not isinstance(other, LaurentSeries):
             return NotImplemented
-        prod = np.convolve(self.coeffs, other.coeffs)[:N_TERMS]
-        return LaurentSeries(prod, self.offset + other.offset)
+        pairs = self.coeffs[..., _PAIR_I] * other.coeffs[..., _PAIR_J]
+        return LaurentSeries(pairs @ _CAUCHY, self.offset + other.offset)
 
     __rmul__ = __mul__
 
     def _inverse(self):
-        val = self._valuation()
-        if val is None:
+        if self._inv is not None:
+            return self._inv
+        vals = self._valuations()
+        val = int(vals.flat[0])
+        if np.any(vals != val):
+            raise MixedValuationError(f"row valuations {sorted(set(vals.flat))} differ")
+        if val < 0:
             raise ZeroDivisionError("inverse of the zero series")
-        lead = self.coeffs[val]
+        lead = self.coeffs[..., val : val + 1]
         # normalize to a unit-leading valuation-0 series, invert by recurrence
-        a = np.zeros(N_TERMS)
-        a[: N_TERMS - val] = self.coeffs[val:] / lead
-        inv = np.zeros(N_TERMS)
-        inv[0] = 1.0
+        a = np.zeros(self.coeffs.shape)
+        a[..., : N_TERMS - val] = self.coeffs[..., val:] / lead
+        inv = np.zeros(self.coeffs.shape)
+        inv[..., 0] = 1.0
         for k in range(1, N_TERMS):
-            inv[k] = -np.dot(a[1 : k + 1], inv[k - 1 :: -1])
-        return LaurentSeries(inv / lead, -(self.offset + val))
+            inv[..., k] = -np.einsum("...i,...i->...", a[..., 1 : k + 1], inv[..., k - 1 :: -1])
+        self._inv = LaurentSeries(inv / lead, -(self.offset + val))
+        return self._inv
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -152,49 +185,60 @@ class LaurentSeries:
         n = int(n)
         if n < 0:
             return self._inverse() ** (-n)
-        result = LaurentSeries.constant(1.0)
+        if n == 0:
+            one = np.zeros(self.coeffs.shape)
+            one[..., 0] = 1.0
+            return LaurentSeries(one, 0)
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     # -- extraction ---------------------------------------------------
 
+    @staticmethod
+    def _per_row(values):
+        """A float or bool for one series, the array for a batch."""
+        return values.item() if values.ndim == 0 else values
+
     def _scale(self):
-        return max(float(np.max(np.abs(self.coeffs))), 1.0)
+        return np.maximum(np.max(np.abs(self.coeffs), axis=-1), 1.0)
 
     def finite_part(self):
         """Coefficient of power 0 (the one-sided limit when no pole survives)."""
         k = -self.offset
         if 0 <= k < N_TERMS:
-            return float(self.coeffs[k])
-        return 0.0
+            return self._per_row(self.coeffs[..., k])
+        return self._per_row(np.zeros(self.coeffs.shape[:-1]))
 
     def pole_strength(self):
         """Largest surviving negative-power coefficient, relative to scale."""
         if self.offset >= 0:
-            return 0.0
-        neg = self.coeffs[: -self.offset]
-        return float(np.max(np.abs(neg))) / self._scale()
+            return self._per_row(np.zeros(self.coeffs.shape[:-1]))
+        neg = self.coeffs[..., : -self.offset]
+        return self._per_row(np.max(np.abs(neg), axis=-1) / self._scale())
 
     def has_pole(self):
-        return self.pole_strength() > _POLE_DUST
+        return self._per_row(np.asarray(self.pole_strength() > _POLE_DUST))
 
     def limit(self, direction=1):
-        """One-sided limit at the endpoint: finite part, or +-inf at a pole.
+        """One-sided limit of a single series: finite part, or +-inf at a pole.
 
         direction is the sign of the local coordinate on the interior side
         (+1 at the left endpoint, -1 at the right one); a pole c*xi^p flips
         sign with odd p when approached from below.
         """
+        if self.coeffs.ndim != 1:
+            raise ValueError("limit is defined for a single series, not a batch")
         if not self.has_pole():
             return self.finite_part()
         neg = self.coeffs[: -self.offset]
-        scale = self._scale()
-        sig = np.abs(neg) > _POLE_DUST * scale
+        sig = np.abs(neg) > _POLE_DUST * self._scale()
         lowest = int(np.argmax(sig))
         power = self.offset + lowest
         sign = np.sign(neg[lowest]) * (direction ** (power & 1))

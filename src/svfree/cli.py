@@ -318,20 +318,8 @@ def _snapshot_times(cfg: RunConfig) -> list[float]:
     return [i * cfg.dt for i in idx]
 
 
-def _energy_reports(sol, times) -> list:
-    """Energy reports at the given stored times, all against the first one's M0."""
-    reports = []
-    m0 = None
-    for t in times:
-        rep = jet.energy_high(sol, t, m0)
-        if m0 is None:
-            m0 = rep.M0
-        reports.append(rep)
-    return reports
-
-
 def _emit_energy(out: Path, sol) -> float:
-    reports = _energy_reports(sol, list(sol.times))
+    reports = jet.energy_reports(sol, list(sol.times))
     emit_report("energy", reports, out / "energy.csv")
     if any(r.boundary_pole for r in reports):
         log.warning(
@@ -609,7 +597,7 @@ def run_verification_suite(
         )
 
         sample = sol.times[:: max(1, len(sol.times) // 25)]
-        reports = _energy_reports(sol, sample)
+        reports = jet.energy_reports(sol, sample)
         add(
             "apriori-ceiling",
             all(r.within_apriori for r in reports),
@@ -666,6 +654,22 @@ def parse_sweep_range(spec: str):
     return np.linspace(a, b, n)
 
 
+def _sweep_row(profile, u0, settings: picard.PicardSettings) -> tuple:
+    """The sweep.csv row of one t_final; its solution is freed before the next one solves."""
+    t_final = settings.t_final
+    try:
+        sol = picard.solve_nonlinear(profile, u0, settings)
+        sample = sol.times[:: max(1, len(sol.times) // 10)]
+        within_all = all(r.within_apriori for r in jet.energy_reports(sol, sample))
+    except SvfreeError as exc:
+        log.warning("sweep point T=%g failed: %s", t_final, exc)
+        return (t_final, False, 0, float("nan"), float("nan"), float("nan"), False)
+    if not within_all:
+        log.warning("a-priori ceiling violated in sweep run at T=%g", t_final)
+    ratio = sol.history[-1].ratio if sol.history else float("nan")
+    return (t_final, True, sol.iterations, ratio, sol.eta_x_min, sol.eta_x_max, within_all)
+
+
 def run_sweep(cfg: RunConfig, spec: str) -> list:
     """Rerun the nonlinear solve across a t_final range; chart convergence."""
     out = Path(os.environ.get(OUT_DIR_ENV, cfg.out_dir))
@@ -674,28 +678,8 @@ def run_sweep(cfg: RunConfig, spec: str) -> list:
     grid, profile, u0 = build_problem(cfg)
     for t_final in parse_sweep_range(spec):
         steps = max(1, round(t_final / cfg.dt))
-        t_adj = steps * cfg.dt
-        settings = dataclasses.replace(cfg.picard_settings(), t_final=t_adj)
-        try:
-            sol = picard.solve_nonlinear(profile, u0, settings)
-            sample = sol.times[:: max(1, len(sol.times) // 10)]
-            within_all = all(r.within_apriori for r in _energy_reports(sol, sample))
-            if not within_all:
-                log.warning("a-priori ceiling violated in sweep run at T=%g", t_adj)
-            rows.append(
-                (
-                    t_adj,
-                    True,
-                    sol.iterations,
-                    sol.history[-1].ratio if sol.history else float("nan"),
-                    sol.eta_x_min,
-                    sol.eta_x_max,
-                    within_all,
-                )
-            )
-        except SvfreeError as exc:
-            log.warning("sweep point T=%g failed: %s", t_adj, exc)
-            rows.append((t_adj, False, 0, float("nan"), float("nan"), float("nan"), False))
+        settings = dataclasses.replace(cfg.picard_settings(), t_final=steps * cfg.dt)
+        rows.append(_sweep_row(profile, u0, settings))
     emit_report("sweep", rows, out / "sweep.csv")
     return rows
 

@@ -61,6 +61,7 @@ class GalerkinBasis:
         self.grid = grid
         self._tables: dict[int, np.ndarray] = {}
         self._gradient_products: tuple[np.ndarray, np.ndarray] | None = None
+        self._endpoint_tables: dict[tuple[float, int], np.ndarray] = {}
 
     def table(self, order: int = 0) -> np.ndarray:
         """(n_modes, n_nodes) array of order-th mode derivatives at the nodes."""
@@ -103,21 +104,26 @@ class GalerkinBasis:
         return np.asarray(coeffs) @ self.evaluate_modes(x, order)
 
     def endpoint_derivatives(self, coeffs: np.ndarray, x0: float, n_orders: int) -> np.ndarray:
-        """Exact one-sided derivatives of the modal sum at an endpoint.
+        """Exact one-sided derivatives of orders 0..n_orders-1 of the modal sum at an endpoint.
 
-        All odd-order derivatives vanish there (the sine factor), a structural
-        identity the boundary-limit series arithmetic relies on.
+        ``coeffs`` is one coefficient vector or a stack ``(..., n_modes)``;
+        the result has shape ``(..., n_orders)``. All odd-order derivatives
+        vanish there (the sine factor), a structural identity the
+        boundary-limit series arithmetic relies on.
         """
-        coeffs = np.asarray(coeffs)
-        modes = np.arange(1, self.n_modes)
-        sign_n = np.ones_like(modes, dtype=float) if x0 == 0.0 else (-1.0) ** modes
-        out = np.zeros(n_orders)
-        for k in range(0, n_orders, 2):
-            amp = np.sqrt(2.0) * (modes * np.pi) ** k * (-1.0) ** (k // 2)
-            out[k] = np.dot(coeffs[1:], amp * sign_n)
-        if n_orders > 0:
-            out[0] += coeffs[0]
-        return out
+        key = (float(x0), n_orders)
+        table = self._endpoint_tables.get(key)
+        if table is None:
+            # row n, column k: d^k/dx^k e_n at x0
+            modes = np.arange(1, self.n_modes)
+            sign_n = np.ones(len(modes)) if x0 == 0.0 else (-1.0) ** modes
+            table = np.zeros((self.n_modes, n_orders))
+            for k in range(0, n_orders, 2):
+                table[1:, k] = np.sqrt(2.0) * (modes * np.pi) ** k * (-1.0) ** (k // 2) * sign_n
+            if n_orders > 0:
+                table[0, 0] = 1.0
+            self._endpoint_tables[key] = table
+        return np.asarray(coeffs) @ table
 
     def orthonormality_defect(self) -> float:
         """max |(e_i, e_j) - delta_ij| under the trapezoid rule.

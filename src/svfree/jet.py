@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 import sympy as sp
 
-from ._series import N_TERMS, LaurentSeries
+from ._series import N_TERMS, LaurentSeries, MixedValuationError
 from .errors import (
     FlowMapDegeneracyError,
     UnsupportedOperationError,
@@ -44,6 +44,7 @@ __all__ = [
     "EnergyReport",
     "initial_jet",
     "time_derivatives_along",
+    "energy_reports",
     "energy_high",
     "energy_low",
     "E_SUMMAND_WEIGHTS",
@@ -128,42 +129,76 @@ def _lambdified(include_pressure: bool, flavor: str) -> dict:
 
 @dataclass
 class _State:
-    """Everything the recursion needs at one instant."""
+    """Everything the recursion needs at a block of instants, one row each."""
 
     profile: HeightProfile
-    w: np.ndarray  # (depth, n) spatial derivatives of v
-    j: np.ndarray  # (depth, n) spatial derivatives of eta (row 0 = eta)
-    w_atoms: tuple[np.ndarray, np.ndarray]  # endpoint derivative stacks
+    w: np.ndarray  # (rows, depth, n) spatial derivatives of v
+    j: np.ndarray  # (rows, depth, n) spatial derivatives of eta (index 0 = eta)
+    w_atoms: tuple[np.ndarray, np.ndarray]  # (rows, _ATOM_ORDERS) per endpoint
     j_atoms: tuple[np.ndarray, np.ndarray]
     include_pressure: bool = True
+
+    @property
+    def rows(self) -> int:
+        return self.w.shape[0]
+
+    def row(self, i: int) -> _State:
+        """The one-row block of row i."""
+        pick = slice(i, i + 1)
+        return _State(
+            self.profile, self.w[pick], self.j[pick],
+            tuple(a[pick] for a in self.w_atoms), tuple(a[pick] for a in self.j_atoms),
+            self.include_pressure,
+        )
 
 
 @dataclass(frozen=True)
 class _Output:
-    values: np.ndarray
-    series: tuple[LaurentSeries, LaurentSeries]
-    poles: tuple[bool, bool]
+    values: np.ndarray  # (rows, n)
+    series: tuple[LaurentSeries, LaurentSeries]  # batched endpoint series
+    poles: tuple[np.ndarray, np.ndarray]  # (rows,) pole flags per endpoint
 
-    def as_field(self, meta: str) -> Field:
-        return Field(self.values, meta)
+    def field(self, meta: str) -> Field:
+        """The field of a one-row block."""
+        return Field(self.values[0], meta)
+
+    def row_poles(self) -> tuple[bool, bool]:
+        """The pole flags of a one-row block."""
+        return tuple(bool(np.any(p)) for p in self.poles)
 
 
-def _endpoint_symbol_series(state: _State, side: int) -> dict:
-    r_atoms = state.profile.endpoint_derivatives(float(side), _ATOM_ORDERS)
-    w_atoms = state.w_atoms[side]
-    j_atoms = state.j_atoms[side]
-    series = {}
-    for k in range(_DEPTH):
-        series[_R[k]] = LaurentSeries.from_derivatives(r_atoms[k:])
-        series[_W[k]] = LaurentSeries.from_derivatives(w_atoms[k:])
-        series[_J[k]] = LaurentSeries.from_derivatives(j_atoms[k:])
-    return series
+@lru_cache(maxsize=8)
+def _profile_series(profile: HeightProfile, side: int) -> tuple[LaurentSeries, ...]:
+    """Endpoint series of rho0 and its first _DEPTH - 1 derivatives."""
+    atoms = profile.endpoint_derivatives(float(side), _ATOM_ORDERS)
+    return tuple(LaurentSeries.from_derivatives(atoms[k:]) for k in range(_DEPTH))
+
+
+@lru_cache(maxsize=64)
+def _weight_series(profile: HeightProfile, side: int, weight: int) -> LaurentSeries:
+    """Endpoint series of the quadrature weight rho0**weight."""
+    return _profile_series(profile, side)[0] ** weight
+
+
+def _atom_series(atoms: np.ndarray) -> list[LaurentSeries]:
+    """Series of the first _DEPTH derivatives from (rows, _ATOM_ORDERS) endpoint atoms."""
+    return [LaurentSeries.from_derivatives(atoms[:, k:]) for k in range(_DEPTH)]
+
+
+_ZERO_SERIES = LaurentSeries.constant(0.0)
 
 
 def _evaluate(state: _State) -> dict[str, _Output]:
+    """Every recursion output on a block of rows.
+
+    The interior runs one row per numpy call, which keeps only one row's
+    cse temporaries alive; the endpoint series run each lambdified
+    expression once per side for the whole block. Raises
+    MixedValuationError when the rows of a denominator differ in valuation.
+    """
     n = state.profile.grid.n_nodes
     lo, hi = ETA_X_RANGE
-    j1 = state.j[1]
+    j1 = state.j[:, 1]
     if np.any(~np.isfinite(j1)) or np.any(j1 <= lo) or np.any(j1 >= hi):
         raise FlowMapDegeneracyError(
             f"flow-map Jacobian outside {ETA_X_RANGE}: "
@@ -175,44 +210,44 @@ def _evaluate(state: _State) -> dict[str, _Output]:
 
     interior = slice(1, -1)
     zeros = np.zeros(n - 2)
-    args_np = (
-        [state.profile.derivative_values(k)[interior] for k in range(_DEPTH)]
-        + [state.w[k][interior] for k in range(_DEPTH)]
-        + [state.j[k][interior] for k in range(_DEPTH)]
+    rho = [state.profile.derivative_values(k)[interior] for k in range(_DEPTH)]
+    row_args = [
+        rho
+        + [state.w[i, k, interior] for k in range(_DEPTH)]
+        + [state.j[i, k, interior] for k in range(_DEPTH)]
         + [zeros] * (2 * _DEPTH)
-    )
-    side_args = []
-    for side in (0, 1):
-        sym = _endpoint_symbol_series(state, side)
-        args = (
-            [sym[_R[k]] for k in range(_DEPTH)]
-            + [sym[_W[k]] for k in range(_DEPTH)]
-            + [sym[_J[k]] for k in range(_DEPTH)]
-            + [LaurentSeries.constant(0.0)] * (2 * _DEPTH)
-        )
-        side_args.append(args)
+        for i in range(state.rows)
+    ]
+    side_args = [
+        [
+            *_profile_series(state.profile, side),
+            *_atom_series(state.w_atoms[side]),
+            *_atom_series(state.j_atoms[side]),
+            *[_ZERO_SERIES] * (2 * _DEPTH),
+        ]
+        for side in (0, 1)
+    ]
 
     out: dict[str, _Output] = {}
     a_base = 3 * _DEPTH
     b_base = 4 * _DEPTH
     for name in _OUTPUTS:
-        vals_int = np.broadcast_to(np.asarray(np_fns[name](*args_np), dtype=float), (n - 2,))
-        series_pair = []
-        for side in (0, 1):
-            series_pair.append(gen_fns[name](*side_args[side]))
-        full = np.empty(n)
-        full[interior] = vals_int
-        full[0] = series_pair[0].finite_part()
-        full[-1] = series_pair[1].finite_part()
-        poles = (series_pair[0].has_pole(), series_pair[1].has_pole())
-        out[name] = _Output(full, (series_pair[0], series_pair[1]), poles)
+        values = np.empty((state.rows, n))
+        for i, args in enumerate(row_args):
+            values[i, interior] = np_fns[name](*args)
+        series_pair = tuple(gen_fns[name](*side_args[side]) for side in (0, 1))
+        values[:, 0] = series_pair[0].finite_part()
+        values[:, -1] = series_pair[1].finite_part()
+        poles = (np.asarray(series_pair[0].has_pole()), np.asarray(series_pair[1].has_pole()))
+        out[name] = _Output(values, series_pair, poles)
         # later expressions consume this output as a symbol
         fam, idx = name[0], int(name[1])
-        base = a_base if fam == "a" else b_base
         if fam in ("a", "b"):
+            pos = (a_base if fam == "a" else b_base) + idx
             for side in (0, 1):
-                side_args[side][base + idx] = series_pair[side]
-            args_np[base + idx] = vals_int
+                side_args[side][pos] = series_pair[side]
+            for i, args in enumerate(row_args):
+                args[pos] = values[i, interior]
     return out
 
 
@@ -222,38 +257,44 @@ def _state_from_initial(profile: HeightProfile, u0: AnalyticField, include_press
     j = np.zeros((_DEPTH, n))
     j[0] = profile.grid.nodes
     j[1] = 1.0
-    w_atoms = tuple(u0.endpoint_derivatives(float(s), _ATOM_ORDERS) for s in (0, 1))
+    w_atoms = tuple(u0.endpoint_derivatives(float(s), _ATOM_ORDERS)[None] for s in (0, 1))
     j_atoms = []
     for s in (0, 1):
-        atoms = np.zeros(_ATOM_ORDERS)
-        atoms[0] = float(s)
-        atoms[1] = 1.0
+        atoms = np.zeros((1, _ATOM_ORDERS))
+        atoms[0, 0] = float(s)
+        atoms[0, 1] = 1.0
         j_atoms.append(atoms)
-    return _State(profile, w, j, w_atoms, tuple(j_atoms), include_pressure)
+    return _State(profile, w[None], j[None], w_atoms, tuple(j_atoms), include_pressure)
 
 
-def _state_from_trajectory(traj, t: float) -> _State:
+def _require_spectral(traj) -> None:
     if not hasattr(traj, "flow_coeffs"):
         raise UnsupportedOperationError(
             "time-derivative reconstruction and energy monitoring need a "
             "spectral trajectory with exact spatial derivatives; the "
             "finite-difference oracle stores nodal data only"
         )
-    idx = traj.index_of(t)
+
+
+def _state_from_trajectory(traj, idx) -> _State:
+    """The block of the stored steps with indices idx."""
     basis = traj.basis
     grid = traj.profile.grid
     lam = traj.coeffs[idx]
     mu = traj.flow_coeffs[idx]
-    w = np.stack([lam @ basis.table(k) for k in range(_DEPTH)])
-    j = np.stack([mu @ basis.table(k) for k in range(_DEPTH)])
-    j[0] += grid.nodes
-    j[1] += 1.0
+    tables = [basis.table(k) for k in range(_DEPTH)]
+    # one row per product: a stacked product rounds differently, and the
+    # summands with a boundary pole amplify that to about 1e-10 relative
+    w = np.array([[row @ tab for tab in tables] for row in lam])
+    j = np.array([[row @ tab for tab in tables] for row in mu])
+    j[:, 0] += grid.nodes
+    j[:, 1] += 1.0
     w_atoms = tuple(basis.endpoint_derivatives(lam, float(s), _ATOM_ORDERS) for s in (0, 1))
     j_atoms = []
     for s in (0, 1):
         atoms = basis.endpoint_derivatives(mu, float(s), _ATOM_ORDERS)
-        atoms[0] += float(s)
-        atoms[1] += 1.0
+        atoms[:, 0] += float(s)
+        atoms[:, 1] += 1.0
         j_atoms.append(atoms)
     include_pressure = not getattr(traj, "zero_forcing", False)
     return _State(traj.profile, w, j, w_atoms, tuple(j_atoms), include_pressure)
@@ -300,7 +341,7 @@ def initial_jet(profile: HeightProfile, u0: AnalyticField) -> InitialJet:
     if abs(d1[0]) > 1e-10 * scale or abs(d1[-1]) > 1e-10 * scale:
         raise ValidationError("u0 violates the endpoint compatibility u0_x = 0")
     out = _evaluate(_state_from_initial(profile, u0))
-    poles = {name: o.poles for name, o in out.items() if any(o.poles)}
+    poles = {name: o.row_poles() for name, o in out.items() if any(o.row_poles())}
     if poles:
         log.warning(
             "initial jets carry vacuum-boundary poles (incompatible data at "
@@ -309,12 +350,12 @@ def initial_jet(profile: HeightProfile, u0: AnalyticField) -> InitialJet:
         )
     return InitialJet(
         g0=Field(u0.values.copy(), "g0"),
-        g1=out["a0"].as_field("g1"),
-        g2=out["b0"].as_field("g2"),
-        g3=out["c0"].as_field("g3"),
+        g1=out["a0"].field("g1"),
+        g2=out["b0"].field("g2"),
+        g3=out["c0"].field("g3"),
         h0=Field(d1.copy(), "h0"),
-        h1=out["a1"].as_field("h1"),
-        h2=out["b1"].as_field("h2"),
+        h1=out["a1"].field("h1"),
+        h2=out["b1"].field("h2"),
         boundary_poles=poles,
     )
 
@@ -325,18 +366,19 @@ def time_derivatives_along(traj, t: float) -> TimeJet:
     Spatial derivatives of the spectral velocity and flow map are exact, so
     this shares every formula (and rounding path) with initial_jet.
     """
-    out = _evaluate(_state_from_trajectory(traj, t))
-    poles = {name: o.poles for name, o in out.items() if any(o.poles)}
+    _require_spectral(traj)
+    out = _evaluate(_state_from_trajectory(traj, [traj.index_of(t)]))
+    poles = {name: o.row_poles() for name, o in out.items() if any(o.row_poles())}
     return TimeJet(
         t=t,
-        dt_v=out["a0"].as_field("dt_v"),
-        dt2_v=out["b0"].as_field("dt2_v"),
-        dt3_v=out["c0"].as_field("dt3_v"),
-        dt_vx=out["a1"].as_field("dt_vx"),
-        dt2_vx=out["b1"].as_field("dt2_vx"),
-        dt_vxx=out["a2"].as_field("dt_vxx"),
-        dt_vx3=out["a3"].as_field("dt_vx3"),
-        dt_vx4=out["a4"].as_field("dt_vx4"),
+        dt_v=out["a0"].field("dt_v"),
+        dt2_v=out["b0"].field("dt2_v"),
+        dt3_v=out["c0"].field("dt3_v"),
+        dt_vx=out["a1"].field("dt_vx"),
+        dt2_vx=out["b1"].field("dt2_vx"),
+        dt_vxx=out["a2"].field("dt_vxx"),
+        dt_vx3=out["a3"].field("dt_vx3"),
+        dt_vx4=out["a4"].field("dt_vx4"),
         boundary_poles=poles,
     )
 
@@ -385,61 +427,93 @@ class EnergyReport:
     boundary_pole: bool
 
 
-def _weighted_square(profile: HeightProfile, out, weight: int) -> tuple[float, bool]:
-    """Simpson value of int rho0^weight * field^2 with series endpoint limits."""
-    integrand = profile.weight_values(weight) * out.values**2
-    pole = False
+# the distinct (source, weight) quadratures behind the summands of both
+# functionals, and the one each summand label reads
+_SQUARES = tuple(dict.fromkeys([*E_SUMMAND_WEIGHTS.values(), *LOW_SUMMAND_WEIGHTS.values()]))
+_SUMMAND_COLUMNS = {
+    label: _SQUARES.index(key)
+    for label, key in {**E_SUMMAND_WEIGHTS, **LOW_SUMMAND_WEIGHTS}.items()
+}
+
+# stored times whose endpoint series one pass evaluates together
+_BLOCK_ROWS = 64
+
+
+def _weighted_square(profile: HeightProfile, values, series, weight: int):
+    """Per-row Simpson values of int rho0^weight * field^2 with series endpoint limits.
+
+    ``values`` is the (rows, n) nodal field and ``series`` its pair of batched
+    endpoint series; returns the (rows,) values and (rows,) pole flags.
+    """
+    integrand = profile.weight_values(weight) * values**2
+    pole = np.zeros(len(integrand), dtype=bool)
     for side, idx in ((0, 0), (1, -1)):
-        ws = LaurentSeries.from_derivatives(
-            profile.endpoint_derivatives(float(side), _ATOM_ORDERS)
-        )
-        total = (ws**weight) * out.series[side] * out.series[side]
-        integrand[idx] = total.finite_part()
-        pole = pole or total.has_pole()
-    return float(np.dot(profile.grid.simpson_weights, integrand)), pole
+        total = _weight_series(profile, side, weight) * series[side] * series[side]
+        integrand[:, idx] = total.finite_part()
+        pole |= total.has_pole()
+    # one dot per row, which rounds as the quadrature of a single stored time does
+    return np.array([np.dot(profile.grid.simpson_weights, row) for row in integrand]), pole
 
 
-def _all_summands(traj, t: float) -> tuple[dict, bool]:
-    state = _state_from_trajectory(traj, t)
-    out = _evaluate(state)
-    profile = traj.profile
-    # pure spatial derivatives enter as outputs with exact endpoint series
+def _squares(state: _State) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, len(_SQUARES)) weighted squares of one block and its (rows,) pole flags."""
+    fields = {name: (o.values, o.series) for name, o in _evaluate(state).items()}
+    # pure spatial derivatives enter with exact endpoint series
+    atoms = [_atom_series(state.w_atoms[side]) for side in (0, 1)]
     for k in range(_DEPTH):
-        atoms0 = state.w_atoms[0][k:]
-        atoms1 = state.w_atoms[1][k:]
-        out[f"w{k}"] = _Output(
-            state.w[k],
-            (
-                LaurentSeries.from_derivatives(atoms0),
-                LaurentSeries.from_derivatives(atoms1),
-            ),
-            (False, False),
-        )
-    summands = {}
-    any_pole = False
-    cache = {}
-    for label, (source, weight) in {**E_SUMMAND_WEIGHTS, **LOW_SUMMAND_WEIGHTS}.items():
-        key = (source, weight)
-        if key not in cache:
-            cache[key] = _weighted_square(profile, out[source], weight)
-        value, pole = cache[key]
-        summands[label] = value
-        any_pole = any_pole or pole
-    return summands, any_pole
+        fields[f"w{k}"] = (state.w[:, k], (atoms[0][k], atoms[1][k]))
+    columns, pole = [], np.zeros(state.rows, dtype=bool)
+    for source, weight in _SQUARES:
+        value, p = _weighted_square(state.profile, *fields[source], weight)
+        columns.append(value)
+        pole |= p
+    return np.stack(columns, axis=1), pole
 
 
-def _report(traj, t: float, m0) -> EnergyReport:
-    summands, pole = _all_summands(traj, t)
-    e_total = float(sum(summands[k] for k in E_SUMMAND_WEIGHTS))
-    low_total = float(sum(summands[k] for k in LOW_SUMMAND_WEIGHTS))
+def _block_squares(state: _State) -> tuple[np.ndarray, np.ndarray]:
+    """_squares, re-run one row at a time when the block's rows differ in valuation."""
+    try:
+        return _squares(state)
+    except MixedValuationError:
+        parts = [_squares(state.row(i)) for i in range(state.rows)]
+        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+
+def energy_reports(traj, times, m0: float | None = None) -> list[EnergyReport]:
+    """Energy reports at stored times, evaluated _BLOCK_ROWS stored times per pass.
+
+    within_apriori tests E <= 2*M0; M0 defaults to the trajectory's own t=0
+    energy (the minimal admissible choice), evaluated once for all times.
+    """
+    _require_spectral(traj)
+    rows = [traj.index_of(t) for t in times]
+    if m0 is None and 0 not in rows:
+        rows.append(0)
+    blocks = [
+        _block_squares(_state_from_trajectory(traj, rows[start : start + _BLOCK_ROWS]))
+        for start in range(0, len(rows), _BLOCK_ROWS)
+    ]
+    if not blocks:
+        return []
+    squares = np.concatenate([b[0] for b in blocks])
+    poles = np.concatenate([b[1] for b in blocks])
+
+    def summands(r: int) -> dict:
+        return {label: float(squares[r, c]) for label, c in _SUMMAND_COLUMNS.items()}
+
+    def total(values: dict, labels) -> float:
+        return float(sum(values[k] for k in labels))
+
     if m0 is None:
-        if t == 0.0 or traj.index_of(t) == 0:
-            m0 = e_total
-        else:
-            zero_summands, _ = _all_summands(traj, float(traj.times[0]))
-            m0 = float(sum(zero_summands[k] for k in E_SUMMAND_WEIGHTS))
-    within = bool(e_total <= 2.0 * m0 * (1.0 + 1e-12))
-    return EnergyReport(t, summands, e_total, low_total, float(m0), within, pole)
+        m0 = total(summands(rows.index(0)), E_SUMMAND_WEIGHTS)
+    reports = []
+    for r, t in enumerate(times):
+        values = summands(r)
+        e_total = total(values, E_SUMMAND_WEIGHTS)
+        within = bool(e_total <= 2.0 * m0 * (1.0 + 1e-12))
+        low_total = total(values, LOW_SUMMAND_WEIGHTS)
+        reports.append(EnergyReport(t, values, e_total, low_total, float(m0), within, bool(poles[r])))
+    return reports
 
 
 def energy_high(traj, t: float, m0: float | None = None) -> EnergyReport:
@@ -447,9 +521,9 @@ def energy_high(traj, t: float, m0: float | None = None) -> EnergyReport:
 
     M0 defaults to the trajectory's own t=0 energy (minimal admissible choice).
     """
-    return _report(traj, t, m0)
+    return energy_reports(traj, [t], m0)[0]
 
 
 def energy_low(traj, t: float, m0: float | None = None) -> EnergyReport:
     """Lower-order energy (uniqueness-probe functional) at a stored time."""
-    return _report(traj, t, m0)
+    return energy_reports(traj, [t], m0)[0]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import ast
 import math
+import operator
 import tokenize
 from dataclasses import dataclass
 
@@ -48,9 +49,61 @@ _EXPR_FUNCTIONS = frozenset("sin cos tan asin acos atan sinh cosh tanh exp log s
 _EXPR_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub)
 
 
-def _check_expr_grammar(text: str) -> None:
-    """Raise SyntaxError or ValueError for a string outside the allow-listed grammar."""
-    nodes = list(ast.walk(ast.parse(text, mode="eval")))
+_CONSTANT_NAMES = {"pi": math.pi, "E": math.e}
+_FLOAT_OPS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.Pow: operator.pow,
+    ast.UAdd: operator.pos, ast.USub: operator.neg,
+}
+
+
+def _fold(node: ast.expr) -> tuple[ast.expr, float | None]:
+    """node with every constant subtree (one without x) folded, and its float value.
+
+    The value is None when node depends on x. Folding happens in float
+    arithmetic, so an oversized constant such as 10**10**10 raises
+    OverflowError here instead of asking sympy for its exact digits.
+    """
+    leaf = isinstance(node, (ast.Constant, ast.Name))
+    if isinstance(node, ast.Constant):
+        value = float(node.value)
+    elif isinstance(node, ast.Name):
+        value = _CONSTANT_NAMES.get(node.id)
+    elif isinstance(node, ast.UnaryOp):
+        operand, v = _fold(node.operand)
+        node = ast.UnaryOp(node.op, operand)
+        value = None if v is None else _FLOAT_OPS[type(node.op)](v)
+    elif isinstance(node, ast.BinOp):
+        (left, a), (right, b) = _fold(node.left), _fold(node.right)
+        node = ast.BinOp(left, node.op, right)
+        value = None if a is None or b is None else _FLOAT_OPS[type(node.op)](a, b)
+    else:  # a call of one of _EXPR_FUNCTIONS
+        folded = [_fold(arg) for arg in node.args]
+        node = ast.Call(node.func, [arg for arg, _ in folded], [])
+        values = [v for _, v in folded]
+        value = None if None in values else getattr(math, node.func.id)(*values)
+    if value is None:
+        return node, None
+    if isinstance(value, complex) or not math.isfinite(value):
+        raise ValueError(f"{ast.unparse(node)!r} is not a finite real number")
+    if leaf:
+        return node, value
+    # integral values stay exact integers for sympy; negatives keep their sign
+    # outside the literal so that the unparsed text keeps its precedence
+    number = int(value) if value.is_integer() else value
+    literal = ast.Constant(abs(number))
+    return (ast.UnaryOp(ast.USub(), literal) if number < 0 else literal), value
+
+
+def _check_expr_grammar(text: str) -> str:
+    """The text with its constant subtrees folded to numbers.
+
+    Raises SyntaxError, ValueError or ArithmeticError for a string outside
+    the allow-listed grammar or with a constant that is not a finite real
+    float.
+    """
+    tree = ast.parse(text, mode="eval")
+    nodes = list(ast.walk(tree))
     called = {id(n.func) for n in nodes if isinstance(n, ast.Call)}
     for node in nodes:
         if isinstance(node, ast.Name):
@@ -64,6 +117,8 @@ def _check_expr_grammar(text: str) -> None:
         if not ok:
             what = ast.unparse(node) if isinstance(node, ast.expr) else type(node).__name__
             raise ValueError(f"{what!r} is not allowed")
+    body, _ = _fold(tree.body)
+    return ast.unparse(body)
 
 
 def _parse_expr(expr):
@@ -77,9 +132,8 @@ def _parse_expr(expr):
     if not isinstance(expr, str):
         raise ConfigurationError(f"'expr' must be a string, got {expr!r}")
     try:
-        _check_expr_grammar(expr)
-        return sp.sympify(expr).subs(sp.Symbol("x"), _X)
-    except (SyntaxError, ValueError, TypeError, RecursionError,
+        return sp.sympify(_check_expr_grammar(expr)).subs(sp.Symbol("x"), _X)
+    except (SyntaxError, ValueError, TypeError, ArithmeticError, RecursionError,
             sp.SympifyError, tokenize.TokenError) as exc:
         raise ConfigurationError(f"'expr' {expr!r} is not a closed form in x: {exc}") from None
 

@@ -1,11 +1,16 @@
 import logging
 
 import pytest
+from hypothesis import settings
 
 from svfree.picard import PicardSettings, solve_nonlinear
 from svfree.profile import build_grid, sample_height_profile, sample_velocity
 
 logging.getLogger("svfree").setLevel(logging.ERROR)
+
+# the same examples on every run: a property test fails or passes for good
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

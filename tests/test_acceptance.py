@@ -164,12 +164,10 @@ def test_criterion_7_conservation_and_boundary(canonical_solution, para401):
 
 def test_criterion_8_apriori_energy_ceiling(canonical_solution):
     sol = canonical_solution
-    m0 = None
+    reports = jet.energy_reports(sol, sol.times)
+    m0 = reports[0].M0
     worst = 0.0
-    for t in sol.times:
-        rep = jet.energy_high(sol, float(t), m0)
-        if m0 is None:
-            m0 = rep.M0
+    for t, rep in zip(sol.times, reports):
         assert rep.within_apriori, f"ceiling violated at t={t}"
         worst = max(worst, rep.E_total / (2.0 * m0))
     _ok(

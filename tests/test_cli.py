@@ -230,6 +230,9 @@ class TestMainExitCodes:
         ({"profile": {"kind": "custom", "expr": "x*(1-x"}}, "expr"),
         ({"profile": {"kind": "custom", "expr": "__import__('os')"}}, "expr"),
         ({"n_nodes": 21, "n_modes": 40}, "n_modes"),
+        ({"profile": {"kind": "custom", "expr": "10**10**10"}}, "expr"),
+        ({"profile": {"kind": "custom", "expr": "2**(10**10)"}}, "expr"),
+        ({"profile": {"kind": "custom", "expr": "(" * 9 + "10**10" + ")**10" * 9}}, "expr"),
     ])
     def test_bad_field_type_is_3_and_named(self, tmp_path, monkeypatch, capsys, patch, field):
         monkeypatch.setenv("SVFREE_OUT", str(tmp_path / "out"))

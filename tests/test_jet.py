@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from svfree import jet
+from svfree._series import MixedValuationError
 from svfree.errors import ConfigurationError, FlowMapDegeneracyError, ValidationError
 from svfree.jet import (
     E_SUMMAND_WEIGHTS,
     LOW_SUMMAND_WEIGHTS,
     energy_high,
     energy_low,
+    energy_reports,
     initial_jet,
     time_derivatives_along,
 )
@@ -251,3 +254,44 @@ class TestInitialJetWithVelocity:
         for h in (velocity_jets.h0, velocity_jets.h1):
             assert abs(h.values[0]) < 1e-9
             assert abs(h.values[-1]) < 1e-9
+
+
+class TestEnergyReports:
+    def test_energy_reports_match_energy_high(self, canonical_solution):
+        times = [0.0, 0.01, 0.025, 0.05]
+        reports = energy_reports(canonical_solution, times)
+        m0 = reports[0].M0
+        for t, rep in zip(times, reports):
+            ref = energy_high(canonical_solution, t, m0)
+            assert rep.t == ref.t == t
+            assert rep.M0 == ref.M0 == m0
+            assert rep.within_apriori == ref.within_apriori
+            assert rep.boundary_pole == ref.boundary_pole
+            assert rep.summands.keys() == ref.summands.keys()
+            for label, value in ref.summands.items():
+                assert rep.summands[label] == pytest.approx(value, rel=1e-12, abs=0.0)
+
+    def test_m0_is_the_start_energy_when_omitted(self, canonical_solution):
+        later = energy_reports(canonical_solution, [0.02, 0.03])
+        start = energy_high(canonical_solution, 0.0)
+        assert [r.M0 for r in later] == [start.E_total] * 2
+
+    def test_mixed_valuation_block_matches_one_row_evaluation(self, canonical_solution):
+        # the flow Jacobian's left-endpoint series loses its constant term in
+        # one row, so the rows of that denominator differ in valuation
+        state = jet._state_from_trajectory(canonical_solution, [100, 200, 300])
+        state.j_atoms[0][1, 1] = 0.0
+        assert state.j_atoms[0][1, 2] != 0.0
+        with pytest.raises(MixedValuationError):
+            jet._squares(state)
+        squares, poles = jet._block_squares(state)
+        for i in range(state.rows):
+            ref_squares, ref_poles = jet._squares(state.row(i))
+            assert np.array_equal(squares[i], ref_squares[0])
+            assert poles[i] == ref_poles[0]
+        # the untouched rows agree with a block that takes the batched path
+        clean = jet._state_from_trajectory(canonical_solution, [100, 300])
+        clean_squares, clean_poles = jet._squares(clean)
+        scale = np.maximum(np.abs(clean_squares), 1e-300)
+        assert np.all(np.abs(squares[[0, 2]] - clean_squares) <= 1e-12 * scale)
+        assert np.array_equal(poles[[0, 2]], clean_poles)

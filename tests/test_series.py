@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import sympy as sp
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from svfree._series import N_TERMS, LaurentSeries
+from svfree._series import N_TERMS, LaurentSeries, MixedValuationError
 
 
 def _poly(*coeffs):
@@ -85,3 +88,117 @@ class TestArithmetic:
     def test_zero_division_raises(self):
         with pytest.raises(ZeroDivisionError):
             _ = _poly(1.0) / LaurentSeries.constant(0.0)
+
+
+# -- batches: rows sharing one offset, checked against one row at a time ----
+
+_COEFF = st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False)
+_LEAD = st.floats(0.5, 4.0).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+@st.composite
+def batches(draw, rows=None, valuation=None):
+    """(rows, N_TERMS) coefficients whose rows all have the drawn valuation."""
+    rows = draw(st.integers(1, 5)) if rows is None else rows
+    val = draw(st.integers(0, 2)) if valuation is None else valuation
+    c = draw(arrays(float, (rows, N_TERMS), elements=_COEFF))
+    c[:, :val] = 0.0
+    c[:, val] = [draw(_LEAD) for _ in range(rows)]
+    return LaurentSeries(c, draw(st.integers(-3, 3)))
+
+
+def _rows(batch):
+    return [LaurentSeries(row, batch.offset) for row in batch.coeffs]
+
+
+def _assert_rows_equal(batch, singles):
+    assert batch.coeffs.shape == (len(singles), N_TERMS)
+    for got, ref in zip(batch.coeffs, singles):
+        assert batch.offset == ref.offset
+        scale = max(np.max(np.abs(ref.coeffs)), 1e-300)
+        assert np.max(np.abs(got - ref.coeffs)) <= 1e-12 * scale
+
+
+class TestBatchedMatchesRows:
+    @given(data=st.data())
+    def test_ring_operations(self, data):
+        a = data.draw(batches())
+        b = data.draw(batches(rows=len(a.coeffs)))
+        n = data.draw(st.integers(-3, 4))
+        c = data.draw(_COEFF)
+        pairs = list(zip(_rows(a), _rows(b)))
+        _assert_rows_equal(a + b, [x + y for x, y in pairs])
+        _assert_rows_equal(a - b, [x - y for x, y in pairs])
+        _assert_rows_equal(a * b, [x * y for x, y in pairs])
+        _assert_rows_equal(a / b, [x / y for x, y in pairs])
+        _assert_rows_equal(a**n, [x**n for x, _ in pairs])
+        _assert_rows_equal(c - a, [c - x for x, _ in pairs])
+        _assert_rows_equal(c * a + c, [c * x + c for x, _ in pairs])
+        _assert_rows_equal(c / b, [c / y for _, y in pairs])
+
+    @given(data=st.data())
+    def test_extraction(self, data):
+        a = data.draw(batches())
+        b = data.draw(batches(rows=len(a.coeffs)))
+        for s in (a, a / b, b / a, a * b):
+            singles = _rows(s)
+            parts = s.finite_part()
+            poles = s.has_pole()
+            assert parts.shape == poles.shape == (len(singles),)
+            assert [bool(p) for p in poles] == [r.has_pole() for r in singles]
+            for got, ref in zip(parts, singles):
+                assert isinstance(ref.finite_part(), float)
+                assert isinstance(ref.has_pole(), bool)
+                assert got == pytest.approx(ref.finite_part(), rel=1e-12, abs=1e-300)
+
+    @given(data=st.data())
+    def test_one_row_broadcasts_against_a_batch(self, data):
+        a = data.draw(batches())
+        one = data.draw(batches(rows=1))
+        single = LaurentSeries(one.coeffs[0], one.offset)
+        _assert_rows_equal(a * single, [x * single for x in _rows(a)])
+        _assert_rows_equal(single / a, [single / x for x in _rows(a)])
+
+    def test_mixed_valuations_refuse_a_common_inverse(self):
+        batch = LaurentSeries(np.array([[1.0, 2.0] + [0.0] * 10, [0.0, 3.0] + [0.0] * 10]))
+        with pytest.raises(MixedValuationError):
+            _ = 1.0 / batch
+        with pytest.raises(MixedValuationError):
+            _ = batch**-1
+
+
+class TestRingLaws:
+    @given(data=st.data())
+    def test_associative_and_distributive(self, data):
+        a = data.draw(batches())
+        b = data.draw(batches(rows=len(a.coeffs)))
+        c = data.draw(batches(rows=len(a.coeffs)))
+        _assert_rows_equal((a * b) * c, _rows(a * (b * c)))
+        _assert_rows_equal(a * (b + c), _rows(a * b + a * c))
+
+    @given(s=batches(valuation=0))
+    def test_times_inverse_is_one(self, s):
+        inv = 1.0 / s
+        prod = s * inv
+        scale = np.max(np.abs(s.coeffs), axis=-1) * np.max(np.abs(inv.coeffs), axis=-1)
+        one = np.zeros(N_TERMS)
+        one[0] = 1.0
+        assert prod.offset == 0
+        assert np.all(np.abs(prod.coeffs - one) <= 1e-12 * scale[:, None])
+
+    @settings(max_examples=8)
+    @given(
+        val=st.integers(0, 2),
+        coeffs=st.lists(st.integers(-3, 3), min_size=1, max_size=5),
+        lead=st.sampled_from([-3, -2, -1, 1, 2, 3]),
+    )
+    def test_inverse_matches_sympy_series(self, val, coeffs, lead):
+        x = sp.Symbol("x")
+        ints = [0] * val + [lead] + coeffs
+        poly = sum(c * x**k for k, c in enumerate(ints))
+        inv = 1.0 / LaurentSeries(np.array(ints, dtype=float))
+        assert inv.offset == -val
+        expansion = sp.series(1 / poly, x, 0, N_TERMS - val).removeO()
+        exact = [float(expansion.coeff(x, k - val)) for k in range(N_TERMS)]
+        scale = max(map(abs, exact))
+        assert np.max(np.abs(inv.coeffs - exact)) <= 1e-12 * scale

@@ -26,11 +26,13 @@ import numpy as np
 N_TERMS = 12
 
 # Relative threshold below which a leading coefficient is treated as
-# cancellation dust when locating a denominator's valuation.
+# cancellation dust when locating a denominator's valuation. It is judged
+# against the coefficients up to the next order, not the whole row: Taylor
+# coefficients of many-mode data grow like (n pi)^k / k!.
 _VALUATION_DUST = 1e-12
 
-# Relative threshold above which surviving negative-power coefficients are
-# reported as a genuine pole rather than rounding residue.
+# Relative threshold above which surviving negative-power coefficients (judged
+# against those up to power 0) are a genuine pole rather than rounding residue.
 _POLE_DUST = 1e-8
 
 _SCALARS = (int, float, np.integer, np.floating)
@@ -110,7 +112,9 @@ class LaurentSeries:
     def _valuations(self):
         """Per-row index of the first significant coefficient; -1 for a zero row."""
         mag = np.abs(self.coeffs)
-        sig = mag > _VALUATION_DUST * np.max(mag, axis=-1, keepdims=True)
+        upto_next = np.maximum.accumulate(mag, axis=-1)
+        upto_next[..., :-1] = upto_next[..., 1:]
+        sig = mag > _VALUATION_DUST * upto_next
         return np.where(np.any(sig, axis=-1), np.argmax(sig, axis=-1), -1)
 
     # -- ring operations ----------------------------------------------
@@ -207,7 +211,9 @@ class LaurentSeries:
         return values.item() if values.ndim == 0 else values
 
     def _scale(self):
-        return np.maximum(np.max(np.abs(self.coeffs), axis=-1), 1.0)
+        """Per-row size of the coefficients up to power 0 (offset < 0), at least 1."""
+        upto_zero = self.coeffs[..., : 1 - self.offset]
+        return np.maximum(np.max(np.abs(upto_zero), axis=-1), 1.0)
 
     def finite_part(self):
         """Coefficient of power 0 (the one-sided limit when no pole survives)."""

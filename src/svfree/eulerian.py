@@ -175,8 +175,8 @@ def boundary_diagnostics(profile: HeightProfile, traj, t: float) -> BoundaryRepo
     elif isinstance(traj, FDTrajectory):
         idx = traj.index_of(t)
         vx_pair = traj.boundary_vx(t)
-        fm = flow_map(traj)
-        eta_xb = np.array([fm.eta_x[idx][0], fm.eta_x[idx][-1]])
+        # the one row of flow_map(traj).eta_x, without differentiating every row
+        eta_xb = np.gradient(traj.eta[idx], traj.grid.spacing, edge_order=2)[[0, -1]]
     else:
         raise ConfigurationError(f"unsupported trajectory type {type(traj).__name__}")
     slope0 = abs(profile.endpoint_derivatives(0.0, 2)[1])

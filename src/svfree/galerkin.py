@@ -179,8 +179,8 @@ def stored_index(times: np.ndarray, dt: float, t: float) -> int:
     return idx
 
 
-def _jacobian_weights(profile: HeightProfile, eta_x, rho_power: int) -> np.ndarray:
-    """Quadrature weights rho0^rho_power / eta_x^2 for rows of nodal Jacobians."""
+def check_jacobian(eta_x) -> np.ndarray:
+    """Nodal flow-map Jacobians as a float array, finite and inside ETA_X_RANGE."""
     eta_x = np.asarray(eta_x, dtype=float)
     lo, hi = ETA_X_RANGE
     if np.any(~np.isfinite(eta_x)) or np.any(eta_x <= lo) or np.any(eta_x >= hi):
@@ -188,6 +188,12 @@ def _jacobian_weights(profile: HeightProfile, eta_x, rho_power: int) -> np.ndarr
             f"flow-map Jacobian left the admissible range {ETA_X_RANGE}: "
             f"min={np.min(eta_x):.3g}, max={np.max(eta_x):.3g}"
         )
+    return eta_x
+
+
+def _jacobian_weights(profile: HeightProfile, eta_x, rho_power: int) -> np.ndarray:
+    """Quadrature weights rho0^rho_power / eta_x^2 for rows of nodal Jacobians."""
+    eta_x = check_jacobian(eta_x)
     return profile.grid.simpson_weights * profile.values**rho_power / eta_x**2
 
 

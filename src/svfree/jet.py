@@ -8,11 +8,12 @@ The momentum equation solved pointwise for the acceleration,
 is differentiated in time symbolically (eta_t = v closes the recursion), which
 expresses d_t^k v and its spatial derivatives as rational functions of the
 profile, the velocity and the flow map. Those expressions are generated once
-with sympy and evaluated two ways: vectorized on the interior nodes, and in
-truncated Laurent arithmetic at the two vacuum endpoints, where the 1/rho0
-factors cancel exactly for compatible data. When the data is incompatible
-(nonzero endpoint values of d_t^k v_x), a genuine pole survives; the endpoint
-value is then the Hadamard finite part and the report is flagged.
+with sympy and compiled once each; the same function runs vectorized on the
+interior nodes and in truncated Laurent arithmetic at the two vacuum
+endpoints, where the 1/rho0 factors cancel exactly for compatible data.
+When the data is incompatible (nonzero endpoint values of d_t^k v_x), a
+genuine pole survives; the endpoint value is then the Hadamard finite part
+and the report is flagged.
 
 The higher-order energy functional sums fifteen weighted squared norms
 (time derivatives through order three, mixed and pure spatial derivatives
@@ -24,18 +25,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import sympy as sp
 
 from ._series import N_TERMS, LaurentSeries, MixedValuationError
-from .errors import (
-    FlowMapDegeneracyError,
-    UnsupportedOperationError,
-    ValidationError,
-)
-from .galerkin import ETA_X_RANGE
+from .errors import UnsupportedOperationError, ValidationError
+from .galerkin import check_jacobian
 from .profile import AnalyticField, Field, HeightProfile
 
 __all__ = [
@@ -66,6 +63,8 @@ _ATOM_ORDERS = 6 + N_TERMS
 # evaluation order matters: a* need only (r, w, j) symbols, b* additionally
 # consume a-fields, c0 consumes b-fields
 _OUTPUTS = ("a0", "a1", "a2", "a3", "a4", "b0", "b1", "b2", "c0")
+# the argument position of each output that later outputs consume as a symbol
+_FED_BACK = {s.name: i for i, s in enumerate(_ALL_SYMBOLS) if s.name in _OUTPUTS}
 
 
 def _dx(expr):
@@ -117,12 +116,12 @@ def _expressions(include_pressure: bool) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _lambdified(include_pressure: bool, flavor: str) -> dict:
-    # cse hoists the shared Jacobian/profile powers, which matters a lot for
-    # the series-arithmetic evaluation at the endpoints
-    modules = "numpy" if flavor == "numpy" else "math"
+def _lambdified(include_pressure: bool) -> dict:
+    # the plain-operator "math" printer writes integer powers and 1/x, so one
+    # function serves numpy rows and LaurentSeries alike; cse hoists the shared
+    # Jacobian/profile powers, which matters a lot for the series arithmetic
     return {
-        name: sp.lambdify(_ALL_SYMBOLS, expr, modules, cse=True)
+        name: sp.lambdify(_ALL_SYMBOLS, expr, "math", cse=True)
         for name, expr in _expressions(include_pressure).items()
     }
 
@@ -150,6 +149,11 @@ class _State:
             tuple(a[pick] for a in self.w_atoms), tuple(a[pick] for a in self.j_atoms),
             self.include_pressure,
         )
+
+    @cached_property
+    def w_series(self) -> tuple[list[LaurentSeries], list[LaurentSeries]]:
+        """Endpoint series of the first _DEPTH derivatives of v, per side."""
+        return tuple(_atom_series(atoms) for atoms in self.w_atoms)
 
 
 @dataclass(frozen=True)
@@ -185,69 +189,48 @@ def _atom_series(atoms: np.ndarray) -> list[LaurentSeries]:
     return [LaurentSeries.from_derivatives(atoms[:, k:]) for k in range(_DEPTH)]
 
 
-_ZERO_SERIES = LaurentSeries.constant(0.0)
-
-
 def _evaluate(state: _State) -> dict[str, _Output]:
     """Every recursion output on a block of rows.
 
-    The interior runs one row per numpy call, which keeps only one row's
-    cse temporaries alive; the endpoint series run each lambdified
-    expression once per side for the whole block. Raises
-    MixedValuationError when the rows of a denominator differ in valuation.
+    Each compiled output runs once per stored time on the interior nodes,
+    which keeps only one row's cse temporaries alive, and once per side on
+    the block's batched endpoint series. Raises MixedValuationError when the
+    rows of a denominator differ in valuation.
     """
     n = state.profile.grid.n_nodes
-    lo, hi = ETA_X_RANGE
-    j1 = state.j[:, 1]
-    if np.any(~np.isfinite(j1)) or np.any(j1 <= lo) or np.any(j1 >= hi):
-        raise FlowMapDegeneracyError(
-            f"flow-map Jacobian outside {ETA_X_RANGE}: "
-            f"min={np.min(j1):.3g}, max={np.max(j1):.3g}"
-        )
-
-    np_fns = _lambdified(state.include_pressure, "numpy")
-    gen_fns = _lambdified(state.include_pressure, "series")
+    check_jacobian(state.j[:, 1])
+    fns = _lambdified(state.include_pressure)
 
     interior = slice(1, -1)
-    zeros = np.zeros(n - 2)
     rho = [state.profile.derivative_values(k)[interior] for k in range(_DEPTH)]
-    row_args = [
-        rho
-        + [state.w[i, k, interior] for k in range(_DEPTH)]
-        + [state.j[i, k, interior] for k in range(_DEPTH)]
-        + [zeros] * (2 * _DEPTH)
+    # one argument list per call: the block's interior rows, then both sides;
+    # the a- and b-slots are filled as those outputs are computed
+    calls = [
+        [*rho, *state.w[i, :, interior], *state.j[i, :, interior], *[None] * (2 * _DEPTH)]
         for i in range(state.rows)
-    ]
-    side_args = [
+    ] + [
         [
             *_profile_series(state.profile, side),
-            *_atom_series(state.w_atoms[side]),
+            *state.w_series[side],
             *_atom_series(state.j_atoms[side]),
-            *[_ZERO_SERIES] * (2 * _DEPTH),
+            *[None] * (2 * _DEPTH),
         ]
         for side in (0, 1)
     ]
 
     out: dict[str, _Output] = {}
-    a_base = 3 * _DEPTH
-    b_base = 4 * _DEPTH
     for name in _OUTPUTS:
+        results = [fns[name](*args) for args in calls]
+        *rows, left, right = results
         values = np.empty((state.rows, n))
-        for i, args in enumerate(row_args):
-            values[i, interior] = np_fns[name](*args)
-        series_pair = tuple(gen_fns[name](*side_args[side]) for side in (0, 1))
-        values[:, 0] = series_pair[0].finite_part()
-        values[:, -1] = series_pair[1].finite_part()
-        poles = (np.asarray(series_pair[0].has_pole()), np.asarray(series_pair[1].has_pole()))
-        out[name] = _Output(values, series_pair, poles)
-        # later expressions consume this output as a symbol
-        fam, idx = name[0], int(name[1])
-        if fam in ("a", "b"):
-            pos = (a_base if fam == "a" else b_base) + idx
-            for side in (0, 1):
-                side_args[side][pos] = series_pair[side]
-            for i, args in enumerate(row_args):
-                args[pos] = values[i, interior]
+        values[:, interior] = rows
+        values[:, 0] = left.finite_part()
+        values[:, -1] = right.finite_part()
+        poles = (np.asarray(left.has_pole()), np.asarray(right.has_pole()))
+        out[name] = _Output(values, (left, right), poles)
+        if name in _FED_BACK:
+            for args, result in zip(calls, results):
+                args[_FED_BACK[name]] = result
     return out
 
 
@@ -459,9 +442,9 @@ def _squares(state: _State) -> tuple[np.ndarray, np.ndarray]:
     """(rows, len(_SQUARES)) weighted squares of one block and its (rows,) pole flags."""
     fields = {name: (o.values, o.series) for name, o in _evaluate(state).items()}
     # pure spatial derivatives enter with exact endpoint series
-    atoms = [_atom_series(state.w_atoms[side]) for side in (0, 1)]
+    left, right = state.w_series
     for k in range(_DEPTH):
-        fields[f"w{k}"] = (state.w[:, k], (atoms[0][k], atoms[1][k]))
+        fields[f"w{k}"] = (state.w[:, k], (left[k], right[k]))
     columns, pole = [], np.zeros(state.rows, dtype=bool)
     for source, weight in _SQUARES:
         value, p = _weighted_square(state.profile, *fields[source], weight)

@@ -223,7 +223,10 @@ class _AnalyticBase:
         return self.derivative_values(0)
 
     def endpoint_derivatives(self, x0: float, n: int = N_TERMS) -> np.ndarray:
-        """One-sided derivatives of orders 0..n-1 at the endpoint x0."""
+        """One-sided derivatives of orders 0..n-1 at the endpoint x0, unsnapped.
+
+        Dust in a denominator is left to the valuation of the endpoint series.
+        """
         cached = self._taylor_cache.get(x0)
         if cached is None or len(cached) < n:
             derivs = []
@@ -231,11 +234,7 @@ class _AnalyticBase:
             for k in range(max(n, N_TERMS)):
                 derivs.append(float(d.subs(_X, sp.Rational(x0))))
                 d = sp.diff(d, _X)
-            arr = np.asarray(derivs)
-            scale = np.max(np.abs(arr))
-            if scale > 0:
-                arr[np.abs(arr) <= 1e-13 * scale] = 0.0
-            cached = arr
+            cached = np.asarray(derivs)
             self._taylor_cache[x0] = cached
         return cached[:n]
 

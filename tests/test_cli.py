@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -244,6 +245,22 @@ class TestMainExitCodes:
         monkeypatch.setenv("SVFREE_OUT", str(tmp_path / "out"))
         cfg = _write_config(tmp_path, SMALL)
         assert main(["simulate", "--config", str(cfg)]) == 0
+
+    def test_steep_custom_profile_runs(self, tmp_path, monkeypatch):
+        # rho0 = x(1-x)e^(10x): its endpoint derivatives reach 1e17 by order
+        # 17, and the slopes 1 and e^10 survive into the boundary report
+        monkeypatch.setenv("SVFREE_OUT", str(tmp_path / "out"))
+        cfg = _write_config(tmp_path, {
+            "profile": {"kind": "custom", "expr": "x*(1-x)*exp(10*x)"},
+            "u0": {"kind": "zero"},
+            "n_nodes": 101, "n_modes": 8, "dt": 1e-4, "t_final": 0.001,
+            "emit": {"energy": True, "contraction": True, "snapshots": 0, "boundary": True},
+        })
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        with open(tmp_path / "out" / "boundary.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert float(rows[0]["soundspeed_slope_left"]) == pytest.approx(1.0, rel=1e-12)
+        assert float(rows[0]["soundspeed_slope_right"]) == pytest.approx(math.exp(10.0), rel=1e-12)
 
     def test_breakdown_is_2(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SVFREE_OUT", str(tmp_path / "out"))

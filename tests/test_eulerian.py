@@ -153,6 +153,17 @@ class TestBoundaryDiagnostics:
         assert defects[1] < defects[0] / 2.0
         assert defects[0] <= 5.0 * (1.0 / 100.0) ** 2
 
+    def test_fd_report_reads_the_flow_map_row(self, para201, u0zero201):
+        fd = fd_oracle_solve(para201, u0zero201, 0.01, 1e-3)
+        eta_x = flow_map(fd).eta_x
+        slopes = [abs(para201.endpoint_derivatives(s, 2)[1]) for s in (0.0, 1.0)]
+        for idx in (0, 3, 10):
+            rep = boundary_diagnostics(para201, fd, float(fd.times[idx]))
+            ends = (eta_x[idx][0], eta_x[idx][-1])
+            vx = fd.boundary_vx(float(fd.times[idx]))
+            assert rep.ux_at_boundary == (vx[0] / ends[0], vx[1] / ends[1])
+            assert rep.soundspeed_slope == (slopes[0] / ends[0] ** 2, slopes[1] / ends[1] ** 2)
+
     def test_vacuum_slope_persistence(self, small_solution, para201):
         # |d(c^2)/dy| at the moving boundary stays within [c1/2, 2 c2]
         for t in small_solution.times[::25]:

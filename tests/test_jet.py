@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from svfree import jet
-from svfree._series import MixedValuationError
+from svfree._series import LaurentSeries, MixedValuationError
 from svfree.errors import ConfigurationError, FlowMapDegeneracyError, ValidationError
 from svfree.jet import (
     E_SUMMAND_WEIGHTS,
@@ -295,3 +297,67 @@ class TestEnergyReports:
         scale = np.maximum(np.abs(clean_squares), 1e-300)
         assert np.all(np.abs(squares[[0, 2]] - clean_squares) <= 1e-12 * scale)
         assert np.array_equal(poles[[0, 2]], clean_poles)
+
+
+def test_high_mode_velocity_keeps_its_endpoint_taylor_data(sine201, grid201):
+    # u0 = cos(3 pi x) on rho0 = sin(pi x): at x = 0, r1 w1 / r0 -> -9 pi^2,
+    # w2 = -9 pi^2 and -2 r1 = -2 pi, so g1(0) = -18 pi^2 - 2 pi
+    u0 = sample_velocity("cosine", {"amplitude": 1.0, "mode": 3}, grid201)
+    g1 = initial_jet(sine201, u0).g1.values
+    assert g1[0] == pytest.approx(-18.0 * np.pi**2 - 2.0 * np.pi, rel=1e-10)
+
+
+def test_many_mode_jacobian_series_have_valuation_zero(para401, u0zero401):
+    # the endpoint Taylor coefficients of a 96-mode flow map grow like
+    # (96 pi)^k / k!; every row of eta_x and of its powers still starts at order 0
+    sol = solve_nonlinear(
+        para401, u0zero401, PicardSettings(t_final=0.0125, dt=1e-4, n_modes=96)
+    )
+    state = jet._state_from_trajectory(sol, list(range(len(sol.times))))
+    for atoms in state.j_atoms:
+        eta_x = LaurentSeries.from_derivatives(atoms[:, 1:])
+        for power in range(1, 8):
+            assert np.all((eta_x**power)._valuations() == 0), power
+
+
+def test_energy_reports_reject_a_degenerate_flow_map(small_solution):
+    # mode 1 adds -sqrt(2) pi sin(pi x) to eta_x, which leaves (0.1, 10) inside
+    flow = small_solution.flow_coeffs.copy()
+    flow[:, 1] += 1.0
+    bad = dataclasses.replace(small_solution, flow_coeffs=flow)
+    with pytest.raises(FlowMapDegeneracyError):
+        energy_reports(bad, [float(small_solution.times[-1])])
+
+
+@settings(max_examples=25)
+@given(data=st.data(), include_pressure=st.booleans())
+def test_compiled_outputs_agree_on_rows_and_constant_series(small_solution, data, include_pressure):
+    # one compiled function per output serves the interior rows and the
+    # endpoint series: on constant series of one node's inputs it must give
+    # that node's row value. The series divide as x * (1/y) and take powers
+    # by products, so the two differ by rounding; within ten cells of the vacuum
+    # the 1/rho0^k cancellation in a3 and a4 amplifies that to about 6e-11
+    # relative, so nodes are drawn from the rest of the interior, and the
+    # tolerance is relative to the row's size because outputs cross zero
+    sol = small_solution
+    n = sol.grid.n_nodes
+    row = data.draw(st.integers(0, len(sol.times) - 1), label="row")
+    node = data.draw(st.integers(10, n - 11), label="node")
+    state = jet._state_from_trajectory(sol, [row])
+    state.include_pressure = include_pressure
+    out = jet._evaluate(state)
+    inputs = [
+        *(sol.profile.derivative_values(k)[node] for k in range(jet._DEPTH)),
+        *state.w[0, :, node],
+        *state.j[0, :, node],
+        *[0.0] * (2 * jet._DEPTH),
+    ]
+    args = [LaurentSeries.constant(v) for v in inputs]
+    fns = jet._lambdified(include_pressure)
+    for name in jet._OUTPUTS:
+        series = fns[name](*args)
+        values = out[name].values[0, 10 : n - 10]
+        assert not series.has_pole(), name
+        assert abs(series.finite_part() - out[name].values[0, node]) <= 1e-12 * np.max(np.abs(values)), name
+        if name in jet._FED_BACK:
+            args[jet._FED_BACK[name]] = series

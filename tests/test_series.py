@@ -85,6 +85,25 @@ class TestArithmetic:
         assert not q.has_pole()
         assert q.finite_part() == 0.0
 
+    def test_leading_coefficient_judged_against_the_next_order(self):
+        # Taylor coefficients of many-mode data grow with the order; a large
+        # late coefficient does not make an exact leading one dust
+        coeffs = np.zeros(N_TERMS)
+        coeffs[0], coeffs[11] = 1.0, 1e13
+        s = LaurentSeries(coeffs)
+        assert s._valuations() == 0
+        one = s * (1.0 / s)
+        assert one.offset == 0
+        assert np.array_equal(one.coeffs, LaurentSeries.constant(1.0).coeffs)
+
+    def test_pole_judged_against_coefficients_up_to_power_zero(self):
+        # 1/x + ... + 1e13 x^10: the late coefficient does not hide the pole
+        coeffs = np.zeros(N_TERMS)
+        coeffs[0], coeffs[11] = 1.0, 1e13
+        s = LaurentSeries(coeffs, -1)
+        assert s.has_pole()
+        assert s.limit(direction=1) == math.inf
+
     def test_zero_division_raises(self):
         with pytest.raises(ZeroDivisionError):
             _ = _poly(1.0) / LaurentSeries.constant(0.0)

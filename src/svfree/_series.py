@@ -232,23 +232,5 @@ class LaurentSeries:
     def has_pole(self):
         return self._per_row(np.asarray(self.pole_strength() > _POLE_DUST))
 
-    def limit(self, direction=1):
-        """One-sided limit of a single series: finite part, or +-inf at a pole.
-
-        direction is the sign of the local coordinate on the interior side
-        (+1 at the left endpoint, -1 at the right one); a pole c*xi^p flips
-        sign with odd p when approached from below.
-        """
-        if self.coeffs.ndim != 1:
-            raise ValueError("limit is defined for a single series, not a batch")
-        if not self.has_pole():
-            return self.finite_part()
-        neg = self.coeffs[: -self.offset]
-        sig = np.abs(neg) > _POLE_DUST * self._scale()
-        lowest = int(np.argmax(sig))
-        power = self.offset + lowest
-        sign = np.sign(neg[lowest]) * (direction ** (power & 1))
-        return math.inf if sign > 0 else -math.inf
-
     def __repr__(self):
         return f"LaurentSeries(offset={self.offset}, coeffs={self.coeffs!r})"

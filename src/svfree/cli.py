@@ -75,6 +75,10 @@ _SCHEMES = ("implicit-euler", "crank-nicolson")
 _SOLVERS = ("galerkin", "fd-oracle", "both")
 _EMIT_DEFAULTS = {"energy": True, "contraction": True, "snapshots": 5, "boundary": True}
 
+# the largest nodal stack, (steps+1) x n_nodes float64 values, one run may
+# allocate: 1 GiB, about 167 times the largest run of the shipped sweep
+MAX_STACK_VALUES = 2**27
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -127,6 +131,16 @@ class CheckResult:
     detail: str
 
 
+def _check_run_size(t_final: float, dt: float, n_nodes: int) -> None:
+    """Reject a run whose nodal stack holds more than MAX_STACK_VALUES values."""
+    rows = t_final / dt + 1.0
+    if rows * n_nodes > MAX_STACK_VALUES:
+        raise ConfigurationError(
+            f"config fields 't_final'/'dt'/'n_nodes' ask for {rows:.3g} stored times of "
+            f"{n_nodes} nodes, more than {MAX_STACK_VALUES} nodal values per stack"
+        )
+
+
 def _validate_config(cfg: RunConfig) -> RunConfig:
     if not _is_int(cfg.n_nodes) or cfg.n_nodes < 5 or cfg.n_nodes % 2 == 0:
         raise ConfigurationError(f"config field 'n_nodes' must be an odd integer >= 5, got {cfg.n_nodes!r}")
@@ -145,6 +159,7 @@ def _validate_config(cfg: RunConfig) -> RunConfig:
             raise ConfigurationError(f"config field '{key}' must be a positive number, got {value!r}")
     if not isinstance(cfg.out_dir, str):
         raise ConfigurationError(f"config field 'out_dir' must be a string, got {cfg.out_dir!r}")
+    _check_run_size(cfg.t_final, cfg.dt, cfg.n_nodes)
     steps = cfg.t_final / cfg.dt
     if abs(steps - round(steps)) > 1e-9 * max(1.0, steps) or round(steps) < 1:
         raise ConfigurationError(
@@ -647,8 +662,8 @@ def parse_sweep_range(spec: str):
             raise ValueError("only T sweeps are supported")
         a, b, n = rng.split(":")
         a, b, n = float(a), float(b), int(n)
-        if n < 1 or a <= 0 or b < a:
-            raise ValueError("need 0 < a <= b and n >= 1")
+        if n < 1 or not 0 < a <= b < math.inf:
+            raise ValueError("need 0 < a <= b < inf and n >= 1")
     except ValueError as exc:
         raise ConfigurationError(f"bad sweep spec {spec!r}: {exc}") from exc
     return np.linspace(a, b, n)
@@ -672,14 +687,15 @@ def _sweep_row(profile, u0, settings: picard.PicardSettings) -> tuple:
 
 def run_sweep(cfg: RunConfig, spec: str) -> list:
     """Rerun the nonlinear solve across a t_final range; chart convergence."""
+    points = []
+    for t_final in parse_sweep_range(spec):
+        _check_run_size(t_final, cfg.dt, cfg.n_nodes)
+        steps = max(1, round(t_final / cfg.dt))
+        points.append(dataclasses.replace(cfg.picard_settings(), t_final=steps * cfg.dt))
     out = Path(os.environ.get(OUT_DIR_ENV, cfg.out_dir))
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
     grid, profile, u0 = build_problem(cfg)
-    for t_final in parse_sweep_range(spec):
-        steps = max(1, round(t_final / cfg.dt))
-        settings = dataclasses.replace(cfg.picard_settings(), t_final=steps * cfg.dt)
-        rows.append(_sweep_row(profile, u0, settings))
+    rows = [_sweep_row(profile, u0, settings) for settings in points]
     emit_report("sweep", rows, out / "sweep.csv")
     return rows
 

@@ -20,15 +20,12 @@ from scipy.interpolate import PchipInterpolator
 
 from .errors import ConfigurationError, FlowMapDegeneracyError
 from .fd_oracle import FDTrajectory
-from .galerkin import ModalTrajectory
-from .picard import FlowTrajectory, SolutionTrajectory, _flow_from_coeffs, _integrate_flow_coeffs
-from .profile import Field, HeightProfile, _values_of, simpson_weights
+from .picard import SolutionTrajectory
+from .profile import HeightProfile, simpson_weights
 
 __all__ = [
     "EulerianSnapshot",
     "BoundaryReport",
-    "flow_map",
-    "lagrangian_density",
     "eulerian_fields",
     "boundary_diagnostics",
     "eulerian_mass",
@@ -52,27 +49,6 @@ class BoundaryReport:
     ux_at_boundary: tuple[float, float]
     stress_at_boundary: tuple[float, float]
     soundspeed_slope: tuple[float, float]
-
-
-def flow_map(traj) -> FlowTrajectory:
-    """Flow map integrated from the stored velocity (trapezoid in time)."""
-    if isinstance(traj, SolutionTrajectory):
-        return traj.flow()
-    if isinstance(traj, ModalTrajectory):
-        return _flow_from_coeffs(_integrate_flow_coeffs(traj), traj.basis, traj.times, traj.dt)
-    if isinstance(traj, FDTrajectory):
-        h = traj.grid.spacing
-        eta_x = np.gradient(traj.eta, h, axis=1, edge_order=2)
-        return FlowTrajectory(traj.times, traj.eta.copy(), eta_x, traj.dt)
-    raise ConfigurationError(f"unsupported trajectory type {type(traj).__name__}")
-
-
-def lagrangian_density(profile: HeightProfile, eta_x, meta: str = "f") -> Field:
-    """Lagrangian height rho0 / eta_x at the nodes."""
-    vals = _values_of(eta_x)
-    if np.any(vals <= 0.0):
-        raise FlowMapDegeneracyError("flow-map Jacobian must be positive")
-    return Field(profile.values / vals, meta)
 
 
 def _invert_flow_modal(traj: SolutionTrajectory, idx: int, y: np.ndarray) -> np.ndarray:
@@ -103,10 +79,6 @@ def eulerian_fields(
     """Sample the Eulerian height and velocity on a uniform grid of the domain."""
     if n_samples < 3 or n_samples % 2 == 0:
         raise ConfigurationError("n_samples must be odd and >= 3 (Simpson sampling)")
-    if isinstance(traj, ModalTrajectory):
-        raise ConfigurationError(
-            "pass the converged solution trajectory (flow coefficients needed)"
-        )
     if isinstance(traj, SolutionTrajectory):
         idx = traj.index_of(t)
         basis = traj.basis
@@ -175,7 +147,7 @@ def boundary_diagnostics(profile: HeightProfile, traj, t: float) -> BoundaryRepo
     elif isinstance(traj, FDTrajectory):
         idx = traj.index_of(t)
         vx_pair = traj.boundary_vx(t)
-        # the one row of flow_map(traj).eta_x, without differentiating every row
+        # the flow-map Jacobian of the one stored row, without differentiating every row
         eta_xb = np.gradient(traj.eta[idx], traj.grid.spacing, edge_order=2)[[0, -1]]
     else:
         raise ConfigurationError(f"unsupported trajectory type {type(traj).__name__}")

@@ -31,7 +31,6 @@ class FDTrajectory:
     eta: np.ndarray
     dt: float
     profile: HeightProfile
-    zero_forcing: bool
     eta_x_min: float
     eta_x_max: float
 
@@ -124,6 +123,4 @@ def fd_oracle_solve(
         v[m + 1] = solve_banded((2, 2), ab, rhs)
         eta[m + 1] = eta[m] + 0.5 * dt * (v[m] + v[m + 1])
 
-    return FDTrajectory(
-        times, v, eta, dt, profile, zero_forcing, jac_min, jac_max
-    )
+    return FDTrajectory(times, v, eta, dt, profile, jac_min, jac_max)

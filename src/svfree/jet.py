@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 import sympy as sp
 
-from ._series import N_TERMS, LaurentSeries, MixedValuationError
+from ._series import N_TERMS, LaurentSeries
 from .errors import UnsupportedOperationError, ValidationError
 from .galerkin import check_jacobian
 from .profile import AnalyticField, Field, HeightProfile
@@ -141,15 +141,6 @@ class _State:
     def rows(self) -> int:
         return self.w.shape[0]
 
-    def row(self, i: int) -> _State:
-        """The one-row block of row i."""
-        pick = slice(i, i + 1)
-        return _State(
-            self.profile, self.w[pick], self.j[pick],
-            tuple(a[pick] for a in self.w_atoms), tuple(a[pick] for a in self.j_atoms),
-            self.include_pressure,
-        )
-
     @cached_property
     def w_series(self) -> tuple[list[LaurentSeries], list[LaurentSeries]]:
         """Endpoint series of the first _DEPTH derivatives of v, per side."""
@@ -195,7 +186,10 @@ def _evaluate(state: _State) -> dict[str, _Output]:
     Each compiled output runs once per stored time on the interior nodes,
     which keeps only one row's cse temporaries alive, and once per side on
     the block's batched endpoint series. Raises MixedValuationError when the
-    rows of a denominator differ in valuation.
+    rows of a denominator differ in valuation. The only inverted series are
+    r0, one unbatched row, and j1, whose constant term is exactly 1 in every
+    row (odd mode derivatives vanish at both ends), so a block of an
+    admissible trajectory never raises it.
     """
     n = state.profile.grid.n_nodes
     check_jacobian(state.j[:, 1])
@@ -279,7 +273,7 @@ def _state_from_trajectory(traj, idx) -> _State:
         atoms[:, 0] += float(s)
         atoms[:, 1] += 1.0
         j_atoms.append(atoms)
-    include_pressure = not getattr(traj, "zero_forcing", False)
+    include_pressure = not traj.zero_forcing
     return _State(traj.profile, w, j, w_atoms, tuple(j_atoms), include_pressure)
 
 
@@ -453,15 +447,6 @@ def _squares(state: _State) -> tuple[np.ndarray, np.ndarray]:
     return np.stack(columns, axis=1), pole
 
 
-def _block_squares(state: _State) -> tuple[np.ndarray, np.ndarray]:
-    """_squares, re-run one row at a time when the block's rows differ in valuation."""
-    try:
-        return _squares(state)
-    except MixedValuationError:
-        parts = [_squares(state.row(i)) for i in range(state.rows)]
-        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
-
-
 def energy_reports(traj, times, m0: float | None = None) -> list[EnergyReport]:
     """Energy reports at stored times, evaluated _BLOCK_ROWS stored times per pass.
 
@@ -473,7 +458,7 @@ def energy_reports(traj, times, m0: float | None = None) -> list[EnergyReport]:
     if m0 is None and 0 not in rows:
         rows.append(0)
     blocks = [
-        _block_squares(_state_from_trajectory(traj, rows[start : start + _BLOCK_ROWS]))
+        _squares(_state_from_trajectory(traj, rows[start : start + _BLOCK_ROWS]))
         for start in range(0, len(rows), _BLOCK_ROWS)
     ]
     if not blocks:

@@ -15,7 +15,7 @@ flow-map Jacobian inside [1/2, 3/2] at every node and stored time.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import trapezoid
@@ -27,21 +27,18 @@ from .errors import (
 )
 from .galerkin import (
     GalerkinBasis,
-    ModalField,
     ModalTrajectory,
     assemble_mass,
     assemble_stiffness,
     n_steps_for,
     project_initial,
     solve_linearized,
-    stored_index,
 )
 from .profile import AnalyticField, HeightProfile
 
 __all__ = [
     "ContractionReport",
     "SolutionTrajectory",
-    "FlowTrajectory",
     "PicardSettings",
     "contraction_metrics",
     "solve_nonlinear",
@@ -50,16 +47,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 ETA_BOUND = (0.5, 1.5)
-
-
-@dataclass(frozen=True)
-class FlowTrajectory:
-    """Nodal flow map and Jacobian stored per step time."""
-
-    times: np.ndarray
-    eta: np.ndarray
-    eta_x: np.ndarray
-    dt: float
 
 
 @dataclass(frozen=True)
@@ -75,43 +62,38 @@ class ContractionReport:
 
 
 @dataclass(frozen=True)
-class SolutionTrajectory:
-    """Converged modal velocity with its own flow map and convergence metadata."""
+class SolutionTrajectory(ModalTrajectory):
+    """Converged modal velocity lam(t) with the modal displacement mu(t) = eta - x.
 
-    times: np.ndarray
-    dt: float
-    coeffs: np.ndarray
+    The nodal flow map and its Jacobian are derived from mu on demand; only
+    the Jacobian's extremes over every node and stored time are kept.
+    """
+
     flow_coeffs: np.ndarray
-    basis: GalerkinBasis
     profile: HeightProfile
-    eta: np.ndarray
-    eta_x: np.ndarray
-    iterations: int
-    converged: bool
-    final_diff: float
-    history: list = field(default_factory=list)
-    zero_forcing: bool = False
+    history: list
+    zero_forcing: bool
+    eta_x_min: float
+    eta_x_max: float
 
     @property
-    def grid(self):
-        return self.profile.grid
+    def iterations(self) -> int:
+        return len(self.history)
 
     @property
-    def eta_x_min(self) -> float:
-        return float(np.min(self.eta_x))
+    def converged(self) -> bool:
+        """Always true: a solve that does not converge raises instead."""
+        return True
 
     @property
-    def eta_x_max(self) -> float:
-        return float(np.max(self.eta_x))
+    def eta(self) -> np.ndarray:
+        """(steps+1, n_nodes) nodal flow map."""
+        return self.basis.grid.nodes + self.flow_coeffs @ self.basis.table(0)
 
-    def index_of(self, t: float) -> int:
-        return stored_index(self.times, self.dt, t)
-
-    def velocity(self, t: float) -> ModalField:
-        return ModalField(self.coeffs[self.index_of(t)], self.basis, 0, "v")
-
-    def flow(self) -> FlowTrajectory:
-        return FlowTrajectory(self.times, self.eta, self.eta_x, self.dt)
+    @property
+    def eta_x(self) -> np.ndarray:
+        """(steps+1, n_nodes) nodal flow-map Jacobian."""
+        return 1.0 + self.flow_coeffs @ self.basis.table(1)
 
 
 @dataclass(frozen=True)
@@ -134,11 +116,6 @@ def _integrate_flow_coeffs(traj: ModalTrajectory) -> np.ndarray:
     increments = 0.5 * traj.dt * (lam[:-1] + lam[1:])
     mu[1:] = mu[0] + np.cumsum(increments, axis=0)
     return mu
-
-
-def _flow_from_coeffs(mu: np.ndarray, basis: GalerkinBasis, times, dt: float) -> FlowTrajectory:
-    eta = basis.grid.nodes[None, :] + mu @ basis.table(0)
-    return FlowTrajectory(times, eta, 1.0 + mu @ basis.table(1), dt)
 
 
 def contraction_metrics(
@@ -238,8 +215,7 @@ def solve_nonlinear(
     mu = np.vstack([chunks[0][1]] + [m[1:] for _, m in chunks[1:]])
     times = np.linspace(0.0, settings.t_final, steps + 1)
 
-    flow = _flow_from_coeffs(mu, basis, times, settings.dt)
-    final_diff = history[-1].total if history else 0.0
+    eta_x = 1.0 + mu @ basis.table(1)
     sol = SolutionTrajectory(
         times=times,
         dt=settings.dt,
@@ -247,13 +223,10 @@ def solve_nonlinear(
         flow_coeffs=mu,
         basis=basis,
         profile=profile,
-        eta=flow.eta,
-        eta_x=flow.eta_x,
-        iterations=len(history),
-        converged=True,
-        final_diff=final_diff,
         history=history,
         zero_forcing=settings.zero_forcing,
+        eta_x_min=float(np.min(eta_x)),
+        eta_x_max=float(np.max(eta_x)),
     )
     lo, hi = ETA_BOUND
     slack = 1e-12

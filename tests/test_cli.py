@@ -1,9 +1,12 @@
 import csv
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from svfree.cli import (
     ENERGY_COLUMNS,
@@ -202,7 +205,7 @@ class TestSweep:
         assert np.allclose(vals, [0.01, 0.02, 0.03])
 
     def test_bad_specs(self):
-        for spec in ("x=1:2:3", "T=1:2", "T=2:1:3", "T=0:1:2"):
+        for spec in ("x=1:2:3", "T=1:2", "T=2:1:3", "T=0:1:2", "T=nan:nan:2", "T=0.01:inf:2"):
             with pytest.raises(ConfigurationError):
                 parse_sweep_range(spec)
 
@@ -234,6 +237,7 @@ class TestMainExitCodes:
         ({"profile": {"kind": "custom", "expr": "10**10**10"}}, "expr"),
         ({"profile": {"kind": "custom", "expr": "2**(10**10)"}}, "expr"),
         ({"profile": {"kind": "custom", "expr": "(" * 9 + "10**10" + ")**10" * 9}}, "expr"),
+        ({"dt": 1e-300, "t_final": 0.05}, "dt"),
     ])
     def test_bad_field_type_is_3_and_named(self, tmp_path, monkeypatch, capsys, patch, field):
         monkeypatch.setenv("SVFREE_OUT", str(tmp_path / "out"))
@@ -278,6 +282,12 @@ class TestMainExitCodes:
         cfg = _write_config(tmp_path, SMALL)
         assert main(["sweep", "--config", str(cfg)]) == 3
 
+    def test_oversized_sweep_point_is_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SVFREE_OUT", str(tmp_path / "out"))
+        cfg = _write_config(tmp_path, SMALL)
+        assert main(["sweep", "T=0.01:1e300:2", "--config", str(cfg)]) == 3
+        assert "t_final" in capsys.readouterr().err
+
     def test_sweep_runs(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SVFREE_OUT", str(tmp_path / "out"))
         cfg = _write_config(tmp_path, SMALL)
@@ -301,6 +311,17 @@ class TestFdOracleSolverPath:
         assert (out / "snapshot_001.csv").exists()
 
 
+@pytest.mark.parametrize("patch, field", [
+    ({"t_final": 1e300, "dt": 1e290}, "t_final"),
+    ({"t_final": 1e300, "dt": 1e-10}, "dt"),  # t_final/dt overflows to inf
+    ({"n_nodes": 10**12 + 1}, "n_nodes"),
+])
+def test_oversized_run_rejected_at_validation(patch, field):
+    # validation allocates nothing, so these sizes are safe to ask for
+    with pytest.raises(ConfigurationError, match=field):
+        config_from_dict({**SMALL, **patch})
+
+
 def test_unknown_emit_flag_rejected():
     with pytest.raises(ConfigurationError, match="emit"):
         config_from_dict({"emit": {"energy": True, "plots": True}})
@@ -312,3 +333,100 @@ def test_windowed_restart_through_config(tmp_path, monkeypatch):
     summary = run_simulation(cfg)
     assert summary.converged
     assert summary.iterations >= 2  # at least one update per window
+
+
+# --- config fuzzer: any JSON object of RunConfig fields ends in an exit code
+
+_WRONG = st.sampled_from([True, False, "x", None, [], [1], -1, -0.5, 0, 2.5, {}])
+
+# field -> (well-formed values, malformed values besides _WRONG)
+_PROFILE_EXPRS = ["x*(1-x)", "sin(pi*x)", "x*(1-x)*(2-x)", "x*(1-x)*exp(10*x)"]
+_VELOCITY_EXPRS = ["0", "cos(pi*x)", "0.3*cos(2*pi*x)", "0.5*cos(pi*x)**2"]
+_FIELDS = {
+    "profile": (
+        st.one_of(
+            st.fixed_dictionaries({"kind": st.sampled_from(["parabolic", "sine"])},
+                                  optional={"amplitude": st.floats(0.1, 3.0)}),
+            st.fixed_dictionaries({"kind": st.just("custom"),
+                                   "expr": st.sampled_from(_PROFILE_EXPRS)}),
+        ),
+        st.one_of(
+            st.fixed_dictionaries({"kind": st.sampled_from(["parabolic", "sine", "distance", "cone"])},
+                                  optional={"amplitude": _WRONG, "amp": st.just(1.0)}),
+            st.fixed_dictionaries({"kind": st.just("custom")}, optional={"expr": st.one_of(
+                st.sampled_from(["x*(1-x", "1/x", "log(x)", "x", "x**2*(1-x)", "foo(x)", "10**10**10"]),
+                _WRONG,
+            )}),
+        ),
+    ),
+    "u0": (
+        st.one_of(
+            st.fixed_dictionaries({"kind": st.sampled_from(["zero", "cosine"])},
+                                  optional={"amplitude": st.floats(-2.0, 2.0), "mode": st.integers(1, 4)}),
+            st.fixed_dictionaries({"kind": st.just("custom"),
+                                   "expr": st.sampled_from(_VELOCITY_EXPRS)}),
+        ),
+        st.one_of(
+            st.fixed_dictionaries({"kind": st.sampled_from(["cosine", "sine"])},
+                                  optional={"amplitude": _WRONG, "mode": _WRONG}),
+            st.fixed_dictionaries({"kind": st.just("custom")}, optional={"expr": st.one_of(
+                st.sampled_from(["x", "sin(pi*x)", "cos(pi*x", "1/(x-x)", "__import__('os')"]),
+                _WRONG,
+            )}),
+        ),
+    ),
+    "picard_tol": (st.sampled_from([1e-10, 1e-6, 1e-30]), st.just(float("inf"))),
+    "max_iter": (st.integers(1, 8), st.just(3.0)),
+    "scheme": (st.sampled_from(["implicit-euler", "crank-nicolson"]), st.just("rk4")),
+    "solver": (st.sampled_from(["galerkin", "fd-oracle", "both"]), st.just("spectral")),
+    "initial_guess": (st.sampled_from(["u0", "identity"]), st.just("zero")),
+    "windows": (st.integers(1, 3), st.just(1.0)),
+    "out_dir": (st.nothing(), st.just(5)),
+    "emit": (
+        st.fixed_dictionaries({}, optional={
+            "energy": st.booleans(), "contraction": st.booleans(),
+            "boundary": st.booleans(), "snapshots": st.integers(0, 3),
+        }),
+        st.fixed_dictionaries({}, optional={
+            "energy": _WRONG, "snapshots": st.sampled_from([-1, 1.5, True]), "plots": st.booleans(),
+        }),
+    ),
+    "schema_version": (st.just(1), st.nothing()),
+    "bogus": (st.nothing(), st.just(1)),
+}
+
+
+@st.composite
+def _configs(draw):
+    # the size fields are always present: their defaults are the 401-node,
+    # 32-mode, 500-step canonical run; well-formed draws keep n_nodes <= 41
+    # and <= 50 steps
+    n_nodes = draw(st.integers(2, 20)) * 2 + 1
+    dt = draw(st.sampled_from([1e-4, 5e-4, 1e-3]))
+    fields = {
+        "n_nodes": (st.just(n_nodes), st.sampled_from([n_nodes + 1, 3, float(n_nodes)])),
+        "n_modes": (st.integers(1, (n_nodes - 1) // 2), st.sampled_from([4.0, n_nodes])),
+        "dt": (st.just(dt), st.just(0.7 * dt)),
+        "t_final": (st.integers(1, 50).map(lambda k: k * dt), st.just(0.0)),
+        **_FIELDS,
+    }
+    present = [k for k in fields if k in ("n_nodes", "n_modes", "dt", "t_final") or draw(st.booleans())]
+    # most draws are well formed, so the solver and the reports run too
+    broken = draw(st.sets(st.sampled_from(present), max_size=2)) if draw(st.booleans()) else set()
+    data = {}
+    for key in present:
+        good, bad = fields[key]
+        strategy = st.one_of(bad, _WRONG) if key in broken else good
+        if key in broken or not good.is_empty:
+            data[key] = draw(strategy)
+    return data
+
+
+@settings(max_examples=40)
+@given(data=_configs())
+def test_any_config_ends_in_an_exit_code(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        data = {"out_dir": str(Path(tmp) / "out"), **data}
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(data))
+        assert main(["simulate", "--config", str(path)]) in (0, 1, 2, 3)

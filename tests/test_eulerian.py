@@ -3,17 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from svfree.errors import ConfigurationError, FlowMapDegeneracyError
-from svfree.eulerian import (
-    boundary_diagnostics,
-    eulerian_fields,
-    eulerian_mass,
-    flow_map,
-    lagrangian_density,
-)
+from svfree.errors import ConfigurationError
+from svfree.eulerian import boundary_diagnostics, eulerian_fields, eulerian_mass
 from svfree.fd_oracle import fd_oracle_solve
 from svfree.galerkin import GalerkinBasis, ModalTrajectory
-from svfree.picard import PicardSettings, SolutionTrajectory, solve_nonlinear
+from svfree.picard import SolutionTrajectory, _integrate_flow_coeffs
 from svfree.profile import build_grid, quadrature, sample_height_profile, sample_velocity
 
 
@@ -25,59 +19,36 @@ def _constant_modal_trajectory(grid, coeffs, t_final=0.01, n_steps=10):
 
 
 def _solution_from_modal(traj, profile):
-    from svfree.picard import _flow_from_coeffs, _integrate_flow_coeffs
-
+    """The solution record of a velocity, with the flow Picard integrates from it."""
     mu = _integrate_flow_coeffs(traj)
-    flow = _flow_from_coeffs(mu, traj.basis, traj.times, traj.dt)
+    eta_x = 1.0 + mu @ traj.basis.table(1)
     return SolutionTrajectory(
-        times=traj.times, dt=traj.dt, coeffs=traj.coeffs, flow_coeffs=mu,
-        basis=traj.basis, profile=profile, eta=flow.eta, eta_x=flow.eta_x,
-        iterations=0, converged=True, final_diff=0.0, history=[],
+        times=traj.times, coeffs=traj.coeffs, dt=traj.dt, basis=traj.basis,
+        flow_coeffs=mu, profile=profile, history=[], zero_forcing=False,
+        eta_x_min=float(np.min(eta_x)), eta_x_max=float(np.max(eta_x)),
     )
 
 
 class TestFlowMap:
-    def test_zero_velocity(self, grid201):
+    def test_zero_velocity(self, grid201, para201):
         traj = _constant_modal_trajectory(grid201, np.zeros(4))
-        fm = flow_map(traj)
+        fm = _solution_from_modal(traj, para201)
         assert np.array_equal(fm.eta[-1], grid201.nodes)
         assert np.all(fm.eta_x == 1.0)
 
-    def test_unit_velocity_translation(self, grid201):
+    def test_unit_velocity_translation(self, grid201, para201):
         traj = _constant_modal_trajectory(grid201, np.array([1.0, 0.0]), t_final=0.25)
-        fm = flow_map(traj)
+        fm = _solution_from_modal(traj, para201)
         assert np.allclose(fm.eta[-1], grid201.nodes + 0.25, atol=1e-15)
 
-    def test_steady_cosine_jacobian(self, grid201):
+    def test_steady_cosine_jacobian(self, grid201, para201):
         # v = cos(pi x) frozen in time: eta_x(t) = 1 - t pi sin(pi x) exactly
         # (trapezoid integration of a constant integrand is exact)
         coeffs = np.array([0.0, 1.0 / math.sqrt(2.0)])
         traj = _constant_modal_trajectory(grid201, coeffs, t_final=0.01)
-        fm = flow_map(traj)
+        fm = _solution_from_modal(traj, para201)
         exact = 1.0 - 0.01 * np.pi * np.sin(np.pi * grid201.nodes)
         assert np.max(np.abs(fm.eta_x[-1] - exact)) < 1e-14
-
-
-class TestLagrangianDensity:
-    def test_unit_jacobian(self, para201):
-        f = lagrangian_density(para201, np.ones(201))
-        assert np.array_equal(f.values, para201.values)
-
-    def test_double_jacobian(self, para201):
-        f = lagrangian_density(para201, np.full(201, 2.0))
-        assert np.allclose(f.values, para201.values / 2.0, atol=0, rtol=0)
-
-    def test_mass_identity(self, para201):
-        # f * eta_x = rho0 algebraically; the float round trip costs one ulp
-        eta_x = 1.0 + 0.3 * np.sin(np.pi * para201.grid.nodes)
-        f = lagrangian_density(para201, eta_x)
-        assert np.allclose(f.values * eta_x, para201.values, rtol=1e-15, atol=0)
-
-    def test_degenerate_jacobian_rejected(self, para201):
-        bad = np.ones(201)
-        bad[7] = -0.1
-        with pytest.raises(FlowMapDegeneracyError):
-            lagrangian_density(para201, bad)
 
 
 class TestEulerianFields:
@@ -121,6 +92,12 @@ class TestEulerianFields:
         with pytest.raises(ConfigurationError):
             eulerian_fields(para201, small_solution, 0.0, 100)
 
+    def test_velocity_without_flow_rejected(self, grid201, para201):
+        # a plain modal velocity record carries no flow map to pull back through
+        traj = _constant_modal_trajectory(grid201, np.zeros(4))
+        with pytest.raises(ConfigurationError, match="unsupported trajectory type ModalTrajectory"):
+            eulerian_fields(para201, traj, 0.0, 101)
+
     def test_fd_trajectory_supported(self, para201, u0zero201):
         fd = fd_oracle_solve(para201, u0zero201, 0.01, 1e-3)
         snap = eulerian_fields(para201, fd, 0.01, 101)
@@ -155,7 +132,7 @@ class TestBoundaryDiagnostics:
 
     def test_fd_report_reads_the_flow_map_row(self, para201, u0zero201):
         fd = fd_oracle_solve(para201, u0zero201, 0.01, 1e-3)
-        eta_x = flow_map(fd).eta_x
+        eta_x = np.gradient(fd.eta, fd.grid.spacing, axis=1, edge_order=2)
         slopes = [abs(para201.endpoint_derivatives(s, 2)[1]) for s in (0.0, 1.0)]
         for idx in (0, 3, 10):
             rep = boundary_diagnostics(para201, fd, float(fd.times[idx]))

@@ -46,17 +46,6 @@ class TestArithmetic:
         assert q.has_pole()
         assert q.finite_part() == pytest.approx(1.0)  # the regular part
 
-    def test_limit_sign_tracks_direction(self):
-        # c/x with c > 0: +inf from the right, -inf from the left
-        q = _poly(2.0) / _poly(0.0, 1.0)
-        assert q.limit(direction=1) == math.inf
-        assert q.limit(direction=-1) == -math.inf
-
-    def test_even_pole_direction_independent(self):
-        q = _poly(2.0) / _poly(0.0, 0.0, 1.0)
-        assert q.limit(direction=1) == math.inf
-        assert q.limit(direction=-1) == math.inf
-
     def test_negative_integer_power(self):
         s = _poly(0.0, 2.0) ** -2  # (2x)^-2 = x^-2 / 4
         assert s.offset == -2
@@ -102,7 +91,6 @@ class TestArithmetic:
         coeffs[0], coeffs[11] = 1.0, 1e13
         s = LaurentSeries(coeffs, -1)
         assert s.has_pole()
-        assert s.limit(direction=1) == math.inf
 
     def test_zero_division_raises(self):
         with pytest.raises(ZeroDivisionError):

@@ -1,0 +1,131 @@
+"""Symbolic derivation of the jet recursion, and the writer of its generated module.
+
+The momentum equation solved pointwise for the acceleration,
+
+    v_t = (rho0_x/rho0) v_x / eta_x^2 + v_xx / eta_x^2 - 2 v_x eta_xx / eta_x^3
+          - 2 rho0_x / eta_x^2 + 2 rho0 eta_xx / eta_x^3,
+
+is differentiated in time symbolically (eta_t = v closes the recursion), which
+expresses d_t^k v and its spatial derivatives as rational functions of the
+profile (r*), the velocity (w*), the flow map (j*) and the earlier outputs
+(a*, b*); the digit is the order of the spatial derivative.
+
+``render()`` prints each output with sympy's plain-operator ("math") printer
+and common-subexpression elimination, and returns the source of
+``_jet_generated.py``, which ``svfree.jet`` runs without sympy. Rewrite that
+module after changing the derivation with::
+
+    PYTHONPATH=src python -m svfree._jet_derive
+"""
+
+from __future__ import annotations
+
+import inspect
+from pathlib import Path
+
+import sympy as sp
+
+DEPTH = 7
+_R = sp.symbols(f"r0:{DEPTH}")
+_W = sp.symbols(f"w0:{DEPTH}")
+_J = sp.symbols(f"j0:{DEPTH}")
+_A = sp.symbols(f"a0:{DEPTH}")
+_B = sp.symbols(f"b0:{DEPTH}")
+_FAMILIES = (_R, _W, _J, _A, _B)
+_ALL_SYMBOLS = tuple(s for fam in _FAMILIES for s in fam)
+
+GENERATED = Path(__file__).with_name("_jet_generated.py")
+
+# the function table of each pressure flag in the generated module
+_TABLES = {True: "PRESSURE", False: "NO_PRESSURE"}
+
+_HEADER = '''"""The jet recursion outputs as plain Python functions. Generated: do not edit.
+
+Rewrite with ``PYTHONPATH=src python -m svfree._jet_derive``. Each function is
+the source that ``sympy.lambdify(ARGUMENTS, expr, "math", cse=True)`` prints
+for one output of ``svfree._jet_derive``: only arithmetic operators, so one
+function runs on floats, numpy rows and LaurentSeries alike. A table lists
+its outputs in evaluation order: a* need only the r, w and j arguments, b*
+also consume a-outputs, and c0 consumes b-outputs.
+"""
+
+'''
+
+
+def _dx(expr):
+    shift = {}
+    tops = set()
+    for fam in _FAMILIES:
+        for k in range(DEPTH - 1):
+            shift[fam[k]] = fam[k + 1]
+        tops.add(fam[DEPTH - 1])
+    if expr.free_symbols & tops:
+        raise RuntimeError("derivative depth exhausted; raise the symbol depth")
+    total = sp.Integer(0)
+    for s in expr.free_symbols:
+        if s in shift:
+            total += sp.diff(expr, s) * shift[s]
+    return total
+
+
+def _dt(expr):
+    rate = {}
+    for k in range(DEPTH):
+        rate[_W[k]] = _A[k]
+        rate[_A[k]] = _B[k]
+        if k >= 1:
+            rate[_J[k]] = _W[k]
+    total = sp.Integer(0)
+    for s in expr.free_symbols:
+        if s in rate:
+            total += sp.diff(expr, s) * rate[s]
+    return total
+
+
+def _expressions(include_pressure: bool) -> dict:
+    """The nine recursion outputs, in evaluation order."""
+    r0, r1 = _R[0], _R[1]
+    w1, w2 = _W[1], _W[2]
+    j1, j2 = _J[1], _J[2]
+    accel = (r1 * w1 / r0 + w2) / j1**2 - 2 * w1 * j2 / j1**3
+    if include_pressure:
+        accel += -2 * r1 / j1**2 + 2 * r0 * j2 / j1**3
+    exprs = {"a0": accel}
+    for k in range(1, 5):
+        exprs[f"a{k}"] = _dx(exprs[f"a{k-1}"])
+    exprs["b0"] = _dt(exprs["a0"])
+    exprs["b1"] = _dx(exprs["b0"])
+    exprs["b2"] = _dx(exprs["b1"])
+    exprs["c0"] = _dt(exprs["b0"])
+    return exprs
+
+
+def render() -> str:
+    """The source of ``_jet_generated.py``."""
+    names = [[s.name for s in fam] for fam in _FAMILIES]
+    parts = [
+        _HEADER,
+        f"DEPTH = {DEPTH}\n\n",
+        "ARGUMENTS = (\n",
+        *(f"    {', '.join(repr(n) for n in fam)},\n" for fam in names),
+        ")\n",
+    ]
+    for include_pressure, table in _TABLES.items():
+        prefix = f"_{table.lower()}"
+        exprs = _expressions(include_pressure)
+        for name, expr in exprs.items():
+            # the plain-operator "math" printer writes integer powers and 1/x,
+            # so one function serves numpy rows and LaurentSeries alike; cse
+            # hoists the shared Jacobian/profile powers, which matters a lot
+            # for the series arithmetic
+            fn = sp.lambdify(_ALL_SYMBOLS, expr, "math", cse=True)
+            source = inspect.getsource(fn).replace("_lambdifygenerated", f"{prefix}_{name}", 1)
+            parts.append(f"\n\n{source}")
+        parts.append(f"\n\n{table} = {{\n")
+        parts.extend(f'    "{name}": {prefix}_{name},\n' for name in exprs)
+        parts.append("}\n")
+    return "".join(parts)
+
+
+if __name__ == "__main__":
+    GENERATED.write_text(render())

@@ -8,11 +8,11 @@ cancellation at once and to machine precision. When a genuine pole survives,
 the constant coefficient is the Hadamard finite part and the pole is flagged.
 
 Series objects support +, -, *, /, ** with integers and mix freely with
-Python scalars, so they can be fed straight through sympy-lambdified
-rational expressions. A series is one row of coefficients or a batch of rows
-that share one offset (one stored time per row); the arithmetic broadcasts
-across rows like numpy, so a single pass through a lambdified expression
-evaluates every row at once. The recurrences for the product and the inverse
+Python scalars, so they can be fed straight through the generated rational
+jet functions of ``_jet_generated``. A series is one row of coefficients or a
+batch of rows that share one offset (one stored time per row); the arithmetic
+broadcasts across rows like numpy, so a single pass through a generated
+function evaluates every row at once. The recurrences for the product and the inverse
 are the standard Taylor-coefficient ones (Griewank & Walther, Evaluating
 Derivatives, 2nd ed., ch. 13); only the batch axis is added.
 """

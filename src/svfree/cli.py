@@ -664,6 +664,8 @@ def parse_sweep_range(spec: str):
         a, b, n = float(a), float(b), int(n)
         if n < 1 or not 0 < a <= b < math.inf:
             raise ValueError("need 0 < a <= b < inf and n >= 1")
+        if n > MAX_STACK_VALUES:
+            raise ValueError(f"more than {MAX_STACK_VALUES} points")
     except ValueError as exc:
         raise ConfigurationError(f"bad sweep spec {spec!r}: {exc}") from exc
     return np.linspace(a, b, n)

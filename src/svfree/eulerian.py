@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ConfigurationError, FlowMapDegeneracyError
 from .fd_oracle import FDTrajectory
@@ -101,6 +100,8 @@ def eulerian_fields(
         v_ends = (v[0], v[-1])
 
         def pull_back(y):
+            from scipy.interpolate import PchipInterpolator  # only FD runs load scipy
+
             eta_interp = PchipInterpolator(nodes, eta)
             deta = eta_interp.derivative()
             # one PCHIP-Newton polish on the piecewise-linear inverse

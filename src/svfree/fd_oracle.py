@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import ConfigurationError, FlowMapDegeneracyError
 from .galerkin import ETA_X_RANGE, n_steps_for, stored_index
@@ -69,6 +68,8 @@ def fd_oracle_solve(
     dt: float,
     zero_forcing: bool = False,
 ) -> FDTrajectory:
+    from scipy.linalg import solve_banded  # only FD runs load scipy
+
     if profile.kind == "distance":
         raise ConfigurationError("the distance weight is not a solver profile")
     grid = profile.grid

@@ -5,11 +5,12 @@ The momentum equation solved pointwise for the acceleration,
     v_t = (rho0_x/rho0) v_x / eta_x^2 + v_xx / eta_x^2 - 2 v_x eta_xx / eta_x^3
           - 2 rho0_x / eta_x^2 + 2 rho0 eta_xx / eta_x^3,
 
-is differentiated in time symbolically (eta_t = v closes the recursion), which
-expresses d_t^k v and its spatial derivatives as rational functions of the
-profile, the velocity and the flow map. Those expressions are generated once
-with sympy and compiled once each; the same function runs vectorized on the
-interior nodes and in truncated Laurent arithmetic at the two vacuum
+is differentiated in time (eta_t = v closes the recursion), which expresses
+d_t^k v and its spatial derivatives as rational functions of the profile,
+the velocity and the flow map. ``svfree._jet_derive`` derives them with sympy
+and prints them once into the committed module ``_jet_generated.py``, so a
+run neither derives nor compiles anything. The same function runs vectorized
+on the interior nodes and in truncated Laurent arithmetic at the two vacuum
 endpoints, where the 1/rho0 factors cancel exactly for compatible data.
 When the data is incompatible (nonzero endpoint values of d_t^k v_x), a
 genuine pole survives; the endpoint value is then the Hadamard finite part
@@ -28,8 +29,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-import sympy as sp
 
+from ._jet_generated import ARGUMENTS, NO_PRESSURE, PRESSURE
+from ._jet_generated import DEPTH as _DEPTH
 from ._series import N_TERMS, LaurentSeries
 from .errors import UnsupportedOperationError, ValidationError
 from .galerkin import check_jacobian
@@ -50,80 +52,13 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-_DEPTH = 7
-_R = sp.symbols(f"r0:{_DEPTH}")
-_W = sp.symbols(f"w0:{_DEPTH}")
-_J = sp.symbols(f"j0:{_DEPTH}")
-_A = sp.symbols(f"a0:{_DEPTH}")
-_B = sp.symbols(f"b0:{_DEPTH}")
-_ALL_SYMBOLS = (*_R, *_W, *_J, *_A, *_B)
-
 _ATOM_ORDERS = 6 + N_TERMS
 
-# evaluation order matters: a* need only (r, w, j) symbols, b* additionally
-# consume a-fields, c0 consumes b-fields
-_OUTPUTS = ("a0", "a1", "a2", "a3", "a4", "b0", "b1", "b2", "c0")
-# the argument position of each output that later outputs consume as a symbol
-_FED_BACK = {s.name: i for i, s in enumerate(_ALL_SYMBOLS) if s.name in _OUTPUTS}
-
-
-def _dx(expr):
-    shift = {}
-    tops = set()
-    for fam in (_R, _W, _J, _A, _B):
-        for k in range(_DEPTH - 1):
-            shift[fam[k]] = fam[k + 1]
-        tops.add(fam[_DEPTH - 1])
-    if expr.free_symbols & tops:
-        raise RuntimeError("derivative depth exhausted; raise the symbol depth")
-    total = sp.Integer(0)
-    for s in expr.free_symbols:
-        if s in shift:
-            total += sp.diff(expr, s) * shift[s]
-    return total
-
-
-def _dt(expr):
-    rate = {}
-    for k in range(_DEPTH):
-        rate[_W[k]] = _A[k]
-        rate[_A[k]] = _B[k]
-        if k >= 1:
-            rate[_J[k]] = _W[k]
-    total = sp.Integer(0)
-    for s in expr.free_symbols:
-        if s in rate:
-            total += sp.diff(expr, s) * rate[s]
-    return total
-
-
-@lru_cache(maxsize=None)
-def _expressions(include_pressure: bool) -> dict:
-    r0, r1 = _R[0], _R[1]
-    w1, w2 = _W[1], _W[2]
-    j1, j2 = _J[1], _J[2]
-    accel = (r1 * w1 / r0 + w2) / j1**2 - 2 * w1 * j2 / j1**3
-    if include_pressure:
-        accel += -2 * r1 / j1**2 + 2 * r0 * j2 / j1**3
-    exprs = {"a0": accel}
-    for k in range(1, 5):
-        exprs[f"a{k}"] = _dx(exprs[f"a{k-1}"])
-    exprs["b0"] = _dt(exprs["a0"])
-    exprs["b1"] = _dx(exprs["b0"])
-    exprs["b2"] = _dx(exprs["b1"])
-    exprs["c0"] = _dt(exprs["b0"])
-    return exprs
-
-
-@lru_cache(maxsize=None)
-def _lambdified(include_pressure: bool) -> dict:
-    # the plain-operator "math" printer writes integer powers and 1/x, so one
-    # function serves numpy rows and LaurentSeries alike; cse hoists the shared
-    # Jacobian/profile powers, which matters a lot for the series arithmetic
-    return {
-        name: sp.lambdify(_ALL_SYMBOLS, expr, "math", cse=True)
-        for name, expr in _expressions(include_pressure).items()
-    }
+# the compiled outputs of each pressure flag, in evaluation order
+_COMPILED = {True: PRESSURE, False: NO_PRESSURE}
+_OUTPUTS = tuple(PRESSURE)
+# the argument position of each output that later outputs consume
+_FED_BACK = {name: i for i, name in enumerate(ARGUMENTS) if name in _OUTPUTS}
 
 
 @dataclass
@@ -193,7 +128,7 @@ def _evaluate(state: _State) -> dict[str, _Output]:
     """
     n = state.profile.grid.n_nodes
     check_jacobian(state.j[:, 1])
-    fns = _lambdified(state.include_pressure)
+    fns = _COMPILED[state.include_pressure]
 
     interior = slice(1, -1)
     rho = [state.profile.derivative_values(k)[interior] for k in range(_DEPTH)]

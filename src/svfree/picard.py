@@ -18,7 +18,6 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .errors import (
     ConfigurationError,
@@ -135,7 +134,7 @@ def contraction_metrics(
     sup_sq = np.einsum("ti,ij,tj->t", diff, mass, diff)
     grad_sq = np.einsum("ti,ij,tj->t", diff, grad, diff)
     sup_diff = float(np.sqrt(np.max(np.maximum(sup_sq, 0.0))))
-    grad_diff = float(np.sqrt(max(trapezoid(grad_sq, dx=v_n.dt), 0.0)))
+    grad_diff = float(np.sqrt(max(np.trapezoid(grad_sq, dx=v_n.dt), 0.0)))
     total = sup_diff + grad_diff
     ratio = float("nan") if prev_total is None or prev_total <= 0 else total / prev_total
     return ContractionReport(iteration, sup_diff, grad_diff, ratio)

@@ -1,8 +1,14 @@
-"""Every exported name resolves, and so does every call the benchmark tracer wraps."""
+"""Every exported name resolves, and so does every call the benchmark tracer wraps.
+
+A Galerkin run loads neither scipy nor, in the jet recursion, sympy.
+"""
 
 import importlib
 import importlib.util
+import json
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -13,7 +19,49 @@ import svfree
 MODULES = sorted(
     f"svfree.{m.name}" for m in pkgutil.iter_modules(svfree.__path__) if not m.name.startswith("_")
 )
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+
+# set up canonical as a run does, then optionally run a short FD solve;
+# prints the scipy modules loaded before and after, and the names in
+# svfree.jet bound to sympy objects
+_IMPORT_PROBE = """
+import json, sys, types
+from svfree import cli, fd_oracle, jet
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+def from_sympy(value):
+    if isinstance(value, tuple):
+        return any(from_sympy(v) for v in value)
+    if isinstance(value, types.ModuleType):
+        origin = value.__name__
+    else:
+        origin = getattr(value, "__module__", None) or type(value).__module__
+    return origin.split(".")[0] == "sympy"
+
+_, profile, u0 = cli.build_problem(cli.load_config("configs/canonical.json"))
+jet.initial_jet(profile, u0)
+before = scipy_modules()
+if sys.argv[1] == "fd":
+    fd_oracle.fd_oracle_solve(profile, u0, 1e-3, 1e-4)
+print(json.dumps({
+    "before": before,
+    "after": scipy_modules(),
+    "jet_sympy": sorted(k for k, v in vars(jet).items() if from_sympy(v)),
+}))
+"""
+
+
+def _probe(mode: str) -> dict:
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, mode],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 @pytest.mark.parametrize("name", ["svfree", *MODULES])
@@ -37,3 +85,15 @@ def test_tracer_targets_resolve():
                        target.split(".", 1)[1])
     ]
     assert missing == []
+
+
+def test_galerkin_setup_loads_no_scipy_and_jet_no_sympy():
+    probe = _probe("setup")
+    assert probe["before"] == [] and probe["after"] == []
+    assert probe["jet_sympy"] == []
+
+
+def test_fd_solve_loads_scipy_linalg_lazily():
+    probe = _probe("fd")
+    assert probe["before"] == []
+    assert "scipy.linalg" in probe["after"]

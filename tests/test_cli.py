@@ -205,7 +205,8 @@ class TestSweep:
         assert np.allclose(vals, [0.01, 0.02, 0.03])
 
     def test_bad_specs(self):
-        for spec in ("x=1:2:3", "T=1:2", "T=2:1:3", "T=0:1:2", "T=nan:nan:2", "T=0.01:inf:2"):
+        for spec in ("x=1:2:3", "T=1:2", "T=2:1:3", "T=0:1:2", "T=nan:nan:2", "T=0.01:inf:2",
+                     "T=0.01:0.02:1000000000000"):
             with pytest.raises(ConfigurationError):
                 parse_sweep_range(spec)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from svfree import jet
+from svfree import _jet_derive, _jet_generated, jet
 from svfree._series import LaurentSeries, MixedValuationError
 from svfree.errors import ConfigurationError, FlowMapDegeneracyError, ValidationError
 from svfree.jet import (
@@ -347,7 +347,7 @@ def test_compiled_outputs_agree_on_rows_and_constant_series(small_solution, data
         *[0.0] * (2 * jet._DEPTH),
     ]
     args = [LaurentSeries.constant(v) for v in inputs]
-    fns = jet._lambdified(include_pressure)
+    fns = jet._COMPILED[include_pressure]
     for name in jet._OUTPUTS:
         series = fns[name](*args)
         values = out[name].values[0, 10 : n - 10]
@@ -355,3 +355,14 @@ def test_compiled_outputs_agree_on_rows_and_constant_series(small_solution, data
         assert abs(series.finite_part() - out[name].values[0, node]) <= 1e-12 * np.max(np.abs(values)), name
         if name in jet._FED_BACK:
             args[jet._FED_BACK[name]] = series
+
+
+def test_generated_module_is_fresh():
+    # the committed recursion is exactly what the sympy derivation prints
+    # today, and each function needs no name from any namespace
+    assert _jet_derive.GENERATED.read_bytes() == _jet_derive.render().encode()
+    assert _jet_generated.ARGUMENTS == tuple(s.name for s in _jet_derive._ALL_SYMBOLS)
+    for table in (_jet_generated.PRESSURE, _jet_generated.NO_PRESSURE):
+        assert tuple(table) == jet._OUTPUTS
+        for name, fn in table.items():
+            assert fn.__code__.co_names == (), name

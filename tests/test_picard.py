@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import trapezoid
 
 from svfree.errors import ConfigurationError, NonConvergenceError
 from svfree.fd_oracle import fd_oracle_solve
@@ -94,6 +96,21 @@ class TestContractionMetrics:
         b = solve_linearized(para201, u0zero201, np.ones(201), 0.01, 5e-4, 8)
         with pytest.raises(ConfigurationError):
             contraction_metrics(a, b, para201)
+
+    @settings(max_examples=60)
+    @given(
+        y=st.lists(
+            st.builds(lambda m, e: m * 10.0**e, st.floats(-1.0, 1.0), st.integers(-8, 8)),
+            min_size=2,
+            max_size=600,
+        ),
+        dx=st.floats(1e-6, 1.0),
+    )
+    def test_numpy_trapezoid_is_scipy_bitwise(self, y, dx):
+        # grad_diff integrates with np.trapezoid; scipy's trapezoid, which it
+        # replaced, forms the same products and sums them the same way
+        y = np.array(y)
+        assert np.trapezoid(y, dx=dx) == trapezoid(y, dx=dx)
 
 
 class TestSolveNonlinear:

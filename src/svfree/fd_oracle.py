@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError, FlowMapDegeneracyError
 from .galerkin import ETA_X_RANGE, n_steps_for, stored_index
-from .profile import AnalyticField, Field, HeightProfile, fornberg_weights
+from .profile import AnalyticField, HeightProfile, fornberg_weights
 
 __all__ = ["FDTrajectory", "fd_oracle_solve"]
 
@@ -40,8 +40,9 @@ class FDTrajectory:
     def index_of(self, t: float) -> int:
         return stored_index(self.times, self.dt, t)
 
-    def velocity(self, t: float) -> Field:
-        return Field(self.v[self.index_of(t)].copy(), "v_fd")
+    def velocity(self, t: float) -> np.ndarray:
+        """Nodal velocity at the stored time t (a copy)."""
+        return self.v[self.index_of(t)].copy()
 
     def boundary_vx(self, t: float) -> tuple[float, float]:
         """One-sided endpoint slopes from a four-point stencil.

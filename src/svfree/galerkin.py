@@ -27,11 +27,10 @@ from .errors import (
     DegenerateMassError,
     FlowMapDegeneracyError,
 )
-from .profile import Grid, HeightProfile, _values_of
+from .profile import Grid, HeightProfile
 
 __all__ = [
     "GalerkinBasis",
-    "ModalField",
     "ModalTrajectory",
     "assemble_mass",
     "assemble_stiffness",
@@ -139,23 +138,6 @@ class GalerkinBasis:
 
 
 @dataclass(frozen=True)
-class ModalField:
-    """Cosine-series field; differentiates spectrally and composes exactly."""
-
-    coeffs: np.ndarray
-    basis: GalerkinBasis
-    deriv_order: int = 0
-    meta: str = ""
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.coeffs @ self.basis.table(self.deriv_order)
-
-    def derivative(self, order: int = 1) -> "ModalField":
-        return ModalField(self.coeffs, self.basis, self.deriv_order + order, self.meta)
-
-
-@dataclass(frozen=True)
 class ModalTrajectory:
     """Time-indexed modal coefficients lam(t) of the velocity."""
 
@@ -167,8 +149,9 @@ class ModalTrajectory:
     def index_of(self, t: float) -> int:
         return stored_index(self.times, self.dt, t)
 
-    def velocity(self, t: float) -> ModalField:
-        return ModalField(self.coeffs[self.index_of(t)], self.basis, 0, "v")
+    def velocity(self, t: float) -> np.ndarray:
+        """Nodal velocity at the stored time t."""
+        return self.coeffs[self.index_of(t)] @ self.basis.table(0)
 
 
 def stored_index(times: np.ndarray, dt: float, t: float) -> int:
@@ -228,9 +211,9 @@ def assemble_forcing(
     return _jacobian_weights(profile, eta_x, 2) @ basis.table(1).T
 
 
-def project_initial(u0, basis: GalerkinBasis, grid: Grid) -> np.ndarray:
-    """Plain (unweighted) L2 modal coefficients of the initial velocity."""
-    return basis.table(0) @ (grid.simpson_weights * _values_of(u0))
+def project_initial(values: np.ndarray, basis: GalerkinBasis, grid: Grid) -> np.ndarray:
+    """Plain (unweighted) L2 modal coefficients of nodal initial velocity values."""
+    return basis.table(0) @ (grid.simpson_weights * values)
 
 
 def step_linearized(
@@ -318,7 +301,7 @@ def solve_linearized(
     times = np.linspace(0.0, t_final, steps + 1)
     mass = assemble_mass(profile, basis)
     coeffs = np.zeros((steps + 1, basis.n_modes))
-    coeffs[0] = lam0 if lam0 is not None else project_initial(u0, basis, grid)
+    coeffs[0] = lam0 if lam0 is not None else project_initial(u0.values, basis, grid)
 
     # operators of row m are the "next" ones of step m and the "current" ones
     # of step m + 1 (Crank-Nicolson), also across block seams

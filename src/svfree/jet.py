@@ -35,7 +35,7 @@ from ._jet_generated import DEPTH as _DEPTH
 from ._series import N_TERMS, LaurentSeries
 from .errors import UnsupportedOperationError, ValidationError
 from .galerkin import check_jacobian
-from .profile import AnalyticField, Field, HeightProfile
+from .profile import AnalyticField, HeightProfile
 
 __all__ = [
     "InitialJet",
@@ -87,10 +87,6 @@ class _Output:
     values: np.ndarray  # (rows, n)
     series: tuple[LaurentSeries, LaurentSeries]  # batched endpoint series
     poles: tuple[np.ndarray, np.ndarray]  # (rows,) pole flags per endpoint
-
-    def field(self, meta: str) -> Field:
-        """The field of a one-row block."""
-        return Field(self.values[0], meta)
 
     def row_poles(self) -> tuple[bool, bool]:
         """The pole flags of a one-row block."""
@@ -216,13 +212,13 @@ def _state_from_trajectory(traj, idx) -> _State:
 class InitialJet:
     """Compatibility jets: g_k = d_t^k v|_{t=0}, h_k = d_t^k v_x|_{t=0}."""
 
-    g0: Field
-    g1: Field
-    g2: Field
-    g3: Field
-    h0: Field
-    h1: Field
-    h2: Field
+    g0: np.ndarray
+    g1: np.ndarray
+    g2: np.ndarray
+    g3: np.ndarray
+    h0: np.ndarray
+    h1: np.ndarray
+    h2: np.ndarray
     boundary_poles: dict
 
 
@@ -231,14 +227,14 @@ class TimeJet:
     """Pointwise time derivatives of the velocity along a trajectory."""
 
     t: float
-    dt_v: Field
-    dt2_v: Field
-    dt3_v: Field
-    dt_vx: Field
-    dt2_vx: Field
-    dt_vxx: Field
-    dt_vx3: Field
-    dt_vx4: Field
+    dt_v: np.ndarray
+    dt2_v: np.ndarray
+    dt3_v: np.ndarray
+    dt_vx: np.ndarray
+    dt2_vx: np.ndarray
+    dt_vxx: np.ndarray
+    dt_vx3: np.ndarray
+    dt_vx4: np.ndarray
     boundary_poles: dict
 
 
@@ -261,13 +257,13 @@ def initial_jet(profile: HeightProfile, u0: AnalyticField) -> InitialJet:
             sorted(poles),
         )
     return InitialJet(
-        g0=Field(u0.values.copy(), "g0"),
-        g1=out["a0"].field("g1"),
-        g2=out["b0"].field("g2"),
-        g3=out["c0"].field("g3"),
-        h0=Field(d1.copy(), "h0"),
-        h1=out["a1"].field("h1"),
-        h2=out["b1"].field("h2"),
+        g0=u0.values.copy(),
+        g1=out["a0"].values[0],
+        g2=out["b0"].values[0],
+        g3=out["c0"].values[0],
+        h0=d1.copy(),
+        h1=out["a1"].values[0],
+        h2=out["b1"].values[0],
         boundary_poles=poles,
     )
 
@@ -283,14 +279,14 @@ def time_derivatives_along(traj, t: float) -> TimeJet:
     poles = {name: o.row_poles() for name, o in out.items() if any(o.row_poles())}
     return TimeJet(
         t=t,
-        dt_v=out["a0"].field("dt_v"),
-        dt2_v=out["b0"].field("dt2_v"),
-        dt3_v=out["c0"].field("dt3_v"),
-        dt_vx=out["a1"].field("dt_vx"),
-        dt2_vx=out["b1"].field("dt2_vx"),
-        dt_vxx=out["a2"].field("dt_vxx"),
-        dt_vx3=out["a3"].field("dt_vx3"),
-        dt_vx4=out["a4"].field("dt_vx4"),
+        dt_v=out["a0"].values[0],
+        dt2_v=out["b0"].values[0],
+        dt3_v=out["c0"].values[0],
+        dt_vx=out["a1"].values[0],
+        dt2_vx=out["b1"].values[0],
+        dt_vxx=out["a2"].values[0],
+        dt_vx3=out["a3"].values[0],
+        dt_vx4=out["a4"].values[0],
         boundary_poles=poles,
     )
 

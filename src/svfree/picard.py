@@ -155,7 +155,7 @@ def _solve_window(
     if settings.initial_guess == "identity":
         mu_guess = np.tile(mu0, (steps + 1, 1))
     elif settings.initial_guess == "u0":
-        lam_init = lam0 if lam0 is not None else project_initial(u0, basis, profile.grid)
+        lam_init = lam0 if lam0 is not None else project_initial(u0.values, basis, profile.grid)
         mu_guess = mu0[None, :] + times[:, None] * lam_init[None, :]
     else:
         raise ConfigurationError(f"unknown initial_guess {settings.initial_guess!r}")

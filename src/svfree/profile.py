@@ -25,7 +25,6 @@ from ._series import N_TERMS
 
 __all__ = [
     "Grid",
-    "Field",
     "HeightProfile",
     "AnalyticField",
     "build_grid",
@@ -156,14 +155,6 @@ class Grid:
         return simpson_weights(i1 - i0 + 1, self.spacing)
 
 
-@dataclass(frozen=True)
-class Field:
-    """Nodal scalar field."""
-
-    values: np.ndarray
-    meta: str = ""
-
-
 def simpson_weights(n: int, h: float) -> np.ndarray:
     """Composite Simpson weights for n equally spaced samples (n odd) of spacing h."""
     w = np.ones(n)
@@ -181,13 +172,12 @@ def build_grid(n_nodes: int) -> Grid:
     return Grid(n_nodes, np.linspace(0.0, 1.0, n_nodes), h, simpson_weights(n_nodes, h))
 
 
-def _values_of(f) -> np.ndarray:
-    """Nodal values of an array, a Field or any object with a ``values`` array."""
-    return np.asarray(getattr(f, "values", f), dtype=float)
-
-
 class _AnalyticBase:
-    """Closed-form scalar on the grid with exact derivatives of any order."""
+    """Closed-form scalar on the grid with exact derivatives of any order.
+
+    A derivative that is not finite at a grid node or an endpoint is a
+    ConfigurationError naming 'expr'.
+    """
 
     def __init__(self, expr, grid: Grid):
         self.expr = _parse_expr(expr)
@@ -196,10 +186,19 @@ class _AnalyticBase:
         self._fn_cache: dict[int, object] = {}
         self._taylor_cache: dict[float, np.ndarray] = {}
 
+    def _not_finite(self, order: int, where: str) -> ConfigurationError:
+        return ConfigurationError(
+            f"'expr' {self.expr} is not finite: its derivative of order {order} {where}"
+        )
+
     def _callable(self, order: int):
         fn = self._fn_cache.get(order)
         if fn is None:
-            fn = sp.lambdify(_X, sp.diff(self.expr, _X, order), "numpy")
+            d = sp.diff(self.expr, _X, order)
+            if d.has(sp.zoo, sp.oo, -sp.oo, sp.nan):
+                raise self._not_finite(order, f"(it is {d})")
+            # the numpy namespace as a module object, not "numpy", which star-imports it
+            fn = sp.lambdify(_X, d, [np])
             self._fn_cache[order] = fn
         return fn
 
@@ -214,7 +213,10 @@ class _AnalyticBase:
     def derivative_values(self, order: int) -> np.ndarray:
         cached = self._deriv_cache.get(order)
         if cached is None:
-            cached = self.sample(self.grid.nodes, order)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                cached = self.sample(self.grid.nodes, order)
+            if not np.all(np.isfinite(cached)):
+                raise self._not_finite(order, "at a grid node")
             self._deriv_cache[order] = cached
         return cached
 
@@ -232,7 +234,13 @@ class _AnalyticBase:
             derivs = []
             d = self.expr
             for k in range(max(n, N_TERMS)):
-                derivs.append(float(d.subs(_X, sp.Rational(x0))))
+                try:
+                    value = float(d.subs(_X, sp.Rational(x0)))
+                except (TypeError, ValueError):  # complex infinity, or not a number
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise self._not_finite(k, f"at x={x0:g}")
+                derivs.append(value)
                 d = sp.diff(d, _X)
             cached = np.asarray(derivs)
             self._taylor_cache[x0] = cached
@@ -367,7 +375,7 @@ def sample_height_profile(kind: str, params: dict | None, grid: Grid) -> HeightP
         if a <= 0:
             raise ValidationError("parabolic profile needs amplitude > 0")
         profile = HeightProfile(kind, a * _X * (1 - _X), grid, c1=a / 2.0, c2=a)
-    elif kind in ("sine", "sine-shaped"):
+    elif kind == "sine":
         params = _known_params(params, "sine profile", "amplitude")
         a = _number_param(params, "amplitude", 1.0)
         if a <= 0:
@@ -376,7 +384,7 @@ def sample_height_profile(kind: str, params: dict | None, grid: Grid) -> HeightP
     elif kind == "distance":
         _known_params(params, "distance profile")
         return _DistanceProfile(grid)
-    elif kind in ("custom", "custom-analytic"):
+    elif kind == "custom":
         params = _known_params(params, "custom profile", "expr")
         if "expr" not in params:
             raise ConfigurationError("custom profile needs an 'expr' entry")
@@ -439,7 +447,7 @@ def quadrature(f, weight_power: int, profile: HeightProfile) -> float:
     """
     if not 0 <= weight_power <= 6:
         raise ConfigurationError(f"weight_power must be in 0..6, got {weight_power}")
-    vals = _values_of(f)
+    vals = np.asarray(f, dtype=float)
     grid = profile.grid
     if vals.shape != (grid.n_nodes,):
         raise ConfigurationError(
@@ -474,22 +482,16 @@ def fornberg_weights(order: int, x0: float, xs: np.ndarray) -> np.ndarray:
     return c[:, order]
 
 
-def differentiate(f, order: int, grid: Grid | None = None):
-    """Derivative of a nodal or modal field.
+def differentiate(values: np.ndarray, order: int, grid: Grid) -> np.ndarray:
+    """Derivative of nodal values by sliding finite-difference stencils.
 
-    Nodal fields use sliding finite-difference stencils (order+2 points,
-    second-order consistency including the one-sided boundary rows). Modal
-    objects exposing ``derivative(order)`` differentiate spectrally instead.
+    Each stencil has order+2 points, second-order consistent including the
+    one-sided boundary rows.
     """
-    if hasattr(f, "derivative") and not isinstance(f, Field):
-        return f.derivative(order)
     if order > 6:
         raise UnsupportedOperationError(f"derivative order {order} > 6 is unsupported")
     if order < 1:
         raise ConfigurationError(f"derivative order must be >= 1, got {order}")
-    vals = _values_of(f)
-    if grid is None:
-        raise ConfigurationError("nodal differentiation needs the grid")
     n = grid.n_nodes
     if n < order + 2:
         raise ConfigurationError(
@@ -500,10 +502,9 @@ def differentiate(f, order: int, grid: Grid | None = None):
     xs = np.arange(s) * h
     table = np.array([fornberg_weights(order, pos * h, xs) for pos in range(s)])
     out = np.empty(n)
-    windows = sliding_window_view(vals, s)
+    windows = sliding_window_view(np.asarray(values, dtype=float), s)
     half = s // 2
     for i in range(n):
         start = min(max(i - half, 0), n - s)
         out[i] = np.dot(table[i - start], windows[start])
-    meta = f.meta if isinstance(f, Field) else ""
-    return Field(out, f"d{order}({meta})" if meta else f"d{order}")
+    return out

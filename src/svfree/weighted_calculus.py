@@ -2,10 +2,10 @@
 
 All monitored estimates take the form lhs <= C * rhs with a universal constant
 that the analysis never makes explicit; the checks therefore report the
-empirical ratio lhs/rhs and assert only finiteness, per-family ceilings, and
-stability under grid refinement. The half-interval integration-by-parts
-identities behind the weighted interpolation inequality are exact statements
-and are checked to quadrature tolerance.
+empirical ratio lhs/rhs and assert only finiteness, the one ceiling
+RATIO_CEILING, and stability under grid refinement. The half-interval
+integration-by-parts identities behind the weighted interpolation inequality
+are exact statements and are checked to quadrature tolerance.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InequalityViolationError, ValidationError
 from .profile import (
-    Field,
     HeightProfile,
-    _values_of,
     build_grid,
     differentiate,
     quadrature,
@@ -27,6 +25,7 @@ from .profile import (
 )
 
 __all__ = [
+    "RATIO_CEILING",
     "RatioReport",
     "IdentityReport",
     "weighted_l2_norm",
@@ -42,23 +41,25 @@ __all__ = [
     "interpolation_identity_gaps",
 ]
 
+# the largest empirical constant a RatioReport accepts
+RATIO_CEILING = 50.0
+
 
 @dataclass(frozen=True)
 class RatioReport:
     lhs: float
     rhs: float
     empirical_constant: float
-    satisfied_with: float
 
     def satisfied(self) -> bool:
-        return self.rhs == 0.0 or self.empirical_constant <= self.satisfied_with
+        return self.rhs == 0.0 or self.empirical_constant <= RATIO_CEILING
 
 
-def _ratio_report(lhs: float, rhs: float, ceiling: float, vanished: str, floor=1e-14) -> RatioReport:
+def _ratio_report(lhs: float, rhs: float, vanished: str, floor=1e-14) -> RatioReport:
     """lhs/rhs as the empirical constant; a zero majorant under lhs > floor is a violation."""
     if rhs == 0.0 and lhs > floor:
         raise InequalityViolationError(vanished)
-    return RatioReport(lhs, rhs, lhs / rhs if rhs > 0.0 else 0.0, ceiling)
+    return RatioReport(lhs, rhs, lhs / rhs if rhs > 0.0 else 0.0)
 
 
 @dataclass(frozen=True)
@@ -72,71 +73,57 @@ class IdentityReport:
 
 
 def _gradient(f, field_x, profile: HeightProfile) -> np.ndarray:
+    """The given nodal derivative, or finite differences of the nodal values."""
     if field_x is not None:
-        return _values_of(field_x)
-    if hasattr(f, "derivative") and not isinstance(f, Field):
-        return _values_of(f.derivative(1))
-    if hasattr(f, "derivative_values"):
-        return f.derivative_values(1)
-    return differentiate(Field(_values_of(f)), 1, profile.grid).values
+        return np.asarray(field_x, dtype=float)
+    return differentiate(f, 1, profile.grid)
 
 
 def weighted_l2_norm(f, weight_power: int, profile: HeightProfile) -> float:
     """sqrt of int rho0^k g^2."""
-    vals = _values_of(f)
+    vals = np.asarray(f, dtype=float)
     return math.sqrt(max(quadrature(vals * vals, weight_power, profile), 0.0))
 
 
 def weighted_h1_norm(f, weight_power: int, profile: HeightProfile, field_x=None) -> float:
     """sqrt of int rho0^k (g^2 + g_x^2)."""
-    vals = _values_of(f)
+    vals = np.asarray(f, dtype=float)
     grad = _gradient(f, field_x, profile)
     return math.sqrt(max(quadrature(vals * vals + grad * grad, weight_power, profile), 0.0))
 
 
-def project_cosine(f, profile: HeightProfile, n_modes: int | None = None) -> np.ndarray:
+def project_cosine(f, profile: HeightProfile) -> np.ndarray:
     """Unweighted cosine-mode coefficients of a nodal field (Simpson pairing)."""
     grid = profile.grid
-    vals = _values_of(f)
-    if n_modes is None:
-        n_modes = min((grid.n_nodes - 1) // 2, 129)
-    coeffs = np.empty(n_modes)
-    w = grid.simpson_weights
-    coeffs[0] = np.dot(w, vals)
-    for n in range(1, n_modes):
-        coeffs[n] = np.dot(w, vals * np.sqrt(2.0) * np.cos(n * np.pi * grid.nodes))
+    vals = np.asarray(f, dtype=float)
+    coeffs = np.empty(min((grid.n_nodes - 1) // 2, 129))
+    # quadrature rejects an array that is not one value per node
+    coeffs[0] = quadrature(vals, 0, profile)
+    for n in range(1, len(coeffs)):
+        coeffs[n] = np.dot(grid.simpson_weights, vals * np.sqrt(2.0) * np.cos(n * np.pi * grid.nodes))
     return coeffs
 
 
-def h_half_norm(f, profile: HeightProfile, n_modes: int | None = None) -> float:
-    """Spectral half-derivative norm: sqrt(sum (1 + (n pi)^2)^(1/2) c_n^2).
-
-    Nodal input is projected onto the cosine modes first; modal coefficient
-    vectors pass through unchanged.
-    """
-    if isinstance(f, np.ndarray) and f.ndim == 1 and len(f) < profile.grid.n_nodes:
-        coeffs = f
-    elif hasattr(f, "coeffs"):
-        coeffs = np.asarray(f.coeffs, dtype=float)
-    else:
-        coeffs = project_cosine(f, profile, n_modes)
+def h_half_norm(f, profile: HeightProfile) -> float:
+    """Spectral half-derivative norm of a nodal field: sqrt(sum (1 + (n pi)^2)^(1/2) c_n^2)."""
+    coeffs = project_cosine(f, profile)
     n = np.arange(len(coeffs))
     symbol = np.sqrt(1.0 + (n * np.pi) ** 2)
     return math.sqrt(float(np.dot(symbol, coeffs**2)))
 
 
 def check_weighted_sobolev(
-    f, weight_power: int, profile: HeightProfile, field_x=None, ceiling: float = 50.0
+    f, weight_power: int, profile: HeightProfile, field_x=None
 ) -> RatioReport:
     """Distance-weighted Poincare-type bound: int d^k w^2 <= C int d^{k+2}(w^2 + w_x^2)."""
     if weight_power < 0:
         raise ConfigurationError("weight_power must be >= 0")
-    vals = _values_of(f)
+    vals = np.asarray(f, dtype=float)
     grad = _gradient(f, field_x, profile)
     lhs = quadrature(vals * vals, weight_power, profile)
     rhs = quadrature(vals * vals + grad * grad, weight_power + 2, profile)
     return _ratio_report(
-        lhs, rhs, ceiling,
+        lhs, rhs,
         "weighted majorant vanished with nonzero minorant; the profile is "
         "degenerate beyond the admissible vacuum rate",
         floor=0.0,
@@ -144,15 +131,15 @@ def check_weighted_sobolev(
 
 
 def check_h_half_weighted(
-    f, profile: HeightProfile, field_x=None, ceiling: float = 50.0
+    f, profile: HeightProfile, field_x=None
 ) -> RatioReport:
     """Half-derivative norm controlled by first-order distance-weighted data."""
-    vals = _values_of(f)
+    vals = np.asarray(f, dtype=float)
     grad = _gradient(f, field_x, profile)
     lhs = h_half_norm(f, profile) ** 2
     rhs = quadrature(vals * vals + grad * grad, 1, profile)
     return _ratio_report(
-        lhs, rhs, ceiling, "weighted majorant vanished with nonzero half-derivative norm"
+        lhs, rhs, "weighted majorant vanished with nonzero half-derivative norm"
     )
 
 
@@ -184,7 +171,7 @@ def check_interpolation_identity(
     grid = profile.grid
     i0, i1 = _half_interval_ranges(profile, side)
     w = grid.subrange_weights(i0, i1)
-    vals = _values_of(f)
+    vals = np.asarray(f, dtype=float)
     grad = _gradient(f, field_x, profile)
     rho = profile.values
     mid = (grid.n_nodes - 1) // 2
@@ -201,7 +188,7 @@ def check_interpolation_identity(
 
 
 def check_sobolev_embedding(
-    f, profile: HeightProfile, s: float = 0.25, ceiling: float = 50.0
+    f, profile: HeightProfile, s: float = 0.25
 ) -> RatioReport:
     """Fractional embedding ||w||_{L^{2/(1-2s)}} <= C ||w||_{H^s}, 0 < s < 1/2.
 
@@ -210,30 +197,29 @@ def check_sobolev_embedding(
     """
     if not 0.0 < s < 0.5:
         raise ConfigurationError(f"embedding exponent must be in (0, 1/2), got {s}")
-    vals = _values_of(f)
+    vals = np.asarray(f, dtype=float)
     p = 2.0 / (1.0 - 2.0 * s)
     lhs = quadrature(np.abs(vals) ** p, 0, profile) ** (1.0 / p)
     coeffs = project_cosine(vals, profile)
     n = np.arange(len(coeffs))
     symbol = (1.0 + (n * np.pi) ** 2) ** s
     rhs = math.sqrt(float(np.dot(symbol, coeffs**2)))
-    return _ratio_report(lhs, rhs, ceiling, "spectral norm vanished with nonzero Lp norm")
+    return _ratio_report(lhs, rhs, "spectral norm vanished with nonzero Lp norm")
 
 
 def check_interpolation_inequality(
-    f, profile: HeightProfile, field_x=None, ceiling: float = 50.0
+    f, profile: HeightProfile, field_x=None
 ) -> RatioReport:
     """Plain L2 norm against the geometric mean of the weighted norms:
 
         ||g||_L2 <= C ||g||_{L2,rho0}^(1/2) ||g||_{H1,rho0}^(1/2).
     """
-    vals = _values_of(f)
     grad = _gradient(f, field_x, profile)
-    lhs = weighted_l2_norm(vals, 0, profile)
-    l2w = weighted_l2_norm(vals, 1, profile)
-    h1w = weighted_h1_norm(vals, 1, profile, field_x=grad)
+    lhs = weighted_l2_norm(f, 0, profile)
+    l2w = weighted_l2_norm(f, 1, profile)
+    h1w = weighted_h1_norm(f, 1, profile, field_x=grad)
     rhs = math.sqrt(l2w) * math.sqrt(h1w)
-    return _ratio_report(lhs, rhs, ceiling, "weighted norms vanished with nonzero L2 norm")
+    return _ratio_report(lhs, rhs, "weighted norms vanished with nonzero L2 norm")
 
 
 def identity_family(grid) -> list[tuple[str, np.ndarray, np.ndarray]]:

@@ -1,6 +1,7 @@
 """Every exported name resolves, and so does every call the benchmark tracer wraps.
 
-A Galerkin run loads neither scipy nor, in the jet recursion, sympy.
+A Galerkin run loads neither scipy nor, in the jet recursion, sympy, and the
+profile's numpy lambdify does not star-import numpy.
 """
 
 import importlib
@@ -23,8 +24,9 @@ ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
 
 # set up canonical as a run does, then optionally run a short FD solve;
-# prints the scipy modules loaded before and after, and the names in
-# svfree.jet bound to sympy objects
+# prints the scipy modules loaded before and after, the names in svfree.jet
+# bound to sympy objects, and which modules that only `from numpy import *`
+# pulls in were loaded by the set-up
 _IMPORT_PROBE = """
 import json, sys, types
 from svfree import cli, fd_oracle, jet
@@ -44,12 +46,14 @@ def from_sympy(value):
 _, profile, u0 = cli.build_problem(cli.load_config("configs/canonical.json"))
 jet.initial_jet(profile, u0)
 before = scipy_modules()
+star = sorted(m for m in ("numpy.f2py", "numpy.testing", "unittest") if m in sys.modules)
 if sys.argv[1] == "fd":
     fd_oracle.fd_oracle_solve(profile, u0, 1e-3, 1e-4)
 print(json.dumps({
     "before": before,
     "after": scipy_modules(),
     "jet_sympy": sorted(k for k, v in vars(jet).items() if from_sympy(v)),
+    "star": star,
 }))
 """
 
@@ -91,6 +95,10 @@ def test_galerkin_setup_loads_no_scipy_and_jet_no_sympy():
     probe = _probe("setup")
     assert probe["before"] == [] and probe["after"] == []
     assert probe["jet_sympy"] == []
+
+
+def test_setup_skips_numpy_star_import():
+    assert _probe("setup")["star"] == []
 
 
 def test_fd_solve_loads_scipy_linalg_lazily():

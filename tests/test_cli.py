@@ -239,6 +239,11 @@ class TestMainExitCodes:
         ({"profile": {"kind": "custom", "expr": "2**(10**10)"}}, "expr"),
         ({"profile": {"kind": "custom", "expr": "(" * 9 + "10**10" + ")**10" * 9}}, "expr"),
         ({"dt": 1e-300, "t_final": 0.05}, "dt"),
+        ({"u0": {"kind": "custom", "expr": "1/(x-x)"}}, "expr"),
+        ({"u0": {"kind": "custom", "expr": "sqrt(x)"}}, "expr"),
+        ({"profile": {"kind": "custom", "expr": "x*(1-x)*(sqrt(x)+2)"}}, "expr"),
+        ({"profile": {"kind": "custom", "expr": "x*(1-x)*(tan(pi*x/2)+2)"}}, "expr"),
+        ({"profile": {"kind": "distance"}}, "profile"),
     ])
     def test_bad_field_type_is_3_and_named(self, tmp_path, monkeypatch, capsys, patch, field):
         monkeypatch.setenv("SVFREE_OUT", str(tmp_path / "out"))

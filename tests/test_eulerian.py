@@ -153,5 +153,5 @@ class TestBoundaryDiagnostics:
         sol = small_solution
         k = len(sol.times) // 2
         rate = (sol.eta[k + 1, 0] - sol.eta[k, 0]) / sol.dt
-        v_mid = sol.velocity(float(sol.times[k])).values[0]
+        v_mid = sol.velocity(float(sol.times[k]))[0]
         assert abs(rate - v_mid) < 50.0 * sol.dt

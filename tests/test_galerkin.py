@@ -156,12 +156,12 @@ class TestAssembly:
 
 class TestProjection:
     def test_zero_velocity(self, grid401, para401, u0zero401):
-        lam = project_initial(u0zero401, GalerkinBasis(8, grid401), grid401)
+        lam = project_initial(u0zero401.values, GalerkinBasis(8, grid401), grid401)
         assert np.all(lam == 0.0)
 
     def test_plain_cosine(self, grid401):
         u0 = sample_velocity("cosine", {"amplitude": 1.0, "mode": 1}, grid401)
-        lam = project_initial(u0, GalerkinBasis(4, grid401), grid401)
+        lam = project_initial(u0.values, GalerkinBasis(4, grid401), grid401)
         assert lam[1] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-10)
         assert np.max(np.abs(np.delete(lam, 1))) < 1e-10
 
@@ -233,7 +233,7 @@ class TestSolveLinearized:
 
         b = traj.basis
         mass = assemble_mass(para201, b)
-        lam = [project_initial(u0, b, grid201)]
+        lam = [project_initial(u0.values, b, grid201)]
         for m in range(steps):
             lam.append(step_linearized(
                 lam[-1], dt, mass,

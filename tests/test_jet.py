@@ -55,29 +55,29 @@ class TestInitialJetSine:
 
     def test_g1(self, jets, grid201):
         x = grid201.nodes
-        assert np.max(np.abs(jets.g1.values + 2 * np.pi * np.cos(np.pi * x))) < 1e-12
+        assert np.max(np.abs(jets.g1 + 2 * np.pi * np.cos(np.pi * x))) < 1e-12
 
     def test_g2(self, jets, grid201):
         x = grid201.nodes
-        assert np.max(np.abs(jets.g2.values - 4 * np.pi**3 * np.cos(np.pi * x))) < 1e-10
+        assert np.max(np.abs(jets.g2 - 4 * np.pi**3 * np.cos(np.pi * x))) < 1e-10
 
     def test_g3(self, jets, grid201):
         x = grid201.nodes
         exact = -8 * np.pi**5 * np.cos(np.pi * x) + 6 * np.pi**3 * np.sin(2 * np.pi * x)
-        assert np.max(np.abs(jets.g3.values - exact)) < 1e-7
+        assert np.max(np.abs(jets.g3 - exact)) < 1e-7
 
     def test_h1_h2_are_gradients(self, jets, grid201):
         x = grid201.nodes
-        assert np.max(np.abs(jets.h1.values - 2 * np.pi**2 * np.sin(np.pi * x))) < 1e-11
-        assert np.max(np.abs(jets.h2.values + 4 * np.pi**4 * np.sin(np.pi * x))) < 1e-9
+        assert np.max(np.abs(jets.h1 - 2 * np.pi**2 * np.sin(np.pi * x))) < 1e-11
+        assert np.max(np.abs(jets.h2 + 4 * np.pi**4 * np.sin(np.pi * x))) < 1e-9
 
     def test_no_boundary_poles(self, jets):
         assert jets.boundary_poles == {}
 
     def test_h_fields_vanish_on_boundary(self, jets):
         for h in (jets.h0, jets.h1, jets.h2):
-            assert abs(h.values[0]) < 1e-9
-            assert abs(h.values[-1]) < 1e-9
+            assert abs(h[0]) < 1e-9
+            assert abs(h[-1]) < 1e-9
 
 
 class TestInitialJetParabolic:
@@ -87,24 +87,24 @@ class TestInitialJetParabolic:
 
     def test_g1_closed_form(self, jets, grid201):
         x = grid201.nodes
-        assert np.array_equal(jets.g1.values, -2.0 * (1.0 - 2.0 * x))
+        assert np.array_equal(jets.g1, -2.0 * (1.0 - 2.0 * x))
 
     def test_h0_zero(self, jets):
-        assert np.all(jets.h0.values == 0.0)
+        assert np.all(jets.h0 == 0.0)
 
     def test_h1_constant_four(self, jets):
-        assert np.max(np.abs(jets.h1.values - 4.0)) < 1e-12
+        assert np.max(np.abs(jets.h1 - 4.0)) < 1e-12
 
     def test_g2_interior_closed_form(self, jets, grid201):
         x = grid201.nodes[1:-1]
         exact = 4.0 * (1.0 - 2.0 * x) / (x * (1.0 - x))
-        assert np.max(np.abs(jets.g2.values[1:-1] - exact)) < 1e-9
+        assert np.max(np.abs(jets.g2[1:-1] - exact)) < 1e-9
 
     def test_incompatibility_flagged(self, jets):
         # h1 != 0 on the boundary: order-2 jets carry genuine poles there
         assert "b0" in jets.boundary_poles
         assert "c0" in jets.boundary_poles
-        assert np.isfinite(jets.g2.values[0])  # Hadamard finite part
+        assert np.isfinite(jets.g2[0])  # Hadamard finite part
 
     def test_incompatible_u0_rejected(self, grid201, para201):
         bad = AnalyticField("x*x", grid201, "custom")
@@ -123,8 +123,8 @@ class TestTimeDerivativesAlong:
             (tj.dt_vx, jets.h1),
             (tj.dt2_vx, jets.h2),
         ):
-            scale = max(1.0, np.max(np.abs(b.values[1:-1])))
-            assert np.max(np.abs(a.values[1:-1] - b.values[1:-1])) < 1e-10 * scale
+            scale = max(1.0, np.max(np.abs(b[1:-1])))
+            assert np.max(np.abs(a[1:-1] - b[1:-1])) < 1e-10 * scale
 
     def test_zero_forcing_fixture_all_zero(self, para201, u0zero201):
         sol = solve_nonlinear(
@@ -134,7 +134,7 @@ class TestTimeDerivativesAlong:
         )
         tj = time_derivatives_along(sol, 0.005)
         for f in (tj.dt_v, tj.dt2_v, tj.dt3_v, tj.dt_vx, tj.dt_vxx):
-            assert np.all(f.values == 0.0)
+            assert np.all(f == 0.0)
 
     def test_small_time_continuity(self, canonical_solution, grid401, para401):
         # dt_v(dt) = g1 + O(t) in the weighted norm; the pointwise defect is
@@ -142,7 +142,7 @@ class TestTimeDerivativesAlong:
         # faithful metric (measured ~1e-3 at dt=1e-4, N=32)
         tj = time_derivatives_along(canonical_solution, canonical_solution.dt)
         g1 = -2.0 * (1.0 - 2.0 * grid401.nodes)
-        defect = weighted_l2_norm(tj.dt_v.values - g1, 1, para401)
+        defect = weighted_l2_norm(tj.dt_v - g1, 1, para401)
         assert defect < 5e-3
 
     def test_unstored_time_rejected(self, canonical_solution):
@@ -155,7 +155,7 @@ class TestTimeDerivativesAlong:
         fd = (sol.coeffs[1] - sol.coeffs[0]) / sol.dt
         fd_vals = sol.basis.evaluate(fd, sol.basis.grid.nodes, 0)
         tj = time_derivatives_along(sol, sol.dt)
-        diff = weighted_l2_norm(fd_vals - tj.dt_v.values, 1, para401)
+        diff = weighted_l2_norm(fd_vals - tj.dt_v, 1, para401)
         assert diff < 100.0 * sol.dt
 
 
@@ -242,20 +242,20 @@ class TestInitialJetWithVelocity:
     def test_g1_closed_form(self, velocity_jets, grid201):
         x = grid201.nodes
         exact = -2.0 * (np.pi + 1.0) * np.pi * np.cos(np.pi * x)
-        assert np.max(np.abs(velocity_jets.g1.values - exact)) < 1e-11
+        assert np.max(np.abs(velocity_jets.g1 - exact)) < 1e-11
 
     def test_g2_closed_form(self, velocity_jets, grid201):
         x = grid201.nodes
         exact = (np.pi + 1.0) * np.pi * (
             4.0 * np.pi**2 * np.cos(np.pi * x) - 3.0 * np.pi * np.sin(2 * np.pi * x)
         )
-        assert np.max(np.abs(velocity_jets.g2.values - exact)) < 1e-8
+        assert np.max(np.abs(velocity_jets.g2 - exact)) < 1e-8
 
     def test_compatible_through_order_two(self, velocity_jets):
         assert "b0" not in velocity_jets.boundary_poles
         for h in (velocity_jets.h0, velocity_jets.h1):
-            assert abs(h.values[0]) < 1e-9
-            assert abs(h.values[-1]) < 1e-9
+            assert abs(h[0]) < 1e-9
+            assert abs(h[-1]) < 1e-9
 
 
 class TestEnergyReports:
@@ -297,7 +297,7 @@ def test_high_mode_velocity_keeps_its_endpoint_taylor_data(sine201, grid201):
     # u0 = cos(3 pi x) on rho0 = sin(pi x): at x = 0, r1 w1 / r0 -> -9 pi^2,
     # w2 = -9 pi^2 and -2 r1 = -2 pi, so g1(0) = -18 pi^2 - 2 pi
     u0 = sample_velocity("cosine", {"amplitude": 1.0, "mode": 3}, grid201)
-    g1 = initial_jet(sine201, u0).g1.values
+    g1 = initial_jet(sine201, u0).g1
     assert g1[0] == pytest.approx(-18.0 * np.pi**2 - 2.0 * np.pi, rel=1e-10)
 
 

@@ -221,7 +221,7 @@ class TestFdOracle:
                 PicardSettings(t_final=0.02, dt=dt, n_modes=n_modes, picard_tol=1e-12),
             )
             fd = fd_oracle_solve(para, u0, 0.02, dt)
-            d = sol.velocity(0.02).values - fd.velocity(0.02).values
+            d = sol.velocity(0.02) - fd.velocity(0.02)
             diffs.append(math.sqrt(quadrature(d * d, 1, para)))
         assert diffs[1] <= diffs[0] / 2.0
         assert diffs[0] <= 5.0 * (4e-4 + (1.0 / 200.0) ** 2 + 1.0 / 64.0)
@@ -237,7 +237,7 @@ class TestSchemeAndFlowInterp:
             PicardSettings(t_final=0.005, dt=1e-4, n_modes=8, scheme="crank-nicolson"),
         )
         assert cn.converged
-        d = ie.velocity(0.005).values - cn.velocity(0.005).values
+        d = ie.velocity(0.005) - cn.velocity(0.005)
         # the schemes differ at O(dt) but solve the same problem
         assert 0.0 < math.sqrt(quadrature(d * d, 1, para201)) < 1e-3
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from svfree.errors import ValidationError
+from svfree.errors import ConfigurationError, ValidationError
 from svfree.profile import build_grid, sample_height_profile
 from svfree.weighted_calculus import (
     check_h_half_weighted,
@@ -53,6 +53,11 @@ class TestNorms:
 
     def test_h_half_constant_mode(self, para401):
         assert h_half_norm(np.ones(401), para401) == pytest.approx(1.0, abs=1e-10)
+
+    def test_h_half_rejects_another_grids_nodal_array(self, para401):
+        # a 201-node array is not read as 201 modal coefficients on 401 nodes
+        with pytest.raises(ConfigurationError):
+            h_half_norm(np.ones(201), para401)
 
     def test_h_half_single_cosine(self, grid401, para401):
         f = np.sqrt(2.0) * np.cos(np.pi * grid401.nodes)

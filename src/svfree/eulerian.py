@@ -26,6 +26,7 @@ __all__ = [
     "EulerianSnapshot",
     "BoundaryReport",
     "eulerian_fields",
+    "boundary_reports",
     "boundary_diagnostics",
     "eulerian_mass",
 ]
@@ -130,8 +131,8 @@ def eulerian_mass(snapshot: EulerianSnapshot) -> float:
     return float(np.dot(simpson_weights(n, h), snapshot.rho))
 
 
-def boundary_diagnostics(profile: HeightProfile, traj, t: float) -> BoundaryReport:
-    """Endpoint Neumann defect, stress factors, and sound-speed slope at time t.
+def boundary_reports(profile: HeightProfile, traj, times) -> list[BoundaryReport]:
+    """Endpoint Neumann defect, stress factors, and sound-speed slope at stored times.
 
     For spectral trajectories the endpoint slope of every mode vanishes
     identically, so vx is exactly zero; the finite-difference oracle reports
@@ -139,25 +140,29 @@ def boundary_diagnostics(profile: HeightProfile, traj, t: float) -> BoundaryRepo
     because rho vanishes there; the u_x factor is reported alongside.
     """
     if isinstance(traj, SolutionTrajectory):
-        idx = traj.index_of(t)
+        idx = [traj.index_of(t) for t in times]
         basis = traj.basis
-        ends = np.array([0.0, 1.0])
-        vx = basis.evaluate(traj.coeffs[idx], ends, 1)
-        eta_xb = 1.0 + basis.evaluate(traj.flow_coeffs[idx], ends, 1)
-        vx_pair = (float(vx[0]), float(vx[1]))
+        # (rows, 2) first derivatives at x = 0 and x = 1: one product per end and field
+        vx, eta_xb = (
+            np.stack([basis.endpoint_derivatives(c[idx], s, 2)[:, 1] for s in (0.0, 1.0)], axis=1)
+            for c in (traj.coeffs, traj.flow_coeffs)
+        )
+        eta_xb += 1.0
     elif isinstance(traj, FDTrajectory):
-        idx = traj.index_of(t)
-        vx_pair = traj.boundary_vx(t)
-        # the flow-map Jacobian of the one stored row, without differentiating every row
-        eta_xb = np.gradient(traj.eta[idx], traj.grid.spacing, edge_order=2)[[0, -1]]
+        idx = [traj.index_of(t) for t in times]
+        vx = np.array([traj.boundary_vx(t) for t in times])
+        eta_xb = np.gradient(traj.eta[idx], traj.grid.spacing, axis=1, edge_order=2)[:, [0, -1]]
     else:
         raise ConfigurationError(f"unsupported trajectory type {type(traj).__name__}")
-    slope0 = abs(profile.endpoint_derivatives(0.0, 2)[1])
-    slope1 = abs(profile.endpoint_derivatives(1.0, 2)[1])
-    ux = (vx_pair[0] / float(eta_xb[0]), vx_pair[1] / float(eta_xb[1]))
+    slopes = np.abs([profile.endpoint_derivatives(s, 2)[1] for s in (0.0, 1.0)]) / eta_xb**2
+    ux = vx / eta_xb
     stress = (0.0, 0.0)  # rho^2 - rho*u_x with rho = 0 on the moving boundary
-    slopes = (
-        float(slope0 / eta_xb[0] ** 2),
-        float(slope1 / eta_xb[1] ** 2),
-    )
-    return BoundaryReport(t, vx_pair, ux, stress, slopes)
+    return [
+        BoundaryReport(t, tuple(v.tolist()), tuple(u.tolist()), stress, tuple(c.tolist()))
+        for t, v, u, c in zip(times, vx, ux, slopes)
+    ]
+
+
+def boundary_diagnostics(profile: HeightProfile, traj, t: float) -> BoundaryReport:
+    """The boundary report at one stored time."""
+    return boundary_reports(profile, traj, [t])[0]

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,38 +61,6 @@ _OUTPUTS = tuple(PRESSURE)
 _FED_BACK = {name: i for i, name in enumerate(ARGUMENTS) if name in _OUTPUTS}
 
 
-@dataclass
-class _State:
-    """Everything the recursion needs at a block of instants, one row each."""
-
-    profile: HeightProfile
-    w: np.ndarray  # (rows, depth, n) spatial derivatives of v
-    j: np.ndarray  # (rows, depth, n) spatial derivatives of eta (index 0 = eta)
-    w_atoms: tuple[np.ndarray, np.ndarray]  # (rows, _ATOM_ORDERS) per endpoint
-    j_atoms: tuple[np.ndarray, np.ndarray]
-    include_pressure: bool = True
-
-    @property
-    def rows(self) -> int:
-        return self.w.shape[0]
-
-    @cached_property
-    def w_series(self) -> tuple[list[LaurentSeries], list[LaurentSeries]]:
-        """Endpoint series of the first _DEPTH derivatives of v, per side."""
-        return tuple(_atom_series(atoms) for atoms in self.w_atoms)
-
-
-@dataclass(frozen=True)
-class _Output:
-    values: np.ndarray  # (rows, n)
-    series: tuple[LaurentSeries, LaurentSeries]  # batched endpoint series
-    poles: tuple[np.ndarray, np.ndarray]  # (rows,) pole flags per endpoint
-
-    def row_poles(self) -> tuple[bool, bool]:
-        """The pole flags of a one-row block."""
-        return tuple(bool(np.any(p)) for p in self.poles)
-
-
 @lru_cache(maxsize=8)
 def _profile_series(profile: HeightProfile, side: int) -> tuple[LaurentSeries, ...]:
     """Endpoint series of rho0 and its first _DEPTH - 1 derivatives."""
@@ -111,68 +79,73 @@ def _atom_series(atoms: np.ndarray) -> list[LaurentSeries]:
     return [LaurentSeries.from_derivatives(atoms[:, k:]) for k in range(_DEPTH)]
 
 
-def _evaluate(state: _State) -> dict[str, _Output]:
-    """Every recursion output on a block of rows.
-
-    Each compiled output runs once per stored time on the interior nodes,
-    which keeps only one row's cse temporaries alive, and once per side on
-    the block's batched endpoint series. Raises MixedValuationError when the
-    rows of a denominator differ in valuation. The only inverted series are
-    r0, one unbatched row, and j1, whose constant term is exactly 1 in every
-    row (odd mode derivatives vanish at both ends), so a block of an
-    admissible trajectory never raises it.
-    """
-    n = state.profile.grid.n_nodes
-    check_jacobian(state.j[:, 1])
-    fns = _COMPILED[state.include_pressure]
-
-    interior = slice(1, -1)
-    rho = [state.profile.derivative_values(k)[interior] for k in range(_DEPTH)]
-    # one argument list per call: the block's interior rows, then both sides;
-    # the a- and b-slots are filled as those outputs are computed
-    calls = [
-        [*rho, *state.w[i, :, interior], *state.j[i, :, interior], *[None] * (2 * _DEPTH)]
-        for i in range(state.rows)
-    ] + [
-        [
-            *_profile_series(state.profile, side),
-            *state.w_series[side],
-            *_atom_series(state.j_atoms[side]),
-            *[None] * (2 * _DEPTH),
-        ]
-        for side in (0, 1)
-    ]
-
-    out: dict[str, _Output] = {}
+def _outputs(include_pressure: bool, r, w, j) -> dict:
+    """Every recursion output from the r, w and j arguments, each output fed to the later ones."""
+    fns = _COMPILED[include_pressure]
+    args = [*r, *w, *j, *[None] * (2 * _DEPTH)]
+    out = {}
     for name in _OUTPUTS:
-        results = [fns[name](*args) for args in calls]
-        *rows, left, right = results
-        values = np.empty((state.rows, n))
-        values[:, interior] = rows
-        values[:, 0] = left.finite_part()
-        values[:, -1] = right.finite_part()
-        poles = (np.asarray(left.has_pole()), np.asarray(right.has_pole()))
-        out[name] = _Output(values, (left, right), poles)
+        out[name] = fns[name](*args)
         if name in _FED_BACK:
-            for args, result in zip(calls, results):
-                args[_FED_BACK[name]] = result
+            args[_FED_BACK[name]] = out[name]
     return out
 
 
-def _state_from_initial(profile: HeightProfile, u0: AnalyticField, include_pressure=True) -> _State:
-    n = profile.grid.n_nodes
-    w = np.stack([u0.derivative_values(k) for k in range(_DEPTH)])
-    j = np.zeros((_DEPTH, n))
-    j[0] = profile.grid.nodes
-    j[1] = 1.0
-    w_atoms = tuple(u0.endpoint_derivatives(float(s), _ATOM_ORDERS)[None] for s in (0, 1))
-    j_atoms = []
-    for s in (0, 1):
-        atoms = np.zeros((1, _ATOM_ORDERS))
-        atoms[0, 0] = float(s)
-        atoms[0, 1] = 1.0
-        j_atoms.append(atoms)
-    return _State(profile, w[None], j[None], w_atoms, tuple(j_atoms), include_pressure)
+def _endpoint_pass(profile: HeightProfile, w_atoms, j_atoms, include_pressure=True) -> dict:
+    """Endpoint series of w0..w6 (the spatial derivatives of v) and of every recursion output.
+
+    ``w_atoms`` and ``j_atoms`` hold (rows, _ATOM_ORDERS) Taylor data of v
+    and eta per side, one row per stored time; each compiled output runs once
+    per side on the row-batched series of every row. Returns name -> (left,
+    right). Raises MixedValuationError when the rows of a denominator differ
+    in valuation. The only inverted series are r0, one unbatched row, and j1,
+    whose constant term is exactly 1 in every row (odd mode derivatives vanish
+    at both ends), so the rows of an admissible trajectory never raise it.
+    """
+    sides = []
+    for side in (0, 1):
+        w = _atom_series(w_atoms[side])
+        j = _atom_series(j_atoms[side])
+        out = _outputs(include_pressure, _profile_series(profile, side), w, j)
+        sides.append({**{f"w{k}": w[k] for k in range(_DEPTH)}, **out})
+    left, right = sides
+    return {name: (left[name], right[name]) for name in left}
+
+
+def _interior_pass(profile: HeightProfile, w, j, include_pressure=True) -> dict[str, np.ndarray]:
+    """(rows, n - 2) values of every recursion output on the interior nodes.
+
+    ``w`` and ``j`` are (rows, _DEPTH, n) nodal stacks of v and eta; each
+    compiled output runs once on all rows, so its cse temporaries are all of
+    that size: callers pass a few stored times at once (_CHUNK_VALUES).
+    """
+    check_jacobian(j[:, 1])
+    inner = slice(1, -1)
+    return _outputs(
+        include_pressure,
+        [profile.derivative_values(k)[inner] for k in range(_DEPTH)],
+        w[:, :, inner].swapaxes(0, 1),
+        j[:, :, inner].swapaxes(0, 1),
+    )
+
+
+def _jets(profile: HeightProfile, w, j, w_atoms, j_atoms, include_pressure=True):
+    """One instant's recursion outputs on every node, and the outputs with an endpoint pole.
+
+    The one-row case of both passes: endpoint values are the finite parts of
+    the output series, and poles maps each output whose series keeps a pole
+    at either end to its (left, right) flags.
+    """
+    series = _endpoint_pass(profile, w_atoms, j_atoms, include_pressure)
+    interior = _interior_pass(profile, w, j, include_pressure)
+    values, poles = {}, {}
+    for name in _OUTPUTS:
+        left, right = series[name]
+        values[name] = np.concatenate([left.finite_part(), interior[name][0], right.finite_part()])
+        flags = (bool(np.any(left.has_pole())), bool(np.any(right.has_pole())))
+        if any(flags):
+            poles[name] = flags
+    return values, poles
 
 
 def _require_spectral(traj) -> None:
@@ -184,28 +157,32 @@ def _require_spectral(traj) -> None:
         )
 
 
-def _state_from_trajectory(traj, idx) -> _State:
-    """The block of the stored steps with indices idx."""
+def _endpoint_atoms(traj, idx) -> tuple[tuple, tuple]:
+    """(rows, _ATOM_ORDERS) Taylor data of v and of eta at both ends of the stored steps idx.
+
+    The endpoint series divide by eta_x, so its end values are checked first.
+    """
     basis = traj.basis
-    grid = traj.profile.grid
-    lam = traj.coeffs[idx]
-    mu = traj.flow_coeffs[idx]
-    tables = [basis.table(k) for k in range(_DEPTH)]
+    w_atoms, j_atoms = [], []
+    for s in (0.0, 1.0):
+        w_atoms.append(basis.endpoint_derivatives(traj.coeffs[idx], s, _ATOM_ORDERS))
+        atoms = basis.endpoint_derivatives(traj.flow_coeffs[idx], s, _ATOM_ORDERS)
+        atoms[:, :2] += s, 1.0
+        check_jacobian(atoms[:, 1])
+        j_atoms.append(atoms)
+    return tuple(w_atoms), tuple(j_atoms)
+
+
+def _nodal_stacks(traj, idx) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, _DEPTH, n) spatial derivatives of v and of eta at the stored steps idx."""
+    tables = [traj.basis.table(k) for k in range(_DEPTH)]
     # one row per product: a stacked product rounds differently, and the
     # summands with a boundary pole amplify that to about 1e-10 relative
-    w = np.array([[row @ tab for tab in tables] for row in lam])
-    j = np.array([[row @ tab for tab in tables] for row in mu])
-    j[:, 0] += grid.nodes
+    w = np.array([[row @ tab for tab in tables] for row in traj.coeffs[idx]])
+    j = np.array([[row @ tab for tab in tables] for row in traj.flow_coeffs[idx]])
+    j[:, 0] += traj.profile.grid.nodes
     j[:, 1] += 1.0
-    w_atoms = tuple(basis.endpoint_derivatives(lam, float(s), _ATOM_ORDERS) for s in (0, 1))
-    j_atoms = []
-    for s in (0, 1):
-        atoms = basis.endpoint_derivatives(mu, float(s), _ATOM_ORDERS)
-        atoms[:, 0] += float(s)
-        atoms[:, 1] += 1.0
-        j_atoms.append(atoms)
-    include_pressure = not traj.zero_forcing
-    return _State(traj.profile, w, j, w_atoms, tuple(j_atoms), include_pressure)
+    return w, j
 
 
 @dataclass(frozen=True)
@@ -248,8 +225,13 @@ def initial_jet(profile: HeightProfile, u0: AnalyticField) -> InitialJet:
     scale = max(float(np.max(np.abs(d1))), 1.0)
     if abs(d1[0]) > 1e-10 * scale or abs(d1[-1]) > 1e-10 * scale:
         raise ValidationError("u0 violates the endpoint compatibility u0_x = 0")
-    out = _evaluate(_state_from_initial(profile, u0))
-    poles = {name: o.row_poles() for name, o in out.items() if any(o.row_poles())}
+    w = np.stack([u0.derivative_values(k) for k in range(_DEPTH)])[None]
+    w_atoms = tuple(u0.endpoint_derivatives(s, _ATOM_ORDERS)[None] for s in (0.0, 1.0))
+    # the identity flow map: eta = x, eta_x = 1
+    j = np.zeros((1, _DEPTH, profile.grid.n_nodes))
+    j[0, 0], j[0, 1] = profile.grid.nodes, 1.0
+    j_atoms = tuple(np.pad([[s, 1.0]], ((0, 0), (0, _ATOM_ORDERS - 2))) for s in (0.0, 1.0))
+    out, poles = _jets(profile, w, j, w_atoms, j_atoms)
     if poles:
         log.warning(
             "initial jets carry vacuum-boundary poles (incompatible data at "
@@ -258,12 +240,12 @@ def initial_jet(profile: HeightProfile, u0: AnalyticField) -> InitialJet:
         )
     return InitialJet(
         g0=u0.values.copy(),
-        g1=out["a0"].values[0],
-        g2=out["b0"].values[0],
-        g3=out["c0"].values[0],
+        g1=out["a0"],
+        g2=out["b0"],
+        g3=out["c0"],
         h0=d1.copy(),
-        h1=out["a1"].values[0],
-        h2=out["b1"].values[0],
+        h1=out["a1"],
+        h2=out["b1"],
         boundary_poles=poles,
     )
 
@@ -275,18 +257,19 @@ def time_derivatives_along(traj, t: float) -> TimeJet:
     this shares every formula (and rounding path) with initial_jet.
     """
     _require_spectral(traj)
-    out = _evaluate(_state_from_trajectory(traj, [traj.index_of(t)]))
-    poles = {name: o.row_poles() for name, o in out.items() if any(o.row_poles())}
+    idx = [traj.index_of(t)]
+    stacks, atoms = _nodal_stacks(traj, idx), _endpoint_atoms(traj, idx)
+    out, poles = _jets(traj.profile, *stacks, *atoms, not traj.zero_forcing)
     return TimeJet(
         t=t,
-        dt_v=out["a0"].values[0],
-        dt2_v=out["b0"].values[0],
-        dt3_v=out["c0"].values[0],
-        dt_vx=out["a1"].values[0],
-        dt2_vx=out["b1"].values[0],
-        dt_vxx=out["a2"].values[0],
-        dt_vx3=out["a3"].values[0],
-        dt_vx4=out["a4"].values[0],
+        dt_v=out["a0"],
+        dt2_v=out["b0"],
+        dt3_v=out["c0"],
+        dt_vx=out["a1"],
+        dt2_vx=out["b1"],
+        dt_vxx=out["a2"],
+        dt_vx3=out["a3"],
+        dt_vx4=out["a4"],
         boundary_poles=poles,
     )
 
@@ -343,43 +326,53 @@ _SUMMAND_COLUMNS = {
     for label, key in {**E_SUMMAND_WEIGHTS, **LOW_SUMMAND_WEIGHTS}.items()
 }
 
-# stored times whose endpoint series one pass evaluates together
-_BLOCK_ROWS = 64
+# nodal values per call of a compiled output in the interior pass: 8 stored
+# times at 401 nodes. A call keeps all its cse temporaries alive (about 170
+# for a4), so each further stored time adds about 0.5 MB to the peak at 401
+# nodes, while the time per stored time hardly falls beyond 8
+_CHUNK_VALUES = 3500
 
 
-def _weighted_square(profile: HeightProfile, values, series, weight: int):
-    """Per-row Simpson values of int rho0^weight * field^2 with series endpoint limits.
+def _squares(traj, rows) -> tuple[np.ndarray, np.ndarray]:
+    """(len(rows), len(_SQUARES)) weighted squares at the stored steps rows, and (rows,) pole flags.
 
-    ``values`` is the (rows, n) nodal field and ``series`` its pair of batched
-    endpoint series; returns the (rows,) values and (rows,) pole flags.
+    Each square is the Simpson value of int rho0^weight * field^2. Its two
+    endpoint values are the finite parts of rho0^weight * s * s on the
+    endpoint series s of every row at once; its interior nodes take one
+    interior pass per chunk of _CHUNK_VALUES nodal values.
     """
-    integrand = profile.weight_values(weight) * values**2
-    pole = np.zeros(len(integrand), dtype=bool)
-    for side, idx in ((0, 0), (1, -1)):
-        total = _weight_series(profile, side, weight) * series[side] * series[side]
-        integrand[:, idx] = total.finite_part()
-        pole |= total.has_pole()
-    # one dot per row, which rounds as the quadrature of a single stored time does
-    return np.array([np.dot(profile.grid.simpson_weights, row) for row in integrand]), pole
+    profile = traj.profile
+    grid = profile.grid
+    include_pressure = not traj.zero_forcing
+    series = _endpoint_pass(profile, *_endpoint_atoms(traj, rows), include_pressure)
+    ends = np.empty((len(_SQUARES), 2, len(rows)))
+    pole = np.zeros(len(rows), dtype=bool)
+    for c, (source, weight) in enumerate(_SQUARES):
+        for side in (0, 1):
+            s = series[source][side]
+            total = _weight_series(profile, side, weight) * s * s
+            ends[c, side] = total.finite_part()
+            pole |= total.has_pole()
 
-
-def _squares(state: _State) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, len(_SQUARES)) weighted squares of one block and its (rows,) pole flags."""
-    fields = {name: (o.values, o.series) for name, o in _evaluate(state).items()}
-    # pure spatial derivatives enter with exact endpoint series
-    left, right = state.w_series
-    for k in range(_DEPTH):
-        fields[f"w{k}"] = (state.w[:, k], (left[k], right[k]))
-    columns, pole = [], np.zeros(state.rows, dtype=bool)
-    for source, weight in _SQUARES:
-        value, p = _weighted_square(state.profile, *fields[source], weight)
-        columns.append(value)
-        pole |= p
-    return np.stack(columns, axis=1), pole
+    squares = np.empty((len(rows), len(_SQUARES)))
+    step = max(1, _CHUNK_VALUES // grid.n_nodes)
+    for start in range(0, len(rows), step):
+        chunk = slice(start, start + step)
+        w, j = _nodal_stacks(traj, rows[chunk])
+        fields = _interior_pass(profile, w, j, include_pressure)
+        fields.update((f"w{k}", w[:, k, 1:-1]) for k in range(_DEPTH))
+        integrand = np.empty((len(w), grid.n_nodes))
+        for c, (source, weight) in enumerate(_SQUARES):
+            integrand[:, 1:-1] = profile.weight_values(weight)[1:-1] * fields[source] ** 2
+            integrand[:, [0, -1]] = ends[c, :, chunk].T
+            # one dot per row, which rounds as the quadrature of a single stored time does
+            squares[chunk, c] = [np.dot(grid.simpson_weights, row) for row in integrand]
+        del w, j, fields  # before the next chunk allocates its own
+    return squares, pole
 
 
 def energy_reports(traj, times, m0: float | None = None) -> list[EnergyReport]:
-    """Energy reports at stored times, evaluated _BLOCK_ROWS stored times per pass.
+    """Energy reports at stored times: one endpoint pass over all, interior passes by chunk.
 
     within_apriori tests E <= 2*M0; M0 defaults to the trajectory's own t=0
     energy (the minimal admissible choice), evaluated once for all times.
@@ -388,14 +381,9 @@ def energy_reports(traj, times, m0: float | None = None) -> list[EnergyReport]:
     rows = [traj.index_of(t) for t in times]
     if m0 is None and 0 not in rows:
         rows.append(0)
-    blocks = [
-        _squares(_state_from_trajectory(traj, rows[start : start + _BLOCK_ROWS]))
-        for start in range(0, len(rows), _BLOCK_ROWS)
-    ]
-    if not blocks:
+    if not rows:
         return []
-    squares = np.concatenate([b[0] for b in blocks])
-    poles = np.concatenate([b[1] for b in blocks])
+    squares, poles = _squares(traj, rows)
 
     def summands(r: int) -> dict:
         return {label: float(squares[r, c]) for label, c in _SUMMAND_COLUMNS.items()}

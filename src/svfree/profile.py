@@ -181,6 +181,8 @@ class _AnalyticBase:
 
     def __init__(self, expr, grid: Grid):
         self.expr = _parse_expr(expr)
+        # what error messages quote: the config text, which sympy may have reduced
+        self.text = repr(expr) if isinstance(expr, str) else str(self.expr)
         self.grid = grid
         self._deriv_cache: dict[int, np.ndarray] = {}
         self._fn_cache: dict[int, object] = {}
@@ -188,7 +190,7 @@ class _AnalyticBase:
 
     def _not_finite(self, order: int, where: str) -> ConfigurationError:
         return ConfigurationError(
-            f"'expr' {self.expr} is not finite: its derivative of order {order} {where}"
+            f"'expr' {self.text} is not finite: its derivative of order {order} {where}"
         )
 
     def _callable(self, order: int):
@@ -388,8 +390,7 @@ def sample_height_profile(kind: str, params: dict | None, grid: Grid) -> HeightP
         params = _known_params(params, "custom profile", "expr")
         if "expr" not in params:
             raise ConfigurationError("custom profile needs an 'expr' entry")
-        expr = _parse_expr(params["expr"])
-        tmp = _AnalyticBase(expr, grid)
+        tmp = _AnalyticBase(params["expr"], grid)
         vals = tmp.derivative_values(0)
         _check_vanishes_on_boundary_only(vals)
         d = _distance_values(grid)
@@ -403,7 +404,7 @@ def sample_height_profile(kind: str, params: dict | None, grid: Grid) -> HeightP
                 "custom profile violates the physical vacuum condition "
                 "(vanishing or unbounded slope at an endpoint)"
             )
-        profile = HeightProfile("custom", expr, grid, c1=c1, c2=c2)
+        profile = HeightProfile("custom", params["expr"], grid, c1=c1, c2=c2)
     else:
         raise ConfigurationError(f"unknown profile kind {kind!r}")
     _validate_vacuum_profile(profile)
@@ -426,7 +427,7 @@ def sample_velocity(kind: str, params: dict | None, grid: Grid) -> AnalyticField
         params = _known_params(params, "custom velocity", "expr")
         if "expr" not in params:
             raise ConfigurationError("custom velocity needs an 'expr' entry")
-        u0 = AnalyticField(_parse_expr(params["expr"]), grid, kind)
+        u0 = AnalyticField(params["expr"], grid, kind)
     else:
         raise ConfigurationError(f"unknown velocity kind {kind!r}")
     d1 = u0.derivative_values(1)

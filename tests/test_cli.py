@@ -251,6 +251,14 @@ class TestMainExitCodes:
         assert main(["simulate", "--config", str(cfg)]) == 3
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("expr", ["1/(x-x)", "log(x-x)", "(x-x)**-1"])
+    def test_not_finite_expr_quotes_the_config_text(self, tmp_path, monkeypatch, capsys, expr):
+        # sympy reduces all three to zoo before any derivative is taken
+        monkeypatch.setenv("SVFREE_OUT", str(tmp_path / "out"))
+        cfg = _write_config(tmp_path, {**SMALL, "u0": {"kind": "custom", "expr": expr}})
+        assert main(["simulate", "--config", str(cfg)]) == 3
+        assert f"'expr' {expr!r} is not finite" in capsys.readouterr().err
+
     def test_simulate_ok_is_0(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SVFREE_OUT", str(tmp_path / "out"))
         cfg = _write_config(tmp_path, SMALL)

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from svfree.errors import ConfigurationError
-from svfree.eulerian import boundary_diagnostics, eulerian_fields, eulerian_mass
+from svfree.eulerian import (
+    boundary_diagnostics,
+    boundary_reports,
+    eulerian_fields,
+    eulerian_mass,
+)
 from svfree.fd_oracle import fd_oracle_solve
 from svfree.galerkin import GalerkinBasis, ModalTrajectory
 from svfree.picard import SolutionTrajectory, _integrate_flow_coeffs
@@ -140,6 +145,13 @@ class TestBoundaryDiagnostics:
             vx = fd.boundary_vx(float(fd.times[idx]))
             assert rep.ux_at_boundary == (vx[0] / ends[0], vx[1] / ends[1])
             assert rep.soundspeed_slope == (slopes[0] / ends[0] ** 2, slopes[1] / ends[1] ** 2)
+
+    def test_fd_reports_at_all_times_match_one_time(self, para201, u0zero201):
+        fd = fd_oracle_solve(para201, u0zero201, 0.01, 1e-3)
+        times = [float(t) for t in fd.times[::-1]]
+        single = [boundary_diagnostics(para201, fd, t) for t in times]
+        # repr tells -0.0 from 0.0
+        assert repr(boundary_reports(para201, fd, times)) == repr(single)
 
     def test_vacuum_slope_persistence(self, small_solution, para201):
         # |d(c^2)/dy| at the moving boundary stays within [c1/2, 2 c2]

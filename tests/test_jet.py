@@ -1,11 +1,12 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from svfree import _jet_derive, _jet_generated, jet
+from svfree import _jet_derive, _jet_generated, eulerian, jet
 from svfree._series import LaurentSeries, MixedValuationError
 from svfree.errors import ConfigurationError, FlowMapDegeneracyError, ValidationError
 from svfree.jet import (
@@ -281,16 +282,64 @@ class TestEnergyReports:
     def test_mixed_valuation_block_matches_one_row_evaluation(self, canonical_solution):
         # the flow Jacobian's left-endpoint series loses its constant term in
         # one row, so the rows of that denominator differ in valuation
-        state = jet._state_from_trajectory(canonical_solution, [100, 200, 300])
-        state.j_atoms[0][1, 1] = 0.0
-        assert state.j_atoms[0][1, 2] != 0.0
+        w_atoms, j_atoms = jet._endpoint_atoms(canonical_solution, [100, 200, 300])
+        j_atoms[0][1, 1] = 0.0
+        assert j_atoms[0][1, 2] != 0.0
         with pytest.raises(MixedValuationError):
-            jet._squares(state)
+            jet._endpoint_pass(canonical_solution.profile, w_atoms, j_atoms)
         # an admissible trajectory never gets there: every stored row's endpoint
         # j1 atom, the constant term of the one batched denominator, is exactly 1
         rows = list(range(len(canonical_solution.times)))
-        for atoms in jet._state_from_trajectory(canonical_solution, rows).j_atoms:
+        for atoms in jet._endpoint_atoms(canonical_solution, rows)[1]:
             assert np.all(atoms[:, 1] == 1.0)
+
+
+@settings(max_examples=15)
+@given(data=st.data())
+def test_two_passes_match_one_row_evaluation(small_solution, canonical_solution, data):
+    # energy_reports runs one endpoint pass over every requested stored time
+    # and one interior pass per chunk; neither may change what a row reads
+    sol = data.draw(st.sampled_from([small_solution, canonical_solution]), label="solution")
+    n = sol.basis.grid.n_nodes
+    chunk = data.draw(st.integers(1, 3), label="rows per chunk")
+    counts = sorted({1, max(1, chunk - 1), chunk, chunk + 1})
+    count = data.draw(st.sampled_from(counts), label="count")
+    # unsorted, and with repeats
+    picks = data.draw(st.lists(st.integers(0, len(sol.times) - 1), min_size=count, max_size=count))
+    times = [float(sol.times[i]) for i in picks]
+    rows = [sol.index_of(t) for t in times] + ([] if 0 in picks else [0])
+
+    chunks = []
+    one_row = jet._interior_pass
+
+    def record(profile, w, j, include_pressure=True):
+        out = one_row(profile, w, j, include_pressure)
+        chunks.append(out)
+        return out
+
+    with mock.patch.object(jet, "_CHUNK_VALUES", chunk * n), \
+            mock.patch.object(jet, "_interior_pass", record):
+        reports = energy_reports(sol, times)
+    assert [len(out["a0"]) for out in chunks[:-1]] == [chunk] * (len(chunks) - 1)
+    for name in jet._OUTPUTS:
+        values = np.concatenate([out[name] for out in chunks])
+        assert len(values) == len(rows)
+        for r, row in zip(rows, values):
+            alone = one_row(sol.profile, *jet._nodal_stacks(sol, [r]), not sol.zero_forcing)
+            assert np.array_equal(row, alone[name][0]), name
+
+    m0 = reports[0].M0
+    for t, rep in zip(times, reports):
+        ref = energy_high(sol, t, m0)
+        assert rep.boundary_pole == ref.boundary_pole
+        assert rep.within_apriori == ref.within_apriori
+        for label, value in ref.summands.items():
+            assert rep.summands[label] == pytest.approx(value, rel=1e-12, abs=0.0), label
+
+    batched = eulerian.boundary_reports(sol.profile, sol, times)
+    single = [eulerian.boundary_diagnostics(sol.profile, sol, t) for t in times]
+    # repr tells -0.0 from 0.0
+    assert repr(batched) == repr(single)
 
 
 def test_high_mode_velocity_keeps_its_endpoint_taylor_data(sine201, grid201):
@@ -307,8 +356,7 @@ def test_many_mode_jacobian_series_have_valuation_zero(para401, u0zero401):
     sol = solve_nonlinear(
         para401, u0zero401, PicardSettings(t_final=0.0125, dt=1e-4, n_modes=96)
     )
-    state = jet._state_from_trajectory(sol, list(range(len(sol.times))))
-    for atoms in state.j_atoms:
+    for atoms in jet._endpoint_atoms(sol, list(range(len(sol.times))))[1]:
         eta_x = LaurentSeries.from_derivatives(atoms[:, 1:])
         for power in range(1, 8):
             assert np.all((eta_x**power)._valuations() == 0), power
@@ -337,22 +385,22 @@ def test_compiled_outputs_agree_on_rows_and_constant_series(small_solution, data
     n = sol.basis.grid.n_nodes
     row = data.draw(st.integers(0, len(sol.times) - 1), label="row")
     node = data.draw(st.integers(10, n - 11), label="node")
-    state = jet._state_from_trajectory(sol, [row])
-    state.include_pressure = include_pressure
-    out = jet._evaluate(state)
+    w, j = jet._nodal_stacks(sol, [row])
+    # interior values: column i is node i + 1
+    out = jet._interior_pass(sol.profile, w, j, include_pressure)
     inputs = [
         *(sol.profile.derivative_values(k)[node] for k in range(jet._DEPTH)),
-        *state.w[0, :, node],
-        *state.j[0, :, node],
+        *w[0, :, node],
+        *j[0, :, node],
         *[0.0] * (2 * jet._DEPTH),
     ]
     args = [LaurentSeries.constant(v) for v in inputs]
     fns = jet._COMPILED[include_pressure]
     for name in jet._OUTPUTS:
         series = fns[name](*args)
-        values = out[name].values[0, 10 : n - 10]
+        values = out[name][0, 9 : n - 11]
         assert not series.has_pole(), name
-        assert abs(series.finite_part() - out[name].values[0, node]) <= 1e-12 * np.max(np.abs(values)), name
+        assert abs(series.finite_part() - out[name][0, node - 1]) <= 1e-12 * np.max(np.abs(values)), name
         if name in jet._FED_BACK:
             args[jet._FED_BACK[name]] = series
 

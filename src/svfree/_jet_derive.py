@@ -11,8 +11,8 @@ profile (r*), the velocity (w*), the flow map (j*) and the earlier outputs
 (a*, b*); the digit is the order of the spatial derivative.
 
 ``render()`` prints each output with sympy's plain-operator ("math") printer
-and common-subexpression elimination, and returns the source of
-``_jet_generated.py``, which ``svfree.jet`` runs without sympy. Rewrite that
+and common-subexpression elimination into one table, and returns the source
+of ``_jet_generated.py``, which ``svfree.jet`` runs without sympy. Rewrite that
 module after changing the derivation with::
 
     PYTHONPATH=src python -m svfree._jet_derive
@@ -36,16 +36,14 @@ _ALL_SYMBOLS = tuple(s for fam in _FAMILIES for s in fam)
 
 GENERATED = Path(__file__).with_name("_jet_generated.py")
 
-# the function table of each pressure flag in the generated module
-_TABLES = {True: "PRESSURE", False: "NO_PRESSURE"}
-
 _HEADER = '''"""The jet recursion outputs as plain Python functions. Generated: do not edit.
 
 Rewrite with ``PYTHONPATH=src python -m svfree._jet_derive``. Each function is
 the source that ``sympy.lambdify(ARGUMENTS, expr, "math", cse=True)`` prints
 for one output of ``svfree._jet_derive``: only arithmetic operators, so one
-function runs on floats, numpy rows and LaurentSeries alike. A table lists
-its outputs in evaluation order: a* need only the r, w and j arguments, b*
+function runs on floats, numpy rows and LaurentSeries alike. The one table,
+``PRESSURE``, lists the nine outputs of the momentum equation with its
+pressure term in evaluation order: a* need only the r, w and j arguments, b*
 also consume a-outputs, and c0 consumes b-outputs.
 """
 
@@ -82,14 +80,13 @@ def _dt(expr):
     return total
 
 
-def _expressions(include_pressure: bool) -> dict:
+def _expressions() -> dict:
     """The nine recursion outputs, in evaluation order."""
     r0, r1 = _R[0], _R[1]
     w1, w2 = _W[1], _W[2]
     j1, j2 = _J[1], _J[2]
-    accel = (r1 * w1 / r0 + w2) / j1**2 - 2 * w1 * j2 / j1**3
-    if include_pressure:
-        accel += -2 * r1 / j1**2 + 2 * r0 * j2 / j1**3
+    accel = ((r1 * w1 / r0 + w2) / j1**2 - 2 * w1 * j2 / j1**3
+             - 2 * r1 / j1**2 + 2 * r0 * j2 / j1**3)
     exprs = {"a0": accel}
     for k in range(1, 5):
         exprs[f"a{k}"] = _dx(exprs[f"a{k-1}"])
@@ -110,20 +107,18 @@ def render() -> str:
         *(f"    {', '.join(repr(n) for n in fam)},\n" for fam in names),
         ")\n",
     ]
-    for include_pressure, table in _TABLES.items():
-        prefix = f"_{table.lower()}"
-        exprs = _expressions(include_pressure)
-        for name, expr in exprs.items():
-            # the plain-operator "math" printer writes integer powers and 1/x,
-            # so one function serves numpy rows and LaurentSeries alike; cse
-            # hoists the shared Jacobian/profile powers, which matters a lot
-            # for the series arithmetic
-            fn = sp.lambdify(_ALL_SYMBOLS, expr, "math", cse=True)
-            source = inspect.getsource(fn).replace("_lambdifygenerated", f"{prefix}_{name}", 1)
-            parts.append(f"\n\n{source}")
-        parts.append(f"\n\n{table} = {{\n")
-        parts.extend(f'    "{name}": {prefix}_{name},\n' for name in exprs)
-        parts.append("}\n")
+    exprs = _expressions()
+    for name, expr in exprs.items():
+        # the plain-operator "math" printer writes integer powers and 1/x,
+        # so one function serves numpy rows and LaurentSeries alike; cse
+        # hoists the shared Jacobian/profile powers, which matters a lot
+        # for the series arithmetic
+        fn = sp.lambdify(_ALL_SYMBOLS, expr, "math", cse=True)
+        source = inspect.getsource(fn).replace("_lambdifygenerated", f"_pressure_{name}", 1)
+        parts.append(f"\n\n{source}")
+    parts.append("\n\nPRESSURE = {\n")
+    parts.extend(f'    "{name}": _pressure_{name},\n' for name in exprs)
+    parts.append("}\n")
     return "".join(parts)
 
 

@@ -3,8 +3,9 @@
 Rewrite with ``PYTHONPATH=src python -m svfree._jet_derive``. Each function is
 the source that ``sympy.lambdify(ARGUMENTS, expr, "math", cse=True)`` prints
 for one output of ``svfree._jet_derive``: only arithmetic operators, so one
-function runs on floats, numpy rows and LaurentSeries alike. A table lists
-its outputs in evaluation order: a* need only the r, w and j arguments, b*
+function runs on floats, numpy rows and LaurentSeries alike. The one table,
+``PRESSURE``, lists the nine outputs of the momentum equation with its
+pressure term in evaluation order: a* need only the r, w and j arguments, b*
 also consume a-outputs, and c0 consumes b-outputs.
 """
 
@@ -423,327 +424,4 @@ PRESSURE = {
     "b1": _pressure_b1,
     "b2": _pressure_b2,
     "c0": _pressure_c0,
-}
-
-
-def _no_pressure_a0(r0, r1, r2, r3, r4, r5, r6, w0, w1, w2, w3, w4, w5, w6, j0, j1, j2, j3, j4, j5, j6, a0, a1, a2, a3, a4, a5, a6, b0, b1, b2, b3, b4, b5, b6):
-    return (w2 + r1*w1/r0)/j1**2 - 2*j2*w1/j1**3
-
-
-def _no_pressure_a1(r0, r1, r2, r3, r4, r5, r6, w0, w1, w2, w3, w4, w5, w6, j0, j1, j2, j3, j4, j5, j6, a0, a1, a2, a3, a4, a5, a6, b0, b1, b2, b3, b4, b5, b6):
-    x0 = j1**(-2)
-    x1 = 2/j1**3
-    x2 = 1/r0
-    x3 = w1*x0
-    x4 = r1*x2
-    return j2*(-x1*(w1*x4 + w2) + 6*j2*w1/j1**4) - j3*w1*x1 + r2*x2*x3 + w2*(-j2*x1 + x0*x4) + w3*x0 - r1**2*x3/r0**2
-
-
-def _no_pressure_a2(r0, r1, r2, r3, r4, r5, r6, w0, w1, w2, w3, w4, w5, w6, j0, j1, j2, j3, j4, j5, j6, a0, a1, a2, a3, a4, a5, a6, b0, b1, b2, b3, b4, b5, b6):
-    x0 = j1**(-2)
-    x1 = j1**(-3)
-    x2 = 2*x1
-    x3 = w1*x2
-    x4 = 1/r0
-    x5 = x0*x4
-    x6 = r1*x4
-    x7 = j1**(-4)
-    x8 = w1*x6 + w2
-    x9 = j2*w1
-    x10 = x2*x4
-    x11 = r0**(-2)
-    x12 = x0*x11
-    x13 = r1*x12
-    x14 = r2*w1
-    x15 = r1**2
-    x16 = 6*j2*x7 - x2*x6
-    x17 = 6*x7
-    return j2*(j2*(x17*x8 - 24*x9/j1**5) + j3*w1*x17 + w2*x16 - w3*x2 - x10*x14 + x11*x15*x3) + j3*(12*j2*w1*x7 - w2*x2 - x2*x8) - j4*x3 + r1*(2*j2*r1*w1*x1*x11 - w2*x13 - x12*x14 + 2*w1*x0*x15/r0**3) + r2*(-2*w1*x13 + w2*x0*x4 - x10*x9) + r3*w1*x5 + w2*(j2*x16 - j3*x2 + r2*x5 - x12*x15) + w3*(-4*j2*x1 + x0*x6) + w4*x0
-
-
-def _no_pressure_a3(r0, r1, r2, r3, r4, r5, r6, w0, w1, w2, w3, w4, w5, w6, j0, j1, j2, j3, j4, j5, j6, a0, a1, a2, a3, a4, a5, a6, b0, b1, b2, b3, b4, b5, b6):
-    x0 = j1**(-2)
-    x1 = j1**(-3)
-    x2 = 2*x1
-    x3 = w1*x2
-    x4 = 1/r0
-    x5 = x0*x4
-    x6 = 6*x1
-    x7 = r1*x4
-    x8 = 4*x1
-    x9 = j1**(-4)
-    x10 = w1*x7 + w2
-    x11 = j2*w1
-    x12 = x11*x8
-    x13 = r0**(-2)
-    x14 = x0*x13
-    x15 = r1*x14
-    x16 = 3*w1
-    x17 = r1**2
-    x18 = 2*x17
-    x19 = x2*x7
-    x20 = 6*j2*x9 - x19
-    x21 = 12*j2*x9 - x19
-    x22 = j3*w1
-    x23 = r2*x4
-    x24 = w1*x8
-    x25 = x13*x17
-    x26 = j1**(-5)
-    x27 = 24*x26
-    x28 = j2*x27
-    x29 = 6*x9
-    x30 = x10*x29
-    x31 = w2*x29 - 48*x11*x26 + x30
-    x32 = x2*x4
-    x33 = -j2*x32 - 2*x15
-    x34 = r2*x14
-    x35 = r1*x13
-    x36 = x2*x35
-    x37 = r0**(-3)
-    x38 = x0*x37
-    x39 = x18*x38
-    x40 = j2*x36 - x34 + x39
-    x41 = -x28 + x29*x7
-    x42 = j2*x41 + j3*x29 - r2*x32 + x2*x25
-    x43 = w2*x14
-    x44 = j2*w1*x29
-    x45 = -w2*x32 + x24*x35 + x4*x44
-    x46 = 4*r1*w1*x38 + x11*x13*x2 - x43
-    x47 = r3*w1
-    x48 = r2*x13*x3 + w2*x36 - x17*x24*x37 - x35*x44
-    x49 = 2*x38
-    x50 = w1*x29
-    return j2*(j2*(j2*(-x10*x27 + 120*j2*w1/j1**6) + w2*x41 + w3*x29 - x22*x27 + x23*x50 - x25*x50) + j3*x31 + j4*x50 + r1*x48 + r2*x45 + w2*x42 + w3*x21 - w4*x2 - x32*x47) + j3*(j2*x31 + j2*(-w1*x28 + x30) + w2*x20 + w2*x21 - w3*x6 + 18*x22*x9 - x23*x24 + x24*x25) + j4*(18*j2*w1*x9 - w2*x8 - x10*x2) - j5*x3 + r1*(j2*x48 + r1*(r1*w2*x49 - r1*x12*x37 + r2*w1*x49 - 6*w1*x0*x17/r0**4) + r2*x46 + w2*x40 - w3*x15 - x14*x47 + x22*x36) + r2*(j2*x45 - r1*x43 + r1*x46 + w1*x39 + w2*x33 + w3*x5 + x11*x36 - x16*x34 - x22*x32) + r3*(2*w2*x0*x4 - x12*x4 - x15*x16) + r4*w1*x5 + w2*(j2*x42 + j3*x21 - j4*x2 + r1*x40 + r2*x33 + r3*x5) + w3*(j2*x20 + j2*x21 - j3*x6 + 2*r2*x5 - x14*x18) + w4*(-j2*x6 + x0*x7) + w5*x0
-
-
-def _no_pressure_a4(r0, r1, r2, r3, r4, r5, r6, w0, w1, w2, w3, w4, w5, w6, j0, j1, j2, j3, j4, j5, j6, a0, a1, a2, a3, a4, a5, a6, b0, b1, b2, b3, b4, b5, b6):
-    x0 = j1**(-2)
-    x1 = j1**(-3)
-    x2 = 2*x1
-    x3 = 1/r0
-    x4 = x0*x3
-    x5 = 8*x1
-    x6 = j2*x5
-    x7 = r1*x3
-    x8 = w2*x1
-    x9 = j1**(-4)
-    x10 = w1*x7 + w2
-    x11 = j2*w1
-    x12 = 6*x1*x3
-    x13 = r0**(-2)
-    x14 = x0*x13
-    x15 = 4*r1
-    x16 = x14*x15
-    x17 = 12*x1
-    x18 = 3*x4
-    x19 = r1**2
-    x20 = x2*x7
-    x21 = 6*j2*x9 - x20
-    x22 = 12*j2*x9 - x20
-    x23 = 18*j2*x9 - x20
-    x24 = j3*w1
-    x25 = r2*x3
-    x26 = 6*w1
-    x27 = x1*x26
-    x28 = x13*x19
-    x29 = j1**(-5)
-    x30 = 24*x29
-    x31 = j2*x30
-    x32 = w1*x31
-    x33 = 6*x9
-    x34 = x10*x33
-    x35 = w2*x33
-    x36 = j2*x29
-    x37 = 48*x36
-    x38 = -w1*x37 + x34 + x35
-    x39 = 12*x9
-    x40 = w1*x36
-    x41 = w2*x39 + x34 - 72*x40
-    x42 = w2*x14
-    x43 = r2*x14
-    x44 = x13*x2
-    x45 = r1*x44
-    x46 = r0**(-3)
-    x47 = x19*x46
-    x48 = x0*x47
-    x49 = 2*x48
-    x50 = 4*x1
-    x51 = j2*x50
-    x52 = x3*x51
-    x53 = r1*x14
-    x54 = -x52 - 3*x53
-    x55 = x2*x3
-    x56 = -j2*x55 - 2*x53
-    x57 = r1*x13
-    x58 = 4*x8
-    x59 = j2*x39
-    x60 = w1*x3
-    x61 = -x3*x58 + x59*x60
-    x62 = x27*x57 + x61
-    x63 = j2*x33
-    x64 = x3*x63
-    x65 = x50*x57
-    x66 = w1*x64 + w1*x65 - w2*x55
-    x67 = x11*x50
-    x68 = x0*x46
-    x69 = x26*x68
-    x70 = r1*x69 + x13*x67 - 2*x42
-    x71 = x15*x68
-    x72 = w1*x71 + x11*x44 - x42
-    x73 = 36*j2*x9 - x50*x7
-    x74 = -x16 - x52
-    x75 = j2*x65 - 2*x43 + 4*x48
-    x76 = j2*x44
-    x77 = r1*x76 + x49
-    x78 = -x43 + x77
-    x79 = j3*x33
-    x80 = x33*x7
-    x81 = -x31 + x80
-    x82 = j2*x81
-    x83 = -x2*x25 + x2*x28 + x79 + x82
-    x84 = 18*x9
-    x85 = -x37 + x80
-    x86 = j2*x85 + j3*x84 - x25*x50 + x28*x50 + x82
-    x87 = x64 + x65
-    x88 = x71 + x76
-    x89 = j2*x87 - j3*x55 + r1*x88 - 3*x43 + x77
-    x90 = r3*x14
-    x91 = x57*x63
-    x92 = x47*x50
-    x93 = 2*r2*x1*x13 - x91 - x92
-    x94 = r1*x46
-    x95 = r0**(-4)
-    x96 = 6*x0
-    x97 = x19*x95*x96
-    x98 = 2*r2*x0*x46 - x51*x94 - x97
-    x99 = j2*x93 + j3*x45 + r1*x98 + r2*x88 - x90
-    x100 = j3*x30
-    x101 = x25*x33
-    x102 = x28*x33
-    x103 = j1**(-6)
-    x104 = 120*j2*x103 - x30*x7
-    x105 = j2*x104 - x100 + x101 - x102
-    x106 = j2*x105 + j3*x85 + j4*x33 + r1*x93 + r2*x87 - r3*x55
-    x107 = 24*x9
-    x108 = j4*w1
-    x109 = r3*x3
-    x110 = w1*x5
-    x111 = x110*x57 + x61
-    x112 = r1*w2*x44 - w1*x91 - w1*x92
-    x113 = r2*w1*x44 + x112
-    x114 = r2*x13
-    x115 = w1*x50
-    x116 = -w1*x57*x59 - x110*x47 + x114*x115 + x57*x58
-    x117 = x10*x30
-    x118 = j2*(120*j2*w1*x103 - x117) + w2*x81
-    x119 = 240*j2*w1*x103 - w2*x30 - x117
-    x120 = w1*x39
-    x121 = j2*x119 + w2*x85 + w3*x84 + x118 + x120*x25 - x120*x28 - 72*x24*x29
-    x122 = w3*x14
-    x123 = x24*x44
-    x124 = w1*x13
-    x125 = 12*r1
-    x126 = 2*x68
-    x127 = r1*w2*x126 - w1*x97 - x67*x94
-    x128 = 6*w2*x3*x9 - x120*x57 - x3*x32
-    x129 = 2*w2*x1*x13 - x110*x94 - x124*x63
-    x130 = j2*x128 + r1*x129 + w2*x87 - w3*x55 + x112 + x114*x27 + x60*x79
-    x131 = -w1*x0*x125*x95 + 2*w2*x0*x46 - x46*x67
-    x132 = j2*x129 + r1*x131 + r2*x69 + w2*x88 - x122 + x123 + x127
-    x133 = r4*w1
-    x134 = r1*w3
-    x135 = r3*w1
-    x136 = w1*x33
-    x137 = 24*j2*r1*w1*x13*x29 + 12*w1*x19*x46*x9 - x114*x136 - x35*x57
-    x138 = 12*j2*r1*w1*x46*x9 - r2*x115*x46 + 12*w1*x1*x19*x95 - x58*x94
-    x139 = j2*x137 + r1*x138 + r2*x129 - w1*x57*x79 + w2*x93 + x134*x44 + x135*x44
-    x140 = x95*x96
-    x141 = 120*x103
-    x142 = w1*x30
-    return j2*(j2*(j2*(j2*(x10*x141 - 720*x11/j1**7) + w2*x104 - w3*x30 + x141*x24 - x142*x25 + x142*x28) + j3*x119 + r1*x137 + r2*x128 + w2*x105 + w3*x85 + w4*x33 - x108*x30 + x109*x136) + j3*x121 + j4*x41 + j5*x136 + r1*x139 + r2*x130 + r3*x62 + w2*x106 + w3*x86 + w4*x23 - w5*x2 - x133*x55) + j3*(j2*x121 + j2*(-w1*x100 + w1*x101 - w1*x102 + w3*x33 + x118) + j3*x38 + j3*(w2*x107 + x10*x39 - 144*x40) + r1*x113 + r1*x116 + r2*x111 + r2*x66 + w2*x83 + w2*x86 + w3*x22 + w3*x73 - w4*x5 + x107*x108 - x109*x27) + j4*(j2*x38 + j2*x41 + j2*(-x32 + x34) + w2*x21 + w2*x22 + w2*x23 - w3*x17 + 36*x24*x9 - x25*x27 + x27*x28) + j5*(24*j2*w1*x9 - x10*x2 - 6*x8) - j6*w1*x2 + r1*(j2*x139 + j3*x116 + r1*(j2*x138 + r1*(12*j2*r1*w1*x1*x95 - r1*w2*x140 - r2*w1*x140 + 24*w1*x0*x19/r0**5) + r2*x131 + w2*x98 + x126*x134 + x126*x135 - x24*x50*x94) + r2*x132 + r3*x70 + w2*x99 + w3*x75 - w4*x53 + x108*x45 - x133*x14) + r2*(j2*x113 + j2*x130 + j3*x111 - r1*x122 + r1*x123 + r1*x132 + r1*(r2*w1*x126 + x127) + r2*x72 + r2*(w1*x125*x68 + x124*x6 - 4*x42) - 4*w1*x90 + w2*x78 + w2*x89 + w3*x74 + w4*x4 - x108*x55) + r3*(j2*x62 + j2*x66 - r1*x42 + r1*x70 + r1*x72 + w1*x49 + w2*x54 + w2*x56 + w3*x18 + x11*x45 - x12*x24 - x26*x43) + r4*(-w1*x16 + 3*w2*x0*x3 - x11*x12) + r5*w1*x4 + w2*(j2*x106 + j3*x86 + j4*x23 - j5*x2 + r1*x99 + r2*x89 + r3*x54 + r4*x4) + w3*(j2*x83 + j2*x86 + j3*x22 + j3*x73 - j4*x5 + r1*x75 + r1*x78 + r2*x56 + r2*x74 + r3*x18) + w4*(j2*x21 + j2*x22 + j2*x23 - j3*x17 + r2*x18 - 3*x14*x19) + w5*(x0*x7 - x6) + w6*x0
-
-
-def _no_pressure_b0(r0, r1, r2, r3, r4, r5, r6, w0, w1, w2, w3, w4, w5, w6, j0, j1, j2, j3, j4, j5, j6, a0, a1, a2, a3, a4, a5, a6, b0, b1, b2, b3, b4, b5, b6):
-    x0 = j1**(-2)
-    x1 = 2/j1**3
-    x2 = r1/r0
-    return a1*(-j2*x1 + x0*x2) + a2*x0 - w1*w2*x1 + w1*(-x1*(w1*x2 + w2) + 6*j2*w1/j1**4)
-
-
-def _no_pressure_b1(r0, r1, r2, r3, r4, r5, r6, w0, w1, w2, w3, w4, w5, w6, j0, j1, j2, j3, j4, j5, j6, a0, a1, a2, a3, a4, a5, a6, b0, b1, b2, b3, b4, b5, b6):
-    x0 = j1**(-2)
-    x1 = j1**(-3)
-    x2 = 2*x1
-    x3 = 1/r0
-    x4 = r1*x3
-    x5 = j1**(-4)
-    x6 = w1**2
-    x7 = a1*x0
-    x8 = r0**(-2)
-    x9 = 6*x5
-    x10 = w1*x4 + w2
-    x11 = 6*j2*x5 - x2*x4
-    return a2*(-j2*x2 + x0*x4) + a3*x0 + j2*(a1*x11 - a2*x2 + w1*w2*x9 + w1*(x10*x9 - 24*j2*w1/j1**5)) + j3*(-a1*x2 + 6*x5*x6) + r1*(2*r1*x1*x6*x8 - r1*x7*x8) + r2*(-x2*x3*x6 + x3*x7) - 4*w1*w3*x1 + w2*(j2*w1*x9 + w1*x11 - w2*x2 - x10*x2)
-
-
-def _no_pressure_b2(r0, r1, r2, r3, r4, r5, r6, w0, w1, w2, w3, w4, w5, w6, j0, j1, j2, j3, j4, j5, j6, a0, a1, a2, a3, a4, a5, a6, b0, b1, b2, b3, b4, b5, b6):
-    x0 = j1**(-2)
-    x1 = j1**(-3)
-    x2 = 4*x1
-    x3 = w1*x2
-    x4 = 1/r0
-    x5 = x0*x4
-    x6 = 2*x1
-    x7 = a1*x6
-    x8 = j1**(-4)
-    x9 = w1**2
-    x10 = x6*x9
-    x11 = r1**2
-    x12 = r0**(-2)
-    x13 = x0*x12
-    x14 = r1*x4
-    x15 = 6*j2*x8 - x14*x6
-    x16 = 18*x8
-    x17 = w1*x14 + w2
-    x18 = w1*w2
-    x19 = 6*x8
-    x20 = 24/j1**5
-    x21 = a1*x19 - x20*x9
-    x22 = j2*x20
-    x23 = -w1*x22 + x17*x19
-    x24 = a1*x13
-    x25 = x18*x2
-    x26 = -x4*x7 + 6*x4*x8*x9
-    x27 = 2*x1*x12*x9 - x24
-    x28 = r1*x12
-    x29 = -x19*x28*x9 + x28*x7
-    x30 = r1/r0**3
-    x31 = 12*w1*x8
-    x32 = x14*x19 - x22
-    x33 = w1*x32 + w2*x19 + x23
-    return a2*(j2*x15 - j3*x6 + r2*x5 - x11*x13) + a3*(-j2*x2 + r1*x5) + a4*x0 + j2*(a2*x15 - a3*x6 + j2*(a1*x32 + a2*x19 + w1*(-x17*x20 + 120*j2*w1/j1**6) - x18*x20) + j3*x21 + r1*x29 + r2*x26 + w2*x33 + w3*x31) + j3*(a1*x15 - a2*x2 + j2*x21 + w1*x23 + x16*x18) + j4*(-x7 + 6*x8*x9) + r1*(-a2*r1*x13 + j2*x29 + r1*(2*a1*x0*x30 - x2*x30*x9) + r2*x27 + x25*x28) + r2*(a2*x5 + j2*x26 + r1*x10*x12 - r1*x24 + r1*x27 - x25*x4) + r3*(a1*x5 - x10*x4) + w2*(j2*x33 + j3*x31 - r2*x3*x4 + w2*(12*j2*x8 - x14*x2) - w3*x2 + x11*x12*x3) + w3*(j2*w1*x16 + w1*x15 - 6*w2*x1 - x17*x6) - w4*x3
-
-
-def _no_pressure_c0(r0, r1, r2, r3, r4, r5, r6, w0, w1, w2, w3, w4, w5, w6, j0, j1, j2, j3, j4, j5, j6, a0, a1, a2, a3, a4, a5, a6, b0, b1, b2, b3, b4, b5, b6):
-    x0 = j1**(-2)
-    x1 = j1**(-3)
-    x2 = 2*x1
-    x3 = r1/r0
-    x4 = j1**(-4)
-    x5 = 6*x4
-    x6 = w1*x3 + w2
-    x7 = 6*j2*x4 - x2*x3
-    return a1*(j2*w1*x5 + w1*x7 - w2*x2 - x2*x6) - 4*a2*w1*x1 + b1*(-j2*x2 + x0*x3) + b2*x0 + w1*(a1*x7 - a2*x2 + w1*w2*x5 + w1*(x5*x6 - 24*j2*w1/j1**5)) + w2*(-a1*x2 + 6*w1**2*x4)
-
-
-NO_PRESSURE = {
-    "a0": _no_pressure_a0,
-    "a1": _no_pressure_a1,
-    "a2": _no_pressure_a2,
-    "a3": _no_pressure_a3,
-    "a4": _no_pressure_a4,
-    "b0": _no_pressure_b0,
-    "b1": _no_pressure_b1,
-    "b2": _no_pressure_b2,
-    "c0": _no_pressure_c0,
 }

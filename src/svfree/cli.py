@@ -34,6 +34,7 @@ from .galerkin import (
     assemble_mass,
     assemble_stiffness,
     energy_identity_residual,
+    n_steps_for,
     solve_linearized,
 )
 from .jet import E_SUMMAND_WEIGHTS, LOW_SUMMAND_WEIGHTS
@@ -96,7 +97,7 @@ class RunConfig:
     emit: dict = field(default_factory=lambda: dict(_EMIT_DEFAULTS))
 
     def n_steps(self) -> int:
-        return round(self.t_final / self.dt)
+        return n_steps_for(self.t_final, self.dt)
 
     def picard_settings(self) -> picard.PicardSettings:
         return picard.PicardSettings(
@@ -158,11 +159,7 @@ def _validate_config(cfg: RunConfig) -> RunConfig:
     if not isinstance(cfg.out_dir, str):
         raise ConfigurationError(f"config field 'out_dir' must be a string, got {cfg.out_dir!r}")
     _check_run_size(cfg.t_final, cfg.dt, cfg.n_nodes)
-    steps = cfg.t_final / cfg.dt
-    if abs(steps - round(steps)) > 1e-9 * max(1.0, steps) or round(steps) < 1:
-        raise ConfigurationError(
-            f"config fields 't_final'/'dt' must divide evenly, got {cfg.t_final}/{cfg.dt}"
-        )
+    n_steps_for(cfg.t_final, cfg.dt)
     if cfg.scheme not in _SCHEMES:
         raise ConfigurationError(f"config field 'scheme' must be one of {_SCHEMES}, got {cfg.scheme!r}")
     if cfg.solver not in _SOLVERS:
@@ -215,6 +212,19 @@ def load_config(path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config file {p} is not valid JSON: {exc}") from exc
     return config_from_dict(data)
+
+
+def _out_dir(cfg: RunConfig) -> Path:
+    """The report directory, $SVFREE_OUT or the config's out_dir, created if missing."""
+    out = Path(os.environ.get(OUT_DIR_ENV, cfg.out_dir))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"config field 'out_dir' (or ${OUT_DIR_ENV}) names {str(out)!r}, "
+            f"which cannot be made a directory: {exc.strerror}"
+        ) from None
+    return out
 
 
 def build_problem(cfg: RunConfig):
@@ -314,7 +324,6 @@ def emit_report(kind: str, data, path) -> Path:
     if writer is None:
         raise ConfigurationError(f"unknown report kind {kind!r}")
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     text = writer(data)
     try:
         path.write_text(text)
@@ -360,8 +369,7 @@ def run_simulation(cfg: RunConfig) -> RunSummary:
     summary with converged=false) before propagating.
     """
     t0 = time.perf_counter()
-    out = Path(os.environ.get(OUT_DIR_ENV, cfg.out_dir))
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     grid, profile, u0 = build_problem(cfg)
 
     sol = None
@@ -690,8 +698,7 @@ def run_sweep(cfg: RunConfig, spec: str) -> list:
         _check_run_size(t_final, cfg.dt, cfg.n_nodes)
         steps = max(1, round(t_final / cfg.dt))
         points.append(dataclasses.replace(cfg.picard_settings(), t_final=steps * cfg.dt))
-    out = Path(os.environ.get(OUT_DIR_ENV, cfg.out_dir))
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     grid, profile, u0 = build_problem(cfg)
     rows = [_sweep_row(profile, u0, settings) for settings in points]
     emit_report("sweep", rows, out / "sweep.csv")
@@ -769,7 +776,7 @@ def main(argv=None) -> int:
             )
             return EXIT_OK
         if args.command == "verify":
-            out = Path(os.environ.get(OUT_DIR_ENV, cfg.out_dir))
+            out = _out_dir(cfg)
             checks = run_verification_suite(cfg, out_path=out / "verification.json")
             width = max(len(c.name) for c in checks)
             for c in checks:

@@ -67,8 +67,8 @@ def fd_oracle_solve(
     u0: AnalyticField,
     t_final: float,
     dt: float,
-    zero_forcing: bool = False,
 ) -> FDTrajectory:
+    """March the nonlinear equation, pressure flux included, over [0, t_final]."""
     from scipy.linalg import solve_banded  # only FD runs load scipy
 
     if profile.kind == "distance":
@@ -111,9 +111,8 @@ def fd_oracle_solve(
         ab[3, :-2] = -alpha[:-1]        # subdiagonal, interior rows
         ab[2, 1:-1] = inv_dt + alpha[1:] + alpha[:-1]
         rhs[1:-1] = inv_dt * v[m, 1:-1]
-        if not zero_forcing:
-            g_mid = rho2_mid / jac**2
-            rhs[1:-1] -= (g_mid[1:] - g_mid[:-1]) / h
+        g_mid = rho2_mid / jac**2
+        rhs[1:-1] -= (g_mid[1:] - g_mid[:-1]) / h
         # left boundary row: -3 v0 + 4 v1 - v2 = 0
         ab[2, 0] = -3.0
         ab[1, 1] = 4.0

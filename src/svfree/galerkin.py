@@ -244,18 +244,19 @@ def step_linearized(
 
 
 def n_steps_for(t_final: float, dt: float) -> int:
-    """Step count with the t_final/dt integrality check."""
+    """Step count of [0, t_final]: t_final/dt must be a whole number to 1e-9 relative."""
     if dt <= 0 or t_final <= 0:
         raise ConfigurationError(f"t_final={t_final} and dt={dt} must be positive")
-    steps = round(t_final / dt)
-    if steps < 1 or abs(t_final - steps * dt) > 1e-9 * max(1.0, abs(t_final)):
+    ratio = t_final / dt
+    steps = round(ratio)
+    if steps < 1 or abs(ratio - steps) > 1e-9 * max(1.0, ratio):
         raise ConfigurationError(
-            f"t_final={t_final} is not an integer multiple of dt={dt}"
+            f"config fields 't_final'/'dt' must divide evenly, got {t_final}/{dt}"
         )
     return steps
 
 
-def _operator_blocks(profile, basis, eta_x, steps: int, first: int = 0, zero_forcing=False):
+def _operator_blocks(profile, basis, eta_x, steps: int, first: int = 0):
     """Yield (row, stiffness, forcing stacks) for Jacobian rows first..steps, in blocks.
 
     eta_x must broadcast to (steps+1, n_nodes): one nodal row per step time,
@@ -270,8 +271,7 @@ def _operator_blocks(profile, basis, eta_x, steps: int, first: int = 0, zero_for
         ) from None
     for start in range(first, steps + 1, _BLOCK_STEPS):
         block = rows[start:start + _BLOCK_STEPS]
-        force = (np.zeros((len(block), basis.n_modes)) if zero_forcing
-                 else assemble_forcing(profile, basis, block))
+        force = assemble_forcing(profile, basis, block)
         yield start, assemble_stiffness(profile, basis, block), force
 
 
@@ -283,12 +283,12 @@ def solve_linearized(
     dt: float,
     n_modes: int,
     scheme: str = "implicit-euler",
-    zero_forcing: bool = False,
     basis: GalerkinBasis | None = None,
     lam0: np.ndarray | None = None,
 ) -> ModalTrajectory:
     """March the modal system over [0, t_final] against a frozen flow guess.
 
+    F is the pressure forcing (rho0^2 / eta_bar_x^2)_x, which every run includes.
     eta_x is the nodal Jacobian of the guess flow at the step times: an array
     that broadcasts to (steps+1, n_nodes), so one row serves every step. lam0
     overrides the initial modal coefficients (windowed restarts hand over
@@ -306,7 +306,7 @@ def solve_linearized(
     # operators of row m are the "next" ones of step m and the "current" ones
     # of step m + 1 (Crank-Nicolson), also across block seams
     cur = (None, None)
-    for start, stiff, force in _operator_blocks(profile, basis, eta_x, steps, 0, zero_forcing):
+    for start, stiff, force in _operator_blocks(profile, basis, eta_x, steps):
         for k, ops in enumerate(zip(stiff, force)):
             m = start + k
             if m > 0:

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._jet_generated import ARGUMENTS, NO_PRESSURE, PRESSURE
+from ._jet_generated import ARGUMENTS, PRESSURE
 from ._jet_generated import DEPTH as _DEPTH
 from ._series import N_TERMS, LaurentSeries
 from .errors import UnsupportedOperationError, ValidationError
@@ -54,8 +54,7 @@ log = logging.getLogger(__name__)
 
 _ATOM_ORDERS = 6 + N_TERMS
 
-# the compiled outputs of each pressure flag, in evaluation order
-_COMPILED = {True: PRESSURE, False: NO_PRESSURE}
+# the names of the compiled outputs, in evaluation order
 _OUTPUTS = tuple(PRESSURE)
 # the argument position of each output that later outputs consume
 _FED_BACK = {name: i for i, name in enumerate(ARGUMENTS) if name in _OUTPUTS}
@@ -79,19 +78,18 @@ def _atom_series(atoms: np.ndarray) -> list[LaurentSeries]:
     return [LaurentSeries.from_derivatives(atoms[:, k:]) for k in range(_DEPTH)]
 
 
-def _outputs(include_pressure: bool, r, w, j) -> dict:
+def _outputs(r, w, j) -> dict:
     """Every recursion output from the r, w and j arguments, each output fed to the later ones."""
-    fns = _COMPILED[include_pressure]
     args = [*r, *w, *j, *[None] * (2 * _DEPTH)]
     out = {}
     for name in _OUTPUTS:
-        out[name] = fns[name](*args)
+        out[name] = PRESSURE[name](*args)
         if name in _FED_BACK:
             args[_FED_BACK[name]] = out[name]
     return out
 
 
-def _endpoint_pass(profile: HeightProfile, w_atoms, j_atoms, include_pressure=True) -> dict:
+def _endpoint_pass(profile: HeightProfile, w_atoms, j_atoms) -> dict:
     """Endpoint series of w0..w6 (the spatial derivatives of v) and of every recursion output.
 
     ``w_atoms`` and ``j_atoms`` hold (rows, _ATOM_ORDERS) Taylor data of v
@@ -106,13 +104,13 @@ def _endpoint_pass(profile: HeightProfile, w_atoms, j_atoms, include_pressure=Tr
     for side in (0, 1):
         w = _atom_series(w_atoms[side])
         j = _atom_series(j_atoms[side])
-        out = _outputs(include_pressure, _profile_series(profile, side), w, j)
+        out = _outputs(_profile_series(profile, side), w, j)
         sides.append({**{f"w{k}": w[k] for k in range(_DEPTH)}, **out})
     left, right = sides
     return {name: (left[name], right[name]) for name in left}
 
 
-def _interior_pass(profile: HeightProfile, w, j, include_pressure=True) -> dict[str, np.ndarray]:
+def _interior_pass(profile: HeightProfile, w, j) -> dict[str, np.ndarray]:
     """(rows, n - 2) values of every recursion output on the interior nodes.
 
     ``w`` and ``j`` are (rows, _DEPTH, n) nodal stacks of v and eta; each
@@ -122,22 +120,21 @@ def _interior_pass(profile: HeightProfile, w, j, include_pressure=True) -> dict[
     check_jacobian(j[:, 1])
     inner = slice(1, -1)
     return _outputs(
-        include_pressure,
         [profile.derivative_values(k)[inner] for k in range(_DEPTH)],
         w[:, :, inner].swapaxes(0, 1),
         j[:, :, inner].swapaxes(0, 1),
     )
 
 
-def _jets(profile: HeightProfile, w, j, w_atoms, j_atoms, include_pressure=True):
+def _jets(profile: HeightProfile, w, j, w_atoms, j_atoms):
     """One instant's recursion outputs on every node, and the outputs with an endpoint pole.
 
     The one-row case of both passes: endpoint values are the finite parts of
     the output series, and poles maps each output whose series keeps a pole
     at either end to its (left, right) flags.
     """
-    series = _endpoint_pass(profile, w_atoms, j_atoms, include_pressure)
-    interior = _interior_pass(profile, w, j, include_pressure)
+    series = _endpoint_pass(profile, w_atoms, j_atoms)
+    interior = _interior_pass(profile, w, j)
     values, poles = {}, {}
     for name in _OUTPUTS:
         left, right = series[name]
@@ -259,7 +256,7 @@ def time_derivatives_along(traj, t: float) -> TimeJet:
     _require_spectral(traj)
     idx = [traj.index_of(t)]
     stacks, atoms = _nodal_stacks(traj, idx), _endpoint_atoms(traj, idx)
-    out, poles = _jets(traj.profile, *stacks, *atoms, not traj.zero_forcing)
+    out, poles = _jets(traj.profile, *stacks, *atoms)
     return TimeJet(
         t=t,
         dt_v=out["a0"],
@@ -343,8 +340,7 @@ def _squares(traj, rows) -> tuple[np.ndarray, np.ndarray]:
     """
     profile = traj.profile
     grid = profile.grid
-    include_pressure = not traj.zero_forcing
-    series = _endpoint_pass(profile, *_endpoint_atoms(traj, rows), include_pressure)
+    series = _endpoint_pass(profile, *_endpoint_atoms(traj, rows))
     ends = np.empty((len(_SQUARES), 2, len(rows)))
     pole = np.zeros(len(rows), dtype=bool)
     for c, (source, weight) in enumerate(_SQUARES):
@@ -359,7 +355,7 @@ def _squares(traj, rows) -> tuple[np.ndarray, np.ndarray]:
     for start in range(0, len(rows), step):
         chunk = slice(start, start + step)
         w, j = _nodal_stacks(traj, rows[chunk])
-        fields = _interior_pass(profile, w, j, include_pressure)
+        fields = _interior_pass(profile, w, j)
         fields.update((f"w{k}", w[:, k, 1:-1]) for k in range(_DEPTH))
         integrand = np.empty((len(w), grid.n_nodes))
         for c, (source, weight) in enumerate(_SQUARES):

@@ -71,7 +71,6 @@ class SolutionTrajectory(ModalTrajectory):
     flow_coeffs: np.ndarray
     profile: HeightProfile
     history: list
-    zero_forcing: bool
     eta_x_min: float
     eta_x_max: float
 
@@ -103,7 +102,6 @@ class PicardSettings:
     picard_tol: float = 1e-10
     max_iter: int = 50
     scheme: str = "implicit-euler"
-    zero_forcing: bool = False
     initial_guess: str = "u0"  # or "identity"
     windows: int = 1
 
@@ -166,7 +164,7 @@ def _solve_window(
     for it in range(1, settings.max_iter + 1):
         traj = solve_linearized(
             profile, u0, eta_x, settings.t_final, settings.dt,
-            settings.n_modes, settings.scheme, settings.zero_forcing,
+            settings.n_modes, settings.scheme,
             basis=basis, lam0=lam0,
         )
         mu = mu0[None, :] + _integrate_flow_coeffs(traj)
@@ -223,7 +221,6 @@ def solve_nonlinear(
         basis=basis,
         profile=profile,
         history=history,
-        zero_forcing=settings.zero_forcing,
         eta_x_min=float(np.min(eta_x)),
         eta_x_max=float(np.max(eta_x)),
     )

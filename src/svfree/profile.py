@@ -390,12 +390,13 @@ def sample_height_profile(kind: str, params: dict | None, grid: Grid) -> HeightP
         params = _known_params(params, "custom profile", "expr")
         if "expr" not in params:
             raise ConfigurationError("custom profile needs an 'expr' entry")
-        tmp = _AnalyticBase(params["expr"], grid)
-        vals = tmp.derivative_values(0)
+        # c1 and c2 are read off the built profile, so the expression is parsed once
+        profile = HeightProfile("custom", params["expr"], grid, c1=math.nan, c2=math.nan)
+        vals = profile.values
         _check_vanishes_on_boundary_only(vals)
         d = _distance_values(grid)
         ratio = vals[1:-1] / d[1:-1]
-        d1 = tmp.derivative_values(1)
+        d1 = profile.derivative_values(1)
         slopes = [abs(d1[0]), abs(d1[-1])]
         c1 = min(float(np.min(ratio)), *slopes)
         c2 = max(float(np.max(ratio)), *slopes)
@@ -404,7 +405,7 @@ def sample_height_profile(kind: str, params: dict | None, grid: Grid) -> HeightP
                 "custom profile violates the physical vacuum condition "
                 "(vanishing or unbounded slope at an endpoint)"
             )
-        profile = HeightProfile("custom", params["expr"], grid, c1=c1, c2=c2)
+        profile.c1, profile.c2 = c1, c2
     else:
         raise ConfigurationError(f"unknown profile kind {kind!r}")
     _validate_vacuum_profile(profile)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import tempfile
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from svfree.cli import (
     ENERGY_COLUMNS,
+    RunConfig,
     RunSummary,
     config_from_dict,
     emit_report,
@@ -20,7 +22,8 @@ from svfree.cli import (
     run_verification_suite,
 )
 from svfree.errors import ConfigurationError
-from svfree.picard import ContractionReport
+from svfree.galerkin import n_steps_for
+from svfree.picard import ContractionReport, PicardSettings
 from svfree.profile import build_grid
 
 SMALL = {
@@ -62,6 +65,20 @@ class TestLoadConfig:
     def test_nonuniform_step_split_rejected(self):
         with pytest.raises(ConfigurationError, match="t_final"):
             config_from_dict({"t_final": 0.05, "dt": 3e-4})
+
+    def test_config_and_solver_share_one_step_count_rule(self):
+        # 500 steps of 1e-4 miss this t_final by 3e-10: the times a solver stores
+        # for it do not hold its own step time 500 * dt = 0.05
+        t_final = 0.05 + 3e-10
+        with pytest.raises(ConfigurationError, match="'t_final'/'dt'"):
+            n_steps_for(t_final, 1e-4)
+        with pytest.raises(ConfigurationError, match="'t_final'/'dt'"):
+            config_from_dict({"t_final": t_final, "dt": 1e-4})
+
+    def test_every_solver_setting_is_a_config_field(self):
+        # a PicardSettings field that RunConfig lacks is a knob no run can set
+        settings = {f.name for f in dataclasses.fields(PicardSettings)}
+        assert settings <= {f.name for f in dataclasses.fields(RunConfig)}
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown"):
@@ -258,6 +275,17 @@ class TestMainExitCodes:
         cfg = _write_config(tmp_path, {**SMALL, "u0": {"kind": "custom", "expr": expr}})
         assert main(["simulate", "--config", str(cfg)]) == 3
         assert f"'expr' {expr!r} is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["simulate"], ["verify"], ["sweep", "T=0.002:0.004:2"]])
+    @pytest.mark.parametrize("inside", [False, True])
+    def test_out_dir_that_cannot_be_made_is_3(self, tmp_path, monkeypatch, capsys, argv, inside):
+        # a regular file where the directory, or one of its parents, should be
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        monkeypatch.setenv("SVFREE_OUT", str(blocker / "out" if inside else blocker))
+        cfg = _write_config(tmp_path, SMALL)
+        assert main([*argv, "--config", str(cfg)]) == 3
+        assert "'out_dir'" in capsys.readouterr().err
 
     def test_simulate_ok_is_0(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SVFREE_OUT", str(tmp_path / "out"))

@@ -29,7 +29,7 @@ def _solution_from_modal(traj, profile):
     eta_x = 1.0 + mu @ traj.basis.table(1)
     return SolutionTrajectory(
         times=traj.times, coeffs=traj.coeffs, dt=traj.dt, basis=traj.basis,
-        flow_coeffs=mu, profile=profile, history=[], zero_forcing=False,
+        flow_coeffs=mu, profile=profile, history=[],
         eta_x_min=float(np.min(eta_x)), eta_x_max=float(np.max(eta_x)),
     )
 

@@ -215,12 +215,6 @@ class TestStepping:
 
 
 class TestSolveLinearized:
-    def test_zero_data_zero_forcing_stays_zero(self, grid201, para201, u0zero201):
-        traj = solve_linearized(
-            para201, u0zero201, np.ones(201), 0.01, 1e-3, 8, zero_forcing=True
-        )
-        assert np.all(traj.coeffs == 0.0)
-
     @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
     def test_blocked_march_matches_per_step_reference(self, grid201, para201, scheme):
         # 300 steps span three assembly blocks, the last one partial; a

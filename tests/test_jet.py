@@ -127,16 +127,6 @@ class TestTimeDerivativesAlong:
             scale = max(1.0, np.max(np.abs(b[1:-1])))
             assert np.max(np.abs(a[1:-1] - b[1:-1])) < 1e-10 * scale
 
-    def test_zero_forcing_fixture_all_zero(self, para201, u0zero201):
-        sol = solve_nonlinear(
-            para201,
-            u0zero201,
-            PicardSettings(t_final=0.005, dt=1e-3, n_modes=8, zero_forcing=True),
-        )
-        tj = time_derivatives_along(sol, 0.005)
-        for f in (tj.dt_v, tj.dt2_v, tj.dt3_v, tj.dt_vx, tj.dt_vxx):
-            assert np.all(f == 0.0)
-
     def test_small_time_continuity(self, canonical_solution, grid401, para401):
         # dt_v(dt) = g1 + O(t) in the weighted norm; the pointwise defect is
         # boundary-localized spectral truncation, so weighted L2 is the
@@ -161,16 +151,6 @@ class TestTimeDerivativesAlong:
 
 
 class TestEnergy:
-    def test_zero_trajectory_zero_energy(self, para201, u0zero201):
-        sol = solve_nonlinear(
-            para201,
-            u0zero201,
-            PicardSettings(t_final=0.004, dt=1e-3, n_modes=8, zero_forcing=True),
-        )
-        rep = energy_high(sol, 0.004)
-        assert rep.E_total == 0.0
-        assert rep.lowE_total == 0.0
-
     def test_initial_summand_closed_form(self, canonical_solution):
         # || sqrt(rho0) g1 ||^2 = int x(1-x) 4(1-2x)^2 dx = 2/15
         rep = energy_high(canonical_solution, 0.0)
@@ -312,8 +292,8 @@ def test_two_passes_match_one_row_evaluation(small_solution, canonical_solution,
     chunks = []
     one_row = jet._interior_pass
 
-    def record(profile, w, j, include_pressure=True):
-        out = one_row(profile, w, j, include_pressure)
+    def record(profile, w, j):
+        out = one_row(profile, w, j)
         chunks.append(out)
         return out
 
@@ -325,7 +305,7 @@ def test_two_passes_match_one_row_evaluation(small_solution, canonical_solution,
         values = np.concatenate([out[name] for out in chunks])
         assert len(values) == len(rows)
         for r, row in zip(rows, values):
-            alone = one_row(sol.profile, *jet._nodal_stacks(sol, [r]), not sol.zero_forcing)
+            alone = one_row(sol.profile, *jet._nodal_stacks(sol, [r]))
             assert np.array_equal(row, alone[name][0]), name
 
     m0 = reports[0].M0
@@ -372,8 +352,8 @@ def test_energy_reports_reject_a_degenerate_flow_map(small_solution):
 
 
 @settings(max_examples=25)
-@given(data=st.data(), include_pressure=st.booleans())
-def test_compiled_outputs_agree_on_rows_and_constant_series(small_solution, data, include_pressure):
+@given(data=st.data())
+def test_compiled_outputs_agree_on_rows_and_constant_series(small_solution, data):
     # one compiled function per output serves the interior rows and the
     # endpoint series: on constant series of one node's inputs it must give
     # that node's row value. The series divide as x * (1/y) and take powers
@@ -387,7 +367,7 @@ def test_compiled_outputs_agree_on_rows_and_constant_series(small_solution, data
     node = data.draw(st.integers(10, n - 11), label="node")
     w, j = jet._nodal_stacks(sol, [row])
     # interior values: column i is node i + 1
-    out = jet._interior_pass(sol.profile, w, j, include_pressure)
+    out = jet._interior_pass(sol.profile, w, j)
     inputs = [
         *(sol.profile.derivative_values(k)[node] for k in range(jet._DEPTH)),
         *w[0, :, node],
@@ -395,9 +375,8 @@ def test_compiled_outputs_agree_on_rows_and_constant_series(small_solution, data
         *[0.0] * (2 * jet._DEPTH),
     ]
     args = [LaurentSeries.constant(v) for v in inputs]
-    fns = jet._COMPILED[include_pressure]
     for name in jet._OUTPUTS:
-        series = fns[name](*args)
+        series = _jet_generated.PRESSURE[name](*args)
         values = out[name][0, 9 : n - 11]
         assert not series.has_pole(), name
         assert abs(series.finite_part() - out[name][0, node - 1]) <= 1e-12 * np.max(np.abs(values)), name
@@ -410,7 +389,6 @@ def test_generated_module_is_fresh():
     # today, and each function needs no name from any namespace
     assert _jet_derive.GENERATED.read_bytes() == _jet_derive.render().encode()
     assert _jet_generated.ARGUMENTS == tuple(s.name for s in _jet_derive._ALL_SYMBOLS)
-    for table in (_jet_generated.PRESSURE, _jet_generated.NO_PRESSURE):
-        assert tuple(table) == jet._OUTPUTS
-        for name, fn in table.items():
-            assert fn.__code__.co_names == (), name
+    assert tuple(_jet_generated.PRESSURE) == jet._OUTPUTS
+    for name, fn in _jet_generated.PRESSURE.items():
+        assert fn.__code__.co_names == (), name

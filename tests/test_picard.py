@@ -114,16 +114,6 @@ class TestContractionMetrics:
 
 
 class TestSolveNonlinear:
-    def test_zero_forcing_converges_in_one_update(self, para201, u0zero201):
-        sol = solve_nonlinear(
-            para201, u0zero201,
-            PicardSettings(t_final=0.005, dt=1e-3, n_modes=8, zero_forcing=True),
-        )
-        assert sol.converged
-        assert sol.iterations == 1
-        assert np.all(sol.coeffs == 0.0)
-        assert np.all(sol.eta_x == 1.0)
-
     def test_flow_map_bound_canonical(self, canonical_solution):
         assert canonical_solution.eta_x_min >= 0.5
         assert canonical_solution.eta_x_max <= 1.5
@@ -204,11 +194,6 @@ class TestSolveNonlinear:
 
 
 class TestFdOracle:
-    def test_zero_fixture_exact(self, para201, u0zero201):
-        fd = fd_oracle_solve(para201, u0zero201, 0.005, 1e-3, zero_forcing=True)
-        assert np.all(fd.v == 0.0)
-        assert np.all(fd.eta == fd.grid.nodes)
-
     def test_oracle_equivalence_with_refinement(self):
         # independent discretizations approach each other under joint refinement
         diffs = []

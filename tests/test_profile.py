@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -80,6 +82,13 @@ class TestHeightProfiles:
     def test_unknown_kind(self, grid201):
         with pytest.raises(ConfigurationError):
             sample_height_profile("gaussian", {}, grid201)
+
+    def test_custom_expression_parsed_and_compiled_once(self, grid201):
+        with mock.patch("svfree.profile._parse_expr", wraps=_parse_expr) as parse, \
+                mock.patch.object(sp, "lambdify", wraps=sp.lambdify) as lambdify:
+            sample_height_profile("custom", {"expr": "x*(1-x)*(1 + x/2)"}, grid201)
+        assert parse.call_count == 1
+        assert lambdify.call_count == 2  # the values and the slopes
 
     def test_hand_built_nonvanishing_boundary_fails_validator(self, grid201):
         # the endpoint snap only removes rounding dust, not a real boundary value

@@ -155,9 +155,13 @@ class ModalTrajectory:
 
 
 def stored_index(times: np.ndarray, dt: float, t: float) -> int:
-    """Index of the stored time t on a uniform time grid with step dt."""
+    """Index of the stored time t on a uniform time grid with step dt.
+
+    t may miss its stored time by the 1e-9 relative slack that n_steps_for
+    gives t_final, so that i*dt finds step i of any grid it accepted.
+    """
     idx = int(round(t / dt)) if dt > 0 else 0
-    if idx < 0 or idx >= len(times) or abs(times[idx] - t) > 1e-10 * max(1.0, abs(t)):
+    if idx < 0 or idx >= len(times) or abs(times[idx] - t) > 1e-9 * max(dt, abs(t), abs(times[idx])):
         raise ConfigurationError(f"t={t} is not a stored time of this trajectory")
     return idx
 

@@ -5,19 +5,21 @@ exactly at both endpoints, and is pinched between multiples of the boundary
 distance d(x) = min(x, 1-x) with a finite nonzero one-sided slope (the
 physical-vacuum condition: the squared sound speed vanishes linearly at the
 boundary). Profiles carry closed-form derivatives so downstream jet formulas
-never see differencing noise.
+never see differencing noise: the built-in kinds in numpy, and a ``custom``
+expression through sympy, which only that kind imports.
 """
 
 from __future__ import annotations
 
 import ast
+import decimal
 import math
 import operator
 import tokenize
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
-import sympy as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, UnsupportedOperationError, ValidationError
@@ -35,8 +37,6 @@ __all__ = [
     "differentiate",
     "fornberg_weights",
 ]
-
-_X = sp.Symbol("x", real=True)
 
 _ZERO_SNAP = 1e-12
 
@@ -120,18 +120,18 @@ def _check_expr_grammar(text: str) -> str:
     return ast.unparse(body)
 
 
-def _parse_expr(expr):
-    """A sympy expression in the module's real symbol x.
+def _parse_expr(expr: str):
+    """A sympy expression in the real symbol x.
 
-    A string must pass the allow-listed grammar before sympy sees it, so it is
-    never run as Python; sympy objects built inside the package pass as they are.
+    The string must pass the allow-listed grammar before sympy sees it, so it
+    is never run as Python.
     """
-    if isinstance(expr, sp.Basic):
-        return expr
+    import sympy as sp
+
     if not isinstance(expr, str):
         raise ConfigurationError(f"'expr' must be a string, got {expr!r}")
     try:
-        return sp.sympify(_check_expr_grammar(expr)).subs(sp.Symbol("x"), _X)
+        return sp.sympify(_check_expr_grammar(expr)).subs(sp.Symbol("x"), sp.Symbol("x", real=True))
     except (SyntaxError, ValueError, TypeError, ArithmeticError, RecursionError,
             sp.SympifyError, tokenize.TokenError) as exc:
         raise ConfigurationError(f"'expr' {expr!r} is not a closed form in x: {exc}") from None
@@ -172,42 +172,168 @@ def build_grid(n_nodes: int) -> Grid:
     return Grid(n_nodes, np.linspace(0.0, 1.0, n_nodes), h, simpson_weights(n_nodes, h))
 
 
-class _AnalyticBase:
-    """Closed-form scalar on the grid with exact derivatives of any order.
+def _not_finite(text: str, order: int, where: str) -> ConfigurationError:
+    return ConfigurationError(f"'expr' {text} is not finite: its derivative of order {order} {where}")
 
-    A derivative that is not finite at a grid node or an endpoint is a
-    ConfigurationError naming 'expr'.
+
+class _ClosedForm(NamedTuple):
+    """A field in closed form, named by text in error messages.
+
+    sample(x, order) is its order-th derivative at the points x (a scalar for
+    a constant); taylor(x0, n) is its one-sided derivatives of orders 0..n-1
+    at the endpoint x0.
     """
 
-    def __init__(self, expr, grid: Grid):
-        self.expr = _parse_expr(expr)
-        # what error messages quote: the config text, which sympy may have reduced
-        self.text = repr(expr) if isinstance(expr, str) else str(self.expr)
-        self.grid = grid
-        self._deriv_cache: dict[int, np.ndarray] = {}
-        self._fn_cache: dict[int, object] = {}
-        self._taylor_cache: dict[float, np.ndarray] = {}
+    text: str
+    sample: Callable[[np.ndarray, int], np.ndarray | float]
+    taylor: Callable[[float, int], np.ndarray]
 
-    def _not_finite(self, order: int, where: str) -> ConfigurationError:
-        return ConfigurationError(
-            f"'expr' {self.text} is not finite: its derivative of order {order} {where}"
-        )
+
+class _Custom:
+    """A custom expression: sympy parses it once and differentiates it on demand."""
+
+    def __init__(self, expr: str):
+        self.expr = _parse_expr(expr)
+        self.text = repr(expr)  # the config text, which sympy may have reduced
+        self._fn_cache: dict[int, object] = {}
 
     def _callable(self, order: int):
         fn = self._fn_cache.get(order)
         if fn is None:
-            d = sp.diff(self.expr, _X, order)
+            import sympy as sp
+
+            d = sp.diff(self.expr, sp.Symbol("x", real=True), order)
             if d.has(sp.zoo, sp.oo, -sp.oo, sp.nan):
-                raise self._not_finite(order, f"(it is {d})")
+                raise _not_finite(self.text, order, f"(it is {d})")
             # the numpy namespace as a module object, not "numpy", which star-imports it
-            fn = sp.lambdify(_X, d, [np])
+            fn = sp.lambdify(sp.Symbol("x", real=True), d, [np])
             self._fn_cache[order] = fn
         return fn
+
+    def sample(self, x: np.ndarray, order: int):
+        return self._callable(order)(x)
+
+    def taylor(self, x0: float, n: int) -> np.ndarray:
+        import sympy as sp
+
+        x = sp.Symbol("x", real=True)
+        derivs = []
+        d = self.expr
+        for _ in range(n):
+            try:
+                derivs.append(float(d.subs(x, sp.Rational(x0))))
+            except (TypeError, ValueError):  # complex infinity, or not a number
+                derivs.append(math.nan)
+            if not math.isfinite(derivs[-1]):
+                break
+            d = sp.diff(d, x)
+        return np.asarray(derivs)
+
+
+# pi to 60 digits: the endpoint data of the trig kinds round c*pi**k once, as
+# sympy's evaluation of the exact derivative does; math.pi**k, the power of a
+# rounded pi, misses that by an ulp (31.006276680299816 for 31.00627668029982
+# at k=3)
+_PI = decimal.Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+_WIDE = decimal.Context(prec=60)
+# how lambdify printed a 53-bit sympy Float into the source it compiled: cut
+# to 18 digits, then rounded half up to 15
+_CUT = decimal.Context(prec=18, rounding=decimal.ROUND_DOWN)
+_PRINTED = decimal.Context(prec=15, rounding=decimal.ROUND_HALF_UP)
+
+
+def _printed(c: float) -> float:
+    return float(_PRINTED.plus(_CUT.plus(decimal.Decimal(c))))
+
+
+def _parabola(a: float) -> _ClosedForm:
+    """a*x*(1-x); at the nodes in the arithmetic of its printed derivatives a*x*(1 - x), a - 2a*x, -2a."""
+    a_p, two_a = _printed(a), _printed(2.0 * a)
+
+    def sample(x, order):
+        if order == 0:
+            return a_p * x * (1 - x)
+        if order == 1:
+            return a_p - two_a * x
+        return -two_a if order == 2 else 0.0
+
+    def taylor(x0, n):
+        out = np.zeros(max(n, 3))
+        out[1:3] = (a if x0 == 0.0 else -a), -2.0 * a
+        return out[:n]
+
+    return _ClosedForm(f"{a!r}*x*(1 - x)", sample, taylor)
+
+
+def _trig(a: float, m: int, phase: int) -> _ClosedForm:
+    """a*sin(m*pi*x) (phase 0) or a*cos(m*pi*x) (phase 1), a != 0.
+
+    The k-th derivative is c_k*pi**k times +-sin or +-cos of m*pi*x. At the
+    nodes c_k is a*m**k, printed as lambdify printed it; at the endpoints it
+    is folded one order at a time, as repeated differentiation does.
+    """
+
+    def turn(k):  # (sign, is_cos) of the k-th derivative in the cycle sin, cos, -sin, -cos
+        quarter = (phase + k) % 4
+        return (-1.0 if quarter >= 2 else 1.0), quarter % 2
+
+    def sample(x, order):
+        sign, is_cos = turn(order)
+        c = sign * _printed(a * m**order) * math.pi**order
+        return c * (np.cos if is_cos else np.sin)(m * math.pi * x)
+
+    def taylor(x0, n):
+        out = np.zeros(n)
+        c = a
+        for k in range(n):
+            sign, is_cos = turn(k)
+            if is_cos:  # sin(m*pi*x0) = 0 at either endpoint; cos is +-1
+                end = -sign if x0 == 1.0 and m % 2 else sign
+                out[k] = float(_WIDE.multiply(decimal.Decimal(end * c), _WIDE.power(_PI, k)))
+            c *= m
+        return out
+
+    return _ClosedForm(f"{a!r}*{('sin', 'cos')[phase]}({m}*pi*x)", sample, taylor)
+
+
+def _distance(x, order):
+    if order == 0:
+        return np.minimum(x, 1.0 - x)
+    if order == 1:
+        return np.where(np.isclose(x, 0.5), 0.0, np.where(x < 0.5, 1.0, -1.0))
+    return 0.0
+
+
+def _distance_taylor(x0, n):
+    out = np.zeros(max(n, 2))
+    out[1] = 1.0 if x0 == 0.0 else -1.0
+    return out[:n]
+
+
+_ZERO = _ClosedForm("0", lambda x, order: 0.0, lambda x0, n: np.zeros(n))
+# the boundary distance: not smooth at the midpoint, so it serves the
+# weighted-norm identity checks, never the solver
+_DISTANCE = _ClosedForm("min(x, 1 - x)", _distance, _distance_taylor)
+
+
+class _AnalyticBase:
+    """Scalar on the grid with exact derivatives of any order.
+
+    expr is a built-in kind's _ClosedForm, or the config text of a custom
+    expression in x. A derivative that is not finite at a grid node or an
+    endpoint is a ConfigurationError naming 'expr'.
+    """
+
+    def __init__(self, expr, grid: Grid):
+        self._form = expr if isinstance(expr, _ClosedForm) else _Custom(expr)
+        self.grid = grid
+        self._deriv_cache: dict[int, np.ndarray] = {}
+        self._taylor_cache: dict[float, np.ndarray] = {}
 
     def sample(self, x, order: int = 0) -> np.ndarray:
         """Evaluate the order-th derivative at arbitrary points."""
         x = np.asarray(x, dtype=float)
-        vals = np.asarray(self._callable(order)(x), dtype=float)
+        vals = np.asarray(self._form.sample(x, order), dtype=float)
         if vals.ndim == 0:
             vals = np.full(x.shape, float(vals))
         return vals
@@ -218,7 +344,7 @@ class _AnalyticBase:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 cached = self.sample(self.grid.nodes, order)
             if not np.all(np.isfinite(cached)):
-                raise self._not_finite(order, "at a grid node")
+                raise _not_finite(self._form.text, order, "at a grid node")
             self._deriv_cache[order] = cached
         return cached
 
@@ -233,18 +359,10 @@ class _AnalyticBase:
         """
         cached = self._taylor_cache.get(x0)
         if cached is None or len(cached) < n:
-            derivs = []
-            d = self.expr
-            for k in range(max(n, N_TERMS)):
-                try:
-                    value = float(d.subs(_X, sp.Rational(x0)))
-                except (TypeError, ValueError):  # complex infinity, or not a number
-                    value = math.nan
-                if not math.isfinite(value):
-                    raise self._not_finite(k, f"at x={x0:g}")
-                derivs.append(value)
-                d = sp.diff(d, _X)
-            cached = np.asarray(derivs)
+            cached = self._form.taylor(x0, max(n, N_TERMS))
+            bad = np.flatnonzero(~np.isfinite(cached))
+            if bad.size:
+                raise _not_finite(self._form.text, int(bad[0]), f"at x={x0:g}")
             self._taylor_cache[x0] = cached
         return cached[:n]
 
@@ -266,7 +384,7 @@ class HeightProfile(_AnalyticBase):
         self.c1 = float(c1)
         self.c2 = float(c2)
         vals = self.derivative_values(0)
-        # snap lambdify dust; a real boundary value stays for the validator to reject
+        # snap rounding dust; a real boundary value stays for the validator to reject
         for i in (0, -1):
             if abs(vals[i]) <= _ZERO_SNAP:
                 vals[i] = 0.0
@@ -275,38 +393,6 @@ class HeightProfile(_AnalyticBase):
         if power == 0:
             return np.ones(self.grid.n_nodes)
         return self.values**power
-
-
-class _DistanceProfile(HeightProfile):
-    """Boundary-distance weight d(x) = min(x, 1-x).
-
-    Not smooth at the midpoint; used by the weighted-norm identity checks,
-    never by the solver.
-    """
-
-    def __init__(self, grid: Grid):
-        _AnalyticBase.__init__(self, sp.Integer(0), grid)  # expr unused
-        self.kind = "distance"
-        self.c1 = 1.0
-        self.c2 = 1.0
-
-    def sample(self, x, order: int = 0) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if order == 0:
-            return np.minimum(x, 1.0 - x)
-        if order == 1:
-            out = np.where(x < 0.5, 1.0, -1.0)
-            return np.where(np.isclose(x, 0.5), 0.0, out)
-        return np.zeros(x.shape)
-
-    def endpoint_derivatives(self, x0: float, n: int = N_TERMS) -> np.ndarray:
-        out = np.zeros(max(n, N_TERMS))
-        out[1] = 1.0 if x0 == 0.0 else -1.0
-        return out[:n]
-
-
-def _distance_values(grid: Grid) -> np.ndarray:
-    return np.minimum(grid.nodes, 1.0 - grid.nodes)
 
 
 def _check_vanishes_on_boundary_only(vals: np.ndarray) -> None:
@@ -328,7 +414,7 @@ def _validate_vacuum_profile(profile: HeightProfile) -> None:
                 "(physical vacuum requires the squared sound speed to vanish "
                 "linearly at the boundary)"
             )
-    d = _distance_values(grid)
+    d = _distance(grid.nodes, 0)
     interior = slice(1, -1)
     lo = profile.c1 * d[interior] - 1e-12
     hi = profile.c2 * d[interior] + 1e-12
@@ -376,16 +462,16 @@ def sample_height_profile(kind: str, params: dict | None, grid: Grid) -> HeightP
         a = _number_param(params, "amplitude", 1.0)
         if a <= 0:
             raise ValidationError("parabolic profile needs amplitude > 0")
-        profile = HeightProfile(kind, a * _X * (1 - _X), grid, c1=a / 2.0, c2=a)
+        profile = HeightProfile(kind, _parabola(a), grid, c1=a / 2.0, c2=a)
     elif kind == "sine":
         params = _known_params(params, "sine profile", "amplitude")
         a = _number_param(params, "amplitude", 1.0)
         if a <= 0:
             raise ValidationError("sine profile needs amplitude > 0")
-        profile = HeightProfile("sine", a * sp.sin(sp.pi * _X), grid, c1=2.0 * a, c2=a * math.pi)
+        profile = HeightProfile(kind, _trig(a, 1, 0), grid, c1=2.0 * a, c2=a * math.pi)
     elif kind == "distance":
         _known_params(params, "distance profile")
-        return _DistanceProfile(grid)
+        return HeightProfile(kind, _DISTANCE, grid, c1=1.0, c2=1.0)
     elif kind == "custom":
         params = _known_params(params, "custom profile", "expr")
         if "expr" not in params:
@@ -394,7 +480,7 @@ def sample_height_profile(kind: str, params: dict | None, grid: Grid) -> HeightP
         profile = HeightProfile("custom", params["expr"], grid, c1=math.nan, c2=math.nan)
         vals = profile.values
         _check_vanishes_on_boundary_only(vals)
-        d = _distance_values(grid)
+        d = _distance(grid.nodes, 0)
         ratio = vals[1:-1] / d[1:-1]
         d1 = profile.derivative_values(1)
         slopes = [abs(d1[0]), abs(d1[-1])]
@@ -416,14 +502,14 @@ def sample_velocity(kind: str, params: dict | None, grid: Grid) -> AnalyticField
     """Build an initial velocity with endpoint-Neumann compatibility u0_x = 0."""
     if kind == "zero":
         _known_params(params, "zero velocity")
-        return AnalyticField(sp.Integer(0), grid, kind)
+        return AnalyticField(_ZERO, grid, kind)
     if kind == "cosine":
         params = _known_params(params, "cosine velocity", "amplitude", "mode")
         a = _number_param(params, "amplitude", 1.0)
         m = params.get("mode", 1)
         if not _is_int(m) or m < 1:
             raise ValidationError(f"cosine velocity needs an integer 'mode' >= 1, got {m!r}")
-        u0 = AnalyticField(a * sp.cos(m * sp.pi * _X), grid, kind)
+        u0 = AnalyticField(_trig(a, m, 1) if a else _ZERO, grid, kind)
     elif kind == "custom":
         params = _known_params(params, "custom velocity", "expr")
         if "expr" not in params:

@@ -1,7 +1,8 @@
 """Every exported name resolves, and so does every call the benchmark tracer wraps.
 
-A Galerkin run loads neither scipy nor, in the jet recursion, sympy, and the
-profile's numpy lambdify does not star-import numpy.
+A Galerkin run loads no scipy, a run from the built-in profile and velocity
+kinds loads no sympy, and a custom expression's numpy lambdify does not
+star-import numpy.
 """
 
 import importlib
@@ -23,12 +24,15 @@ MODULES = sorted(
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
 
-# set up canonical as a run does, then optionally run a short FD solve;
-# prints the scipy modules loaded before and after, the names in svfree.jet
-# bound to sympy objects, and which modules that only `from numpy import *`
-# pulls in were loaded by the set-up
+# set up canonical as a run does, then optionally run a short FD solve, set
+# up the sine config, or build a custom profile; prints the scipy modules
+# loaded before and after, whether sympy was loaded after each stage, the
+# names in svfree.jet bound to sympy objects, and which modules that only
+# `from numpy import *` pulls in were loaded by the set-up
 _IMPORT_PROBE = """
 import json, sys, types
+import svfree
+sympy = {"import": "sympy" in sys.modules}
 from svfree import cli, fd_oracle, jet
 
 def scipy_modules():
@@ -45,13 +49,22 @@ def from_sympy(value):
 
 _, profile, u0 = cli.build_problem(cli.load_config("configs/canonical.json"))
 jet.initial_jet(profile, u0)
+sympy["canonical"] = "sympy" in sys.modules
 before = scipy_modules()
 star = sorted(m for m in ("numpy.f2py", "numpy.testing", "unittest") if m in sys.modules)
 if sys.argv[1] == "fd":
     fd_oracle.fd_oracle_solve(profile, u0, 1e-3, 1e-4)
+elif sys.argv[1] == "sine":
+    _, profile, u0 = cli.build_problem(cli.load_config("configs/sine_compatible.json"))
+    jet.initial_jet(profile, u0)
+elif sys.argv[1] == "custom":
+    from svfree.profile import sample_height_profile
+    sample_height_profile("custom", {"expr": "x*(1-x)*(1 + x/2)"}, profile.grid)
+sympy[sys.argv[1]] = "sympy" in sys.modules
 print(json.dumps({
     "before": before,
     "after": scipy_modules(),
+    "sympy": sympy,
     "jet_sympy": sorted(k for k, v in vars(jet).items() if from_sympy(v)),
     "star": star,
 }))
@@ -99,6 +112,16 @@ def test_galerkin_setup_loads_no_scipy_and_jet_no_sympy():
 
 def test_setup_skips_numpy_star_import():
     assert _probe("setup")["star"] == []
+
+
+def test_builtin_kinds_load_no_sympy():
+    # canonical is parabolic with zero velocity; sine_compatible is sine with cosine
+    assert _probe("setup")["sympy"] == {"import": False, "canonical": False, "setup": False}
+    assert _probe("sine")["sympy"]["sine"] is False
+
+
+def test_custom_expression_loads_sympy():
+    assert _probe("custom")["sympy"] == {"import": False, "canonical": False, "custom": True}
 
 
 def test_fd_solve_loads_scipy_linalg_lazily():

@@ -22,7 +22,7 @@ from svfree.cli import (
     run_verification_suite,
 )
 from svfree.errors import ConfigurationError
-from svfree.galerkin import n_steps_for
+from svfree.galerkin import n_steps_for, stored_index
 from svfree.picard import ContractionReport, PicardSettings
 from svfree.profile import build_grid
 
@@ -351,6 +351,26 @@ class TestFdOracleSolverPath:
         assert (out / "trajectory.csv").exists()
         assert (out / "boundary.csv").exists()
         assert (out / "snapshot_001.csv").exists()
+
+    def test_t_final_just_off_the_step_grid_finds_its_snapshots(self, tmp_path, monkeypatch):
+        # 0.5000000004/0.01 is 4e-8 steps off 50, inside the step-count slack;
+        # the last snapshot is looked up at 50*dt, 4e-10 before the stored time
+        monkeypatch.setenv("SVFREE_OUT", str(tmp_path / "out"))
+        cfg = _write_config(tmp_path, {
+            "dt": 0.01, "t_final": 0.5000000004, "solver": "fd-oracle",
+            "n_nodes": 21, "n_modes": 4, "emit": {"snapshots": 2},
+        })
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        snapshots = sorted(p.name for p in (tmp_path / "out").glob("snapshot_*.csv"))
+        assert snapshots == ["snapshot_000.csv", "snapshot_001.csv"]
+
+    def test_time_off_the_stored_grid_still_raises(self):
+        times = np.linspace(0.0, 0.5000000004, 51)
+        assert stored_index(times, 0.01, 0.5) == 50
+        assert stored_index(times, 0.01, times[50]) == 50
+        for t in (0.505, 0.5 + 1e-6, 0.25 - 1e-8, -0.01, 0.51):
+            with pytest.raises(ConfigurationError, match="not a stored time"):
+                stored_index(times, 0.01, t)
 
 
 @pytest.mark.parametrize("patch, field", [

@@ -5,7 +5,9 @@ height and velocity are pullbacks through its inverse,
 
     rho(y, t) = rho0(x) / eta_x(x, t),   u(y, t) = v(x, t),   x = inverse(y).
 
-The inverse is found per sample by monotone bisection plus one Newton polish
+The inverse starts from the piecewise-linear inverse of the nodal flow row and
+takes three Newton steps on the trajectory's own smooth map: the modal sum for
+the spectral solution, a PCHIP interpolant for the finite-difference oracle
 (the Jacobian bound keeps eta strictly increasing). Boundary diagnostics
 report the endpoint Neumann defect, the stress with its factors, and the
 one-sided sound-speed-squared slope, all as one-sided limits.
@@ -14,6 +16,7 @@ one-sided sound-speed-squared slope, all as one-sided limits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,6 +29,7 @@ __all__ = [
     "EulerianSnapshot",
     "BoundaryReport",
     "eulerian_fields",
+    "inverse_flow",
     "boundary_reports",
     "boundary_diagnostics",
     "eulerian_mass",
@@ -51,26 +55,54 @@ class BoundaryReport:
     soundspeed_slope: tuple[float, float]
 
 
-def _invert_flow_modal(traj: SolutionTrajectory, idx: int, y: np.ndarray) -> np.ndarray:
-    basis = traj.basis
-    mu = traj.flow_coeffs[idx]
+class _FlowMap(NamedTuple):
+    """The flow at one stored step: its nodal row, and eta(x), eta_x(x) and v(x)."""
 
-    def eta_of(x):
-        return x + basis.evaluate(mu, x, 0)
+    nodes: np.ndarray
+    row: np.ndarray
+    eta: Callable
+    eta_x: Callable
+    v: Callable
 
-    def eta_x_of(x):
-        return 1.0 + basis.evaluate(mu, x, 1)
+    def inverse(self, y: np.ndarray) -> np.ndarray:
+        """Newton on eta(x) = y from the piecewise-linear inverse of the row.
 
-    lo = np.zeros_like(y)
-    hi = np.ones_like(y)
-    for _ in range(48):
-        mid = 0.5 * (lo + hi)
-        less = eta_of(mid) < y
-        lo = np.where(less, mid, lo)
-        hi = np.where(less, hi, mid)
-    x = 0.5 * (lo + hi)
-    x = np.clip(x - (eta_of(x) - y) / eta_x_of(x), 0.0, 1.0)
-    return x
+        The start is O(h^2) off. On flows with eta_x in [1/2, 3/2] and 8 to 32
+        cosine modes, two steps leave up to 2e-13 and the third reaches rounding.
+        """
+        x = np.interp(y, self.row, self.nodes)
+        for _ in range(3):
+            x = np.clip(x - (self.eta(x) - y) / self.eta_x(x), 0.0, 1.0)
+        x[0], x[-1] = 0.0, 1.0
+        return x
+
+
+def _flow_map(traj, idx: int) -> _FlowMap:
+    if isinstance(traj, SolutionTrajectory):
+        basis = traj.basis
+        mu = traj.flow_coeffs[idx]
+        lam = traj.coeffs[idx]
+        nodes = basis.grid.nodes
+        return _FlowMap(
+            nodes,
+            nodes + mu @ basis.table(0),
+            lambda x: x + basis.evaluate(mu, x, 0),
+            lambda x: 1.0 + basis.evaluate(mu, x, 1),
+            lambda x: basis.evaluate(lam, x, 0),
+        )
+    if isinstance(traj, FDTrajectory):
+        from scipy.interpolate import PchipInterpolator  # only FD runs load scipy
+
+        nodes = traj.grid.nodes
+        v = traj.v[idx]
+        eta = PchipInterpolator(nodes, traj.eta[idx])
+        return _FlowMap(nodes, traj.eta[idx], eta, eta.derivative(), lambda x: np.interp(x, nodes, v))
+    raise ConfigurationError(f"unsupported trajectory type {type(traj).__name__}")
+
+
+def inverse_flow(traj, idx: int, y: np.ndarray) -> np.ndarray:
+    """The x with eta(x) = y at stored step idx, for samples y running from eta(0) to eta(1)."""
+    return _flow_map(traj, idx).inverse(y)
 
 
 def eulerian_fields(
@@ -79,49 +111,21 @@ def eulerian_fields(
     """Sample the Eulerian height and velocity on a uniform grid of the domain."""
     if n_samples < 3 or n_samples % 2 == 0:
         raise ConfigurationError("n_samples must be odd and >= 3 (Simpson sampling)")
-    if isinstance(traj, SolutionTrajectory):
-        idx = traj.index_of(t)
-        basis = traj.basis
-        mu = traj.flow_coeffs[idx]
-        lam = traj.coeffs[idx]
-        ends = np.array([0.0, 1.0])
-        left, right = (ends + basis.evaluate(mu, ends, 0)).tolist()
-        v_ends = basis.evaluate(lam, ends, 0)
-
-        def pull_back(y):
-            x = _invert_flow_modal(traj, idx, y)
-            x[0], x[-1] = 0.0, 1.0
-            return x, 1.0 + basis.evaluate(mu, x, 1), basis.evaluate(lam, x, 0)
-    elif isinstance(traj, FDTrajectory):
-        idx = traj.index_of(t)
-        eta = traj.eta[idx]
-        v = traj.v[idx]
-        nodes = traj.grid.nodes
-        left, right = float(eta[0]), float(eta[-1])
-        v_ends = (v[0], v[-1])
-
-        def pull_back(y):
-            from scipy.interpolate import PchipInterpolator  # only FD runs load scipy
-
-            eta_interp = PchipInterpolator(nodes, eta)
-            deta = eta_interp.derivative()
-            # one PCHIP-Newton polish on the piecewise-linear inverse
-            x = np.interp(y, eta, nodes)
-            x = np.clip(x - (eta_interp(x) - y) / deta(x), 0.0, 1.0)
-            x[0], x[-1] = 0.0, 1.0
-            return x, deta(x), np.interp(x, nodes, v)
-    else:
-        raise ConfigurationError(f"unsupported trajectory type {type(traj).__name__}")
+    flow = _flow_map(traj, traj.index_of(t))
+    ends = np.array([0.0, 1.0])
+    left, right = flow.eta(ends).tolist()
     if not left < right:
         raise FlowMapDegeneracyError("flow map is not orientation preserving")
     y = np.linspace(left, right, n_samples)
-    x, eta_x, u = pull_back(y)
+    x = flow.inverse(y)
+    eta_x = flow.eta_x(x)
     if np.any(eta_x <= 0.0):
         raise FlowMapDegeneracyError("flow map is not monotone at the samples")
     rho = profile.sample(x) / eta_x
     rho[0] = 0.0
     rho[-1] = 0.0
-    return EulerianSnapshot(t, (left, right), (float(v_ends[0]), float(v_ends[1])), y, rho, u)
+    v_ends = flow.v(ends).tolist()
+    return EulerianSnapshot(t, (left, right), tuple(v_ends), y, rho, flow.v(x))
 
 
 def eulerian_mass(snapshot: EulerianSnapshot) -> float:

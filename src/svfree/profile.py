@@ -41,6 +41,11 @@ __all__ = [
 _ZERO_SNAP = 1e-12
 
 
+def _zero_tolerance(vals: np.ndarray) -> float:
+    """Rounding dust of a boundary value, relative to the height's scale."""
+    return _ZERO_SNAP * max(1.0, float(np.max(np.abs(vals))))
+
+
 # the grammar of a closed-form `expr` string: numbers, the names below, calls
 # of the named functions, unary +/- and + - * / **
 _EXPR_NAMES = frozenset({"x", "pi", "E"})
@@ -385,8 +390,9 @@ class HeightProfile(_AnalyticBase):
         self.c2 = float(c2)
         vals = self.derivative_values(0)
         # snap rounding dust; a real boundary value stays for the validator to reject
+        tol = _zero_tolerance(vals)
         for i in (0, -1):
-            if abs(vals[i]) <= _ZERO_SNAP:
+            if abs(vals[i]) <= tol:
                 vals[i] = 0.0
 
     def weight_values(self, power: int) -> np.ndarray:
@@ -396,7 +402,8 @@ class HeightProfile(_AnalyticBase):
 
 
 def _check_vanishes_on_boundary_only(vals: np.ndarray) -> None:
-    if abs(vals[0]) > _ZERO_SNAP or abs(vals[-1]) > _ZERO_SNAP:
+    tol = _zero_tolerance(vals)
+    if abs(vals[0]) > tol or abs(vals[-1]) > tol:
         raise ValidationError("height profile must vanish exactly on the boundary")
     if np.any(vals[1:-1] <= 0.0):
         raise ValidationError("height profile must be strictly positive inside")

@@ -4,11 +4,13 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from svfree import jet
 from svfree.cli import (
     ENERGY_COLUMNS,
     RunConfig,
@@ -194,6 +196,13 @@ class TestVerificationSuite:
         assert failed == []
         assert [c.name for c in checks] == VERIFY_CHECK_ORDER
 
+    def test_one_energy_pass(self):
+        # embedding-constants reads E(T) from the apriori-ceiling sample, which ends at T
+        cfg = config_from_dict({**SMALL, "n_nodes": 201, "n_modes": 16})
+        with mock.patch.object(jet, "energy_reports", wraps=jet.energy_reports) as reports:
+            run_verification_suite(cfg)
+        assert reports.call_count == 1
+
     def test_corrupted_profile_fails_by_name(self):
         from svfree.profile import sample_height_profile
 
@@ -318,6 +327,23 @@ class TestMainExitCodes:
         # partial summary still written
         data = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert data["converged"] is False
+
+    @pytest.mark.parametrize("argv", [["simulate", "--n-nodes", "abc"], ["simulate", "--bogus"]])
+    def test_usage_error_is_3(self, capsys, argv):
+        assert main(argv) == 3
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_is_0(self, capsys):
+        assert main(["simulate", "--help"]) == 0
+        assert "--n-nodes" in capsys.readouterr().out
+
+    def test_sweep_flag_is_gone(self, tmp_path, monkeypatch, capsys):
+        # the range is the positional spec; a second spelling was silently ignored
+        monkeypatch.setenv("SVFREE_OUT", str(tmp_path / "out"))
+        cfg = _write_config(tmp_path, SMALL)
+        assert main(["sweep", "T=0.002:0.004:2", "--sweep", "T=1:2:1", "--config", str(cfg)]) == 3
+        assert "unrecognized arguments: --sweep" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
 
     def test_sweep_needs_spec(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SVFREE_OUT", str(tmp_path / "out"))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from svfree.errors import ConfigurationError
 from svfree.eulerian import (
@@ -86,12 +87,56 @@ class TestEulerianFields:
         assert snap.boundary[0] < snap.boundary[1]
 
     def test_round_trip_inverse(self, small_solution, grid201):
-        from svfree.eulerian import _invert_flow_modal
+        from svfree.eulerian import inverse_flow
 
         idx = len(small_solution.times) - 1
         y = small_solution.eta[idx]
-        x = _invert_flow_modal(small_solution, idx, y)
+        x = inverse_flow(small_solution, idx, y)
         assert np.max(np.abs(x - grid201.nodes)) < 1e-10
+
+    @given(
+        shift=st.floats(-1.0, 1.0),
+        shape=st.lists(st.floats(-1.0, 1.0), min_size=15, max_size=15),
+        size=st.floats(0.0, 1.0),
+    )
+    @example(shift=0.0, shape=[0.0] * 14 + [1.0], size=1.0)  # the most curved admissible flow
+    def test_inverse_matches_bisection(self, grid201, para201, shift, shape, size):
+        from svfree.eulerian import inverse_flow
+
+        # |eta_x - 1| <= size/2 by the bound |e_n'| <= sqrt(2) n pi, so eta_x stays in [1/2, 3/2]
+        basis = GalerkinBasis(16, grid201)
+        bounds = np.sqrt(2.0) * np.pi * np.arange(1, 16)
+        shape = np.array(shape)
+        total = float(np.sum(np.abs(shape) * bounds))
+        mu = np.concatenate([[shift], shape * (0.5 * size / total if total > 0 else 0.0)])
+        sol = SolutionTrajectory(
+            times=np.array([0.0]), coeffs=np.zeros((1, 16)), dt=1.0, basis=basis,
+            flow_coeffs=mu[None], profile=para201, history=[], eta_x_min=0.5, eta_x_max=1.5,
+        )
+
+        def eta(x):
+            return x + basis.evaluate(mu, x, 0)
+
+        y = np.linspace(*eta(np.array([0.0, 1.0])), 401)
+        lo, hi = np.zeros_like(y), np.ones_like(y)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            less = eta(mid) < y
+            lo, hi = np.where(less, mid, lo), np.where(less, hi, mid)
+        assert np.max(np.abs(inverse_flow(sol, 0, y) - 0.5 * (lo + hi))) <= 1e-14
+
+    def test_fd_inverse_solves_the_pchip_flow(self, para201):
+        from scipy.interpolate import PchipInterpolator
+
+        from svfree.eulerian import inverse_flow
+
+        fd = fd_oracle_solve(para201, sample_velocity("cosine", {"amplitude": 0.5}, para201.grid),
+                             0.01, 1e-3)
+        for idx, t in enumerate(fd.times):
+            snap = eulerian_fields(para201, fd, float(t), 401)
+            x = inverse_flow(fd, idx, snap.y)
+            eta = PchipInterpolator(fd.grid.nodes, fd.eta[idx])
+            assert np.max(np.abs(eta(x) - snap.y)) <= 1e-14
 
     def test_even_sample_count_rejected(self, small_solution, para201):
         with pytest.raises(ConfigurationError):

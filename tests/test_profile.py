@@ -76,6 +76,12 @@ class TestHeightProfiles:
         with pytest.raises(ValidationError):
             sample_height_profile("custom", {"expr": "x**2*(1-x)**2"}, grid201)
 
+    @pytest.mark.parametrize("amplitude", [8200.0, 1e6])
+    def test_large_sine_amplitude_vanishes_exactly(self, grid201, amplitude):
+        # a*sin(pi) is about 1.2e-16*a: dust relative to the height, not a boundary value
+        p = sample_height_profile("sine", {"amplitude": amplitude}, grid201)
+        assert p.values[0] == 0.0 and p.values[-1] == 0.0
+
     def test_nonvanishing_boundary_rejected(self, grid201):
         with pytest.raises(ValidationError):
             sample_height_profile("custom", {"expr": "x*(1-x) + 1/10"}, grid201)

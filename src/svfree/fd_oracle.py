@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, FlowMapDegeneracyError
-from .galerkin import ETA_X_RANGE, n_steps_for, stored_index
+from .errors import ConfigurationError
+from .galerkin import check_jacobian, n_steps_for, stored_index
 from .profile import AnalyticField, HeightProfile, fornberg_weights
 
 __all__ = ["FDTrajectory", "fd_oracle_solve"]
@@ -89,15 +89,9 @@ def fd_oracle_solve(
     v[0] = u0.values
     eta[0] = x
 
-    lo, hi = ETA_X_RANGE
     jac_min, jac_max = np.inf, -np.inf
     for m in range(steps):
-        jac = (eta[m, 1:] - eta[m, :-1]) / h
-        if np.any(jac <= lo) or np.any(jac >= hi) or np.any(~np.isfinite(jac)):
-            raise FlowMapDegeneracyError(
-                f"flow-map Jacobian outside {ETA_X_RANGE} at step {m}: "
-                f"min={np.min(jac):.3g}, max={np.max(jac):.3g}"
-            )
+        jac = check_jacobian((eta[m, 1:] - eta[m, :-1]) / h)
         jac_min = min(jac_min, float(np.min(jac)))
         jac_max = max(jac_max, float(np.max(jac)))
 

@@ -288,15 +288,12 @@ def solve_linearized(
     n_modes: int,
     scheme: str = "implicit-euler",
     basis: GalerkinBasis | None = None,
-    lam0: np.ndarray | None = None,
 ) -> ModalTrajectory:
     """March the modal system over [0, t_final] against a frozen flow guess.
 
     F is the pressure forcing (rho0^2 / eta_bar_x^2)_x, which every run includes.
     eta_x is the nodal Jacobian of the guess flow at the step times: an array
-    that broadcasts to (steps+1, n_nodes), so one row serves every step. lam0
-    overrides the initial modal coefficients (windowed restarts hand over
-    modal data directly instead of reprojecting).
+    that broadcasts to (steps+1, n_nodes), so one row serves every step.
     """
     grid = profile.grid
     if basis is None:
@@ -305,7 +302,7 @@ def solve_linearized(
     times = np.linspace(0.0, t_final, steps + 1)
     mass = assemble_mass(profile, basis)
     coeffs = np.zeros((steps + 1, basis.n_modes))
-    coeffs[0] = lam0 if lam0 is not None else project_initial(u0.values, basis, grid)
+    coeffs[0] = project_initial(u0.values, basis, grid)
 
     # operators of row m are the "next" ones of step m and the "current" ones
     # of step m + 1 (Crank-Nicolson), also across block seams

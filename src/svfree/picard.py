@@ -15,7 +15,7 @@ flow-map Jacobian inside [1/2, 3/2] at every node and stored time.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,7 +103,6 @@ class PicardSettings:
     max_iter: int = 50
     scheme: str = "implicit-euler"
     initial_guess: str = "u0"  # or "identity"
-    windows: int = 1
 
 
 def _integrate_flow_coeffs(traj: ModalTrajectory) -> np.ndarray:
@@ -138,52 +137,6 @@ def contraction_metrics(
     return ContractionReport(iteration, sup_diff, grad_diff, ratio)
 
 
-def _solve_window(
-    profile: HeightProfile,
-    u0,
-    settings: PicardSettings,
-    lam0: np.ndarray | None,
-    mu0: np.ndarray,
-    basis: GalerkinBasis,
-    history: list,
-) -> tuple[ModalTrajectory, np.ndarray]:
-    """Fixed-point loop over one time window; returns iterate and flow coeffs."""
-    steps = n_steps_for(settings.t_final, settings.dt)
-    times = np.linspace(0.0, settings.t_final, steps + 1)
-    if settings.initial_guess == "identity":
-        mu_guess = np.tile(mu0, (steps + 1, 1))
-    elif settings.initial_guess == "u0":
-        lam_init = lam0 if lam0 is not None else project_initial(u0.values, basis, profile.grid)
-        mu_guess = mu0[None, :] + times[:, None] * lam_init[None, :]
-    else:
-        raise ConfigurationError(f"unknown initial_guess {settings.initial_guess!r}")
-    eta_x = 1.0 + mu_guess @ basis.table(1)
-
-    prev = None
-    prev_total = None
-    for it in range(1, settings.max_iter + 1):
-        traj = solve_linearized(
-            profile, u0, eta_x, settings.t_final, settings.dt,
-            settings.n_modes, settings.scheme,
-            basis=basis, lam0=lam0,
-        )
-        mu = mu0[None, :] + _integrate_flow_coeffs(traj)
-        eta_x = 1.0 + mu @ basis.table(1)
-        if prev is not None:
-            report = contraction_metrics(prev, traj, profile, it - 1, prev_total)
-            history.append(report)
-            if report.total < settings.picard_tol:
-                return traj, mu
-            prev_total = report.total
-        prev = traj
-    raise NonConvergenceError(
-        f"no contraction below tol={settings.picard_tol} within "
-        f"{settings.max_iter} iterations (last diff "
-        f"{history[-1].total if history else float('nan'):.3e})",
-        history,
-    )
-
-
 def solve_nonlinear(
     profile: HeightProfile, u0: AnalyticField, settings: PicardSettings
 ) -> SolutionTrajectory:
@@ -194,29 +147,44 @@ def solve_nonlinear(
     leaves [1/2, 3/2]; both signal that t_final exceeds the contraction regime.
     """
     basis = GalerkinBasis(settings.n_modes, profile.grid)
-    history: list[ContractionReport] = []
-    windows = max(1, settings.windows)
-    steps = n_steps_for(settings.t_final, settings.dt)
-    if steps % windows != 0:
-        raise ConfigurationError(f"step count {steps} is not divisible into {windows} windows")
-    sub = replace(settings, t_final=settings.t_final / windows)
-    lam0 = None
-    mu0 = np.zeros(basis.n_modes)
-    chunks = []
-    for _ in range(windows):
-        traj, mu_chunk = _solve_window(profile, u0, sub, lam0, mu0, basis, history)
-        chunks.append((traj.coeffs, mu_chunk))
-        lam0 = traj.coeffs[-1]
-        mu0 = mu_chunk[-1]
-    coeffs = np.vstack([chunks[0][0]] + [c[1:] for c, _ in chunks[1:]])
-    mu = np.vstack([chunks[0][1]] + [m[1:] for _, m in chunks[1:]])
-    times = np.linspace(0.0, settings.t_final, steps + 1)
+    if settings.initial_guess == "identity":
+        eta_x = np.ones(profile.grid.n_nodes)
+    elif settings.initial_guess == "u0":
+        times = np.linspace(0.0, settings.t_final, n_steps_for(settings.t_final, settings.dt) + 1)
+        lam_init = project_initial(u0.values, basis, profile.grid)
+        eta_x = 1.0 + (times[:, None] * lam_init[None, :]) @ basis.table(1)
+    else:
+        raise ConfigurationError(f"unknown initial_guess {settings.initial_guess!r}")
 
-    eta_x = 1.0 + mu @ basis.table(1)
+    history: list[ContractionReport] = []
+    prev = None
+    prev_total = None
+    for it in range(1, settings.max_iter + 1):
+        traj = solve_linearized(
+            profile, u0, eta_x, settings.t_final, settings.dt,
+            settings.n_modes, settings.scheme, basis=basis,
+        )
+        mu = _integrate_flow_coeffs(traj)
+        eta_x = 1.0 + mu @ basis.table(1)
+        if prev is not None:
+            report = contraction_metrics(prev, traj, profile, it - 1, prev_total)
+            history.append(report)
+            if report.total < settings.picard_tol:
+                break
+            prev_total = report.total
+        prev = traj
+    else:
+        raise NonConvergenceError(
+            f"no contraction below tol={settings.picard_tol} within "
+            f"{settings.max_iter} iterations (last diff "
+            f"{history[-1].total if history else float('nan'):.3e})",
+            history,
+        )
+
     sol = SolutionTrajectory(
-        times=times,
+        times=traj.times,
         dt=settings.dt,
-        coeffs=coeffs,
+        coeffs=traj.coeffs,
         flow_coeffs=mu,
         basis=basis,
         profile=profile,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from svfree import jet
+from svfree import eulerian, jet
 from svfree.cli import (
     ENERGY_COLUMNS,
     RunConfig,
@@ -203,6 +203,17 @@ class TestVerificationSuite:
             run_verification_suite(cfg)
         assert reports.call_count == 1
 
+    def test_roundtrip_row_catches_an_inverse_without_newton(self):
+        # the piecewise-linear start alone is O(h^2) off between the nodes
+        cfg = config_from_dict({**SMALL, "n_nodes": 201, "n_modes": 16})
+
+        def linear_start(flow, y):
+            return np.interp(y, flow.row, flow.nodes)
+
+        with mock.patch.object(eulerian._FlowMap, "inverse", linear_start):
+            checks = {c.name: c for c in run_verification_suite(cfg)}
+        assert not checks["roundtrip-inverse-map"].passed
+
     def test_corrupted_profile_fails_by_name(self):
         from svfree.profile import sample_height_profile
 
@@ -247,7 +258,7 @@ class TestMainExitCodes:
         ({"n_modes": 4.0}, "n_modes"),
         ({"dt": True, "t_final": 2.0}, "dt"),
         ({"max_iter": True}, "max_iter"),
-        ({"windows": 1.0}, "windows"),
+        ({"windows": 1}, "windows"),
         ({"emit": {"snapshots": True}}, "snapshots"),
         ({"emit": 5}, "emit"),
         ({"out_dir": 5}, "out_dir"),
@@ -328,14 +339,20 @@ class TestMainExitCodes:
         data = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert data["converged"] is False
 
-    @pytest.mark.parametrize("argv", [["simulate", "--n-nodes", "abc"], ["simulate", "--bogus"]])
-    def test_usage_error_is_3(self, capsys, argv):
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n-nodes", "abc"], ["simulate", "--bogus"], ["simulate", "--n-nodes", "101"],
+    ])
+    def test_usage_error_is_3(self, tmp_path, monkeypatch, capsys, argv):
+        # --config is the only flag; config fields have no command-line spelling
+        monkeypatch.setenv("SVFREE_OUT", str(tmp_path))
         assert main(argv) == 3
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert f"unrecognized arguments: {argv[1]}" in err
 
     def test_help_is_0(self, capsys):
         assert main(["simulate", "--help"]) == 0
-        assert "--n-nodes" in capsys.readouterr().out
+        assert "--config" in capsys.readouterr().out
 
     def test_sweep_flag_is_gone(self, tmp_path, monkeypatch, capsys):
         # the range is the positional spec; a second spelling was silently ignored
@@ -415,14 +432,6 @@ def test_unknown_emit_flag_rejected():
         config_from_dict({"emit": {"energy": True, "plots": True}})
 
 
-def test_windowed_restart_through_config(tmp_path, monkeypatch):
-    monkeypatch.setenv("SVFREE_OUT", str(tmp_path / "out"))
-    cfg = config_from_dict({**SMALL, "windows": 2, "initial_guess": "identity"})
-    summary = run_simulation(cfg)
-    assert summary.converged
-    assert summary.iterations >= 2  # at least one update per window
-
-
 # --- config fuzzer: any JSON object of RunConfig fields ends in an exit code
 
 _WRONG = st.sampled_from([True, False, "x", None, [], [1], -1, -0.5, 0, 2.5, {}])
@@ -468,7 +477,6 @@ _FIELDS = {
     "scheme": (st.sampled_from(["implicit-euler", "crank-nicolson"]), st.just("rk4")),
     "solver": (st.sampled_from(["galerkin", "fd-oracle", "both"]), st.just("spectral")),
     "initial_guess": (st.sampled_from(["u0", "identity"]), st.just("zero")),
-    "windows": (st.integers(1, 3), st.just(1.0)),
     "out_dir": (st.nothing(), st.just(5)),
     "emit": (
         st.fixed_dictionaries({}, optional={

@@ -22,38 +22,16 @@ from pathlib import Path
 
 import numpy as np
 
-from . import eulerian, jet, picard, weighted_calculus as wc
-from .errors import (
-    ConfigurationError,
-    SvfreeError,
-    ValidationError,
-)
+from . import checks, eulerian, jet, picard, weighted_calculus as wc
+from .errors import ConfigurationError, SvfreeError, ValidationError
 from .fd_oracle import fd_oracle_solve
-from .galerkin import (
-    GalerkinBasis,
-    assemble_forcing,
-    assemble_mass,
-    assemble_stiffness,
-    energy_identity_residual,
-    n_steps_for,
-    solve_linearized,
-)
+from .galerkin import GalerkinBasis, assemble_stiffness, n_steps_for  # perfbench's tracing test wraps cli.assemble_stiffness
 from .jet import E_SUMMAND_WEIGHTS, LOW_SUMMAND_WEIGHTS
-from .profile import (
-    _is_int,
-    _is_real,
-    _validate_vacuum_profile,
-    build_grid,
-    differentiate,
-    quadrature,
-    sample_height_profile,
-    sample_velocity,
-)
+from .profile import _is_int, _is_real, build_grid, sample_height_profile, sample_velocity
 
 __all__ = [
     "RunConfig",
     "RunSummary",
-    "CheckResult",
     "load_config",
     "run_simulation",
     "run_verification_suite",
@@ -102,13 +80,6 @@ class RunSummary:
     eta_x_max: float
     max_energy_gap: float
     wall_time_s: float
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
 
 
 def _check_run_size(t_final: float, dt: float, n_nodes: int) -> None:
@@ -244,14 +215,15 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _csv(columns, rows) -> str:
-    lines = [",".join(columns)] + [",".join(_fmt(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
+def _csv(columns, rows):
+    yield ",".join(columns) + "\n"
+    for row in rows:
+        yield ",".join(_fmt(v) for v in row) + "\n"
 
 
-def _json(payload: dict, sort_keys: bool = True) -> str:
+def _json(payload: dict, sort_keys: bool = True) -> list[str]:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    return json.dumps(payload, indent=2, sort_keys=sort_keys) + "\n"
+    return [json.dumps(payload, indent=2, sort_keys=sort_keys) + "\n"]
 
 
 def _energy_row(rep) -> list:
@@ -264,17 +236,17 @@ def _boundary_row(rep) -> tuple:
             *rep.stress_at_boundary, *rep.soundspeed_slope)
 
 
-def _trajectory_csv(data) -> str:
+def _trajectory_csv(data):
     times, values = data
-    columns = ["t"] + [f"v{i}" for i in range(values.shape[1])]
+    yield ",".join(["t"] + [f"v{i}" for i in range(values.shape[1])]) + "\n"
     # row by row: one tolist() of the whole table adds about 3 MB of peak memory
-    row_fmt = ",".join(["%.17g"] * (values.shape[1] + 1))
-    rows = (row_fmt % (float(t), *row.tolist()) for t, row in zip(times, values))
-    return "\n".join([",".join(columns), *rows]) + "\n"
+    row_fmt = ",".join(["%.17g"] * (values.shape[1] + 1)) + "\n"
+    for t, row in zip(times, values):
+        yield row_fmt % (float(t), *row.tolist())
 
 
-# report kind -> writer returning the file text; verification.json keeps
-# its check order (unsorted keys)
+# report kind -> writer returning the file text in pieces; verification.json
+# keeps its check order (unsorted keys)
 _WRITERS = {
     "energy": lambda reps: _csv(ENERGY_COLUMNS, map(_energy_row, reps)),
     "contraction": lambda reps: _csv(
@@ -291,23 +263,23 @@ _WRITERS = {
     "trajectory": _trajectory_csv,
     "summary": lambda summary: _json(dataclasses.asdict(summary)),
     "diff": _json,
-    "verification": lambda checks: _json({
-        "passed": all(c.passed for c in checks),
-        "checks": [dataclasses.asdict(c) for c in checks],
+    "verification": lambda rows: _json({
+        "passed": all(c.passed for c in rows),
+        "checks": [dataclasses.asdict(c) for c in rows],
     }, sort_keys=False),
     "sweep": lambda rows: _csv(SWEEP_COLUMNS, rows),
 }
 
 
 def emit_report(kind: str, data, path) -> Path:
-    """Write one report file; CSV for time series, JSON for summaries."""
+    """Write one report file, piece by piece; CSV for time series, JSON for summaries."""
     writer = _WRITERS.get(kind)
     if writer is None:
         raise ConfigurationError(f"unknown report kind {kind!r}")
     path = Path(path)
-    text = writer(data)
     try:
-        path.write_text(text)
+        with path.open("w") as fh:
+            fh.writelines(writer(data))
     except OSError as exc:
         raise SvfreeError(f"failed to write report {path}: {exc}") from exc
     return path
@@ -433,208 +405,44 @@ def run_simulation(cfg: RunConfig) -> RunSummary:
 # verification suite
 
 
-def run_verification_suite(
-    cfg: RunConfig, profile_override=None, out_path=None
-) -> list[CheckResult]:
-    """Execute every runtime-checkable invariant; any failure names its check.
-
-    Writes the machine-readable pass/fail table to out_path when given.
+def run_verification_suite(cfg: RunConfig) -> list[checks.CheckResult]:
+    """The checks of svfree.checks in order; if the small nonlinear run fails,
+    the rows before it stay and a failing 'nonlinear-run' row ends the list.
     """
-    checks: list[CheckResult] = []
-
-    def add(name, passed, detail):
-        checks.append(CheckResult(name, bool(passed), detail))
-
     grid, profile, u0 = build_problem(cfg)
-    if profile_override is not None:
-        profile = profile_override
-
-    # grid uniformity
-    gaps = np.diff(grid.nodes)
-    defect = float(np.max(np.abs(gaps - grid.spacing)))
-    add("grid-uniformity", defect <= 1e-14, f"max spacing defect {defect:.2e}")
-
-    # physical vacuum condition on the active profile
-    try:
-        _validate_vacuum_profile(profile)
-        add("physical-vacuum", True, f"c1={profile.c1:.4g}, c2={profile.c2:.4g}")
-    except SvfreeError as exc:
-        add("physical-vacuum", False, str(exc))
-
-    # quadrature exactness on cubics
-    x = grid.nodes
-    cubic = 1.0 - 2.0 * x + 3.0 * x**2 - 4.0 * x**3
-    exact = 1.0 - 1.0 + 1.0 - 1.0
-    err = abs(quadrature(cubic, 0, profile) - exact)
-    add("quadrature-cubic-exactness", err <= 1e-13, f"cubic error {err:.2e}")
-
-    # the energy monitor's two spectral-derivative paths, the nodal tables and
-    # the endpoint derivatives, agree mode by mode at both ends for orders 0..6
     basis = GalerkinBasis(min(cfg.n_modes, 16), grid)
-    err = 0.0
-    for node, x0 in ((0, 0.0), (-1, 1.0)):
-        ends = basis.endpoint_derivatives(np.eye(basis.n_modes), x0, 7)
-        nodal = np.stack([basis.table(k)[:, node] for k in range(7)], axis=1)
-        scale = np.maximum(np.max(np.abs(ends), axis=0), 1.0)
-        err = max(err, float(np.max(np.abs(nodal - ends) / scale)))
-    add("spectral-derivative-consistency", err <= 1e-12, f"table vs endpoint relative defect {err:.2e}")
-
-    # basis orthonormality
-    defect = basis.orthonormality_defect()
-    add("basis-orthonormality", defect <= 1e-10, f"gram defect {defect:.2e}")
-
-    # closed-form assembly oracles (parabolic a=1, unit Jacobian)
     para = sample_height_profile("parabolic", {"amplitude": 1.0}, grid)
-    b2 = GalerkinBasis(2, grid)
-    mass = assemble_mass(para, b2)
-    stiff = assemble_stiffness(para, b2, np.ones(grid.n_nodes))
-    force = assemble_forcing(para, b2, np.ones(grid.n_nodes))
-    m_err = abs(mass[0, 0] - 1.0 / 6.0)
-    s_err = abs(stiff[1, 1] - (np.pi**2 / 6.0 + 0.5))
-    add("assembly-mass-closed-form", m_err <= 1e-8, f"|M00 - 1/6| = {m_err:.2e}")
-    add(
-        "assembly-stiffness-closed-form",
-        s_err <= 1e-8,
-        f"|S11 - (pi^2/6 + 1/2)| = {s_err:.2e}",
-    )
-    add("forcing-zero-mode", force[0] == 0.0, f"F0 = {force[0]:.2e}")
-
-    # weighted inequality families on the distance weight; the rows look the
-    # checks up on the module when they run, so wrappers installed on it apply
-    dist = sample_height_profile("distance", {}, grid)
-    family = wc.identity_family(grid)
-    for name, check in (
-        ("weighted-sobolev-family", lambda f, fx: wc.check_weighted_sobolev(f, 0, dist, field_x=fx)),
-        ("h-half-weighted-family", lambda f, fx: wc.check_h_half_weighted(f, dist, field_x=fx)),
-        ("interpolation-inequality-family",
-         lambda f, fx: wc.check_interpolation_inequality(f, dist, field_x=fx)),
-        ("sobolev-embedding-quarter", lambda f, fx: wc.check_sobolev_embedding(f, dist, s=0.25)),
-    ):
-        worst = max(check(f, fx).empirical_constant for _, f, fx in family)
-        add(name, worst <= wc.RATIO_CEILING, f"max empirical constant {worst:.3f}")
-
-    # half-interval identities at n=401 plus the refinement rate 101 -> 401
-    g401 = wc.interpolation_identity_gaps(401)
-    g101 = wc.interpolation_identity_gaps(101)
-    add(
-        "interpolation-identity-gap",
-        float(np.max(g401)) <= 1e-8,
-        f"max |lhs-rhs| at n=401: {np.max(g401):.2e}",
-    )
-    nontrivial = g101 > 1e-14
-    rate_ok = bool(np.all(g101[nontrivial] / np.maximum(g401[nontrivial], 1e-300) >= 16.0)) if np.any(nontrivial) else True
-    add(
-        "identity-refinement-rate",
-        rate_ok,
-        "residual shrink n=101 -> n=401 >= 16x on the nontrivial family",
-    )
-
-    # norm homogeneity on a seeded random smooth field
-    rng = np.random.default_rng(2718)
-    modes = rng.standard_normal(8)
-    f = sum(c * np.cos(k * np.pi * x) for k, c in enumerate(modes))
-    alpha = 3.7
-    h_err = abs(
-        wc.weighted_l2_norm(alpha * f, 1, profile) - abs(alpha) * wc.weighted_l2_norm(f, 1, profile)
-    ) / max(wc.weighted_l2_norm(f, 1, profile), 1e-30)
-    add("norm-homogeneity", h_err <= 1e-12, f"relative defect {h_err:.2e}")
-
-    # linearized energy identity: O(dt) residual, halves with dt
-    small_grid = build_grid(201)
-    sp_para = sample_height_profile("parabolic", {"amplitude": 1.0}, small_grid)
-    sp_u0 = sample_velocity("zero", {}, small_grid)
-    ones = np.ones(small_grid.n_nodes)
-
-    def identity_residual(dt):
-        traj = solve_linearized(sp_para, sp_u0, ones, 0.01, dt, 16)
-        return energy_identity_residual(traj, sp_para, ones)
-
-    r1, r2 = identity_residual(2e-4), identity_residual(1e-4)
-    add(
-        "energy-identity-residual",
-        r1 <= 5.0 * 2e-4 and r2 <= 0.75 * r1,
-        f"residuals {r1:.2e} (dt=2e-4) -> {r2:.2e} (dt=1e-4)",
-    )
-
+    rows = [
+        checks.grid_uniformity(grid),
+        checks.physical_vacuum(profile),
+        checks.quadrature_cubic_exactness(profile),
+        checks.spectral_derivative_consistency(basis),
+        checks.basis_orthonormality(basis),
+        *checks.closed_form_assembly(para, GalerkinBasis(2, grid)),
+        *checks.weighted_families(grid),
+        *checks.interpolation_identities(),
+        checks.norm_homogeneity(profile),
+        checks.energy_identity(),
+    ]
     # small nonlinear run: contraction, flow-map bound, mass, round trip, ceiling
-    run_profile = profile if profile_override is None else para
     settings = picard.PicardSettings(
         t_final=0.0125, dt=1e-4, n_modes=min(cfg.n_modes, 16), picard_tol=1e-10, max_iter=50
     )
     try:
-        sol = picard.solve_nonlinear(run_profile, u0, settings)
-        ratios = [r.ratio for r in sol.history if math.isfinite(r.ratio)]
-        totals = [r.total for r in sol.history]
-        add(
-            "contraction-monotonicity",
-            all(r < 0.9 for r in ratios) and all(b < a for a, b in zip(totals, totals[1:])),
-            f"{len(totals)} iterations, max ratio {max(ratios) if ratios else float('nan'):.3f}",
-        )
-        add(
-            "eta-bound",
-            0.5 <= sol.eta_x_min and sol.eta_x_max <= 1.5,
-            f"eta_x in [{sol.eta_x_min:.4f}, {sol.eta_x_max:.4f}]",
-        )
-        mass0 = quadrature(np.ones(grid.n_nodes), 1, run_profile)
-        drift = 0.0
-        mid = float(sol.times[len(sol.times) // 2])
-        for t in (0.0, mid, settings.t_final):
-            snap = eulerian.eulerian_fields(run_profile, sol, t, 401)
-            drift = max(drift, abs(eulerian.eulerian_mass(snap) - mass0))
-        add("mass-conservation", drift <= 1e-6, f"max Eulerian mass drift {drift:.2e}")
-
-        # between the nodes, where the piecewise-linear start of the inverse is
-        # O(h^2) off; at the nodes it is exact and the row would test nothing
-        idx = sol.index_of(settings.t_final)
-        xs = np.concatenate(([0.0], 0.5 * (grid.nodes[:-1] + grid.nodes[1:]), [1.0]))
-        ys = xs + sol.basis.evaluate(sol.flow_coeffs[idx], xs, 0)
-        rt = float(np.max(np.abs(eulerian.inverse_flow(sol, idx, ys) - xs)))
-        add("roundtrip-inverse-map", rt <= 1e-10, f"max |inverse(flow(x)) - x| at the midpoints = {rt:.2e}")
-
-        rep = eulerian.boundary_diagnostics(run_profile, sol, settings.t_final)
-        add(
-            "boundary-neumann-spectral",
-            rep.vx_at_boundary == (0.0, 0.0),
-            f"vx at boundary {rep.vx_at_boundary}",
-        )
-
-        sample = sol.times[:: max(1, len(sol.times) // 25)]
-        reports = jet.energy_reports(sol, sample)
-        add(
-            "apriori-ceiling",
-            all(r.within_apriori for r in reports),
-            f"E <= 2*M0 at {len(sample)} sampled steps",
-        )
-
-        # empirical embedding constants and the implied admissible window
-        c1 = 0.0
-        for _, f, fx in family:
-            h1 = math.sqrt(quadrature(f * f + fx * fx, 0, run_profile))
-            if h1 > 0:
-                c1 = max(c1, float(np.max(np.abs(f))) / h1)
-        vT = sol.velocity(settings.t_final)
-        h3 = math.sqrt(
-            quadrature(vT**2, 0, run_profile)
-            + sum(
-                quadrature(differentiate(vT, k, grid) ** 2, 0, run_profile)
-                for k in (1, 2, 3)
-            )
-        )
-        eT = reports[-1]  # every 5th of the 126 stored times: the sample ends at T
-        c2 = h3 / math.sqrt(eT.E_total) if eT.E_total > 0 else float("nan")
-        m1 = 2.0 * eT.M0
-        t_admissible = 1.0 / (2.0 * c1 * c2 * math.sqrt(m1)) if c1 * c2 > 0 and m1 > 0 else float("nan")
-        add(
-            "embedding-constants",
-            True,
-            f"c1~{c1:.3f}, c2~{c2:.3g}, implied admissible T ~ {t_admissible:.3g} (empirical, informational)",
-        )
+        sol = picard.solve_nonlinear(profile, u0, settings)
+        rows.append(checks.contraction_monotonicity(sol.history))
+        rows.append(checks.eta_bound(sol))
+        t_end = settings.t_final
+        rows.append(checks.mass_conservation(profile, sol, (0.0, sol.times[len(sol.times) // 2], t_end)))
+        rows.append(checks.roundtrip_inverse_map(sol, t_end))
+        rows.append(checks.boundary_neumann_spectral(profile, sol, t_end))
+        # every 5th of the 126 stored times: the sample ends at T
+        reports = jet.energy_reports(sol, sol.times[:: max(1, len(sol.times) // 25)])
+        rows.append(checks.apriori_ceiling(reports))
+        rows.append(checks.embedding_constants(profile, sol, reports))
     except SvfreeError as exc:
-        add("nonlinear-run", False, f"small nonlinear run failed: {exc}")
-
-    if out_path is not None:
-        emit_report("verification", checks, out_path)
-    return checks
+        rows.append(checks.CheckResult("nonlinear-run", False, f"small nonlinear run failed: {exc}"))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -730,14 +538,15 @@ def main(argv=None) -> int:
             return EXIT_OK
         if args.command == "verify":
             out = _out_dir(cfg)
-            checks = run_verification_suite(cfg, out_path=out / "verification.json")
-            width = max(len(c.name) for c in checks)
-            for c in checks:
+            rows = run_verification_suite(cfg)
+            emit_report("verification", rows, out / "verification.json")
+            width = max(len(c.name) for c in rows)
+            for c in rows:
                 print(f"{'PASS' if c.passed else 'FAIL'}  {c.name:<{width}}  {c.detail}")
-            if all(c.passed for c in checks):
-                print(f"all {len(checks)} checks passed")
+            failed = [c.name for c in rows if not c.passed]
+            if not failed:
+                print(f"all {len(rows)} checks passed")
                 return EXIT_OK
-            failed = [c.name for c in checks if not c.passed]
             print(f"FAILED checks: {', '.join(failed)}", file=sys.stderr)
             return EXIT_VERIFICATION
         if args.command == "sweep":

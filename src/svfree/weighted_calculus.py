@@ -104,17 +104,19 @@ def project_cosine(f, profile: HeightProfile) -> np.ndarray:
     return coeffs
 
 
-def h_half_norm(f, profile: HeightProfile) -> float:
-    """Spectral half-derivative norm of a nodal field: sqrt(sum (1 + (n pi)^2)^(1/2) c_n^2)."""
+def _hs_norm(f, profile: HeightProfile, s: float) -> float:
+    """Cosine-spectral H^s norm of a nodal field: sqrt(sum (1 + (n pi)^2)^s c_n^2)."""
     coeffs = project_cosine(f, profile)
     n = np.arange(len(coeffs))
-    symbol = np.sqrt(1.0 + (n * np.pi) ** 2)
-    return math.sqrt(float(np.dot(symbol, coeffs**2)))
+    return math.sqrt(float(np.dot((1.0 + (n * np.pi) ** 2) ** s, coeffs**2)))
 
 
-def check_weighted_sobolev(
-    f, weight_power: int, profile: HeightProfile, field_x=None
-) -> RatioReport:
+def h_half_norm(f, profile: HeightProfile) -> float:
+    """The spectral half-derivative norm, the H^(1/2) norm of a nodal field."""
+    return _hs_norm(f, profile, 0.5)
+
+
+def check_weighted_sobolev(f, weight_power: int, profile: HeightProfile, field_x=None) -> RatioReport:
     """Distance-weighted Poincare-type bound: int d^k w^2 <= C int d^{k+2}(w^2 + w_x^2)."""
     if weight_power < 0:
         raise ConfigurationError("weight_power must be >= 0")
@@ -130,9 +132,7 @@ def check_weighted_sobolev(
     )
 
 
-def check_h_half_weighted(
-    f, profile: HeightProfile, field_x=None
-) -> RatioReport:
+def check_h_half_weighted(f, profile: HeightProfile, field_x=None) -> RatioReport:
     """Half-derivative norm controlled by first-order distance-weighted data."""
     vals = np.asarray(f, dtype=float)
     grad = _gradient(f, field_x, profile)
@@ -141,16 +141,6 @@ def check_h_half_weighted(
     return _ratio_report(
         lhs, rhs, "weighted majorant vanished with nonzero half-derivative norm"
     )
-
-
-def _half_interval_ranges(profile: HeightProfile, side: str):
-    grid = profile.grid
-    mid = (grid.n_nodes - 1) // 2
-    if side == "left":
-        return 0, mid
-    if side == "right":
-        return mid, grid.n_nodes - 1
-    raise ConfigurationError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def check_interpolation_identity(
@@ -168,13 +158,15 @@ def check_interpolation_identity(
             "interpolation identities hold for the distance weight; got "
             f"profile kind {profile.kind!r}"
         )
+    if side not in ("left", "right"):
+        raise ConfigurationError(f"side must be 'left' or 'right', got {side!r}")
     grid = profile.grid
-    i0, i1 = _half_interval_ranges(profile, side)
+    mid = (grid.n_nodes - 1) // 2
+    i0, i1 = (0, mid) if side == "left" else (mid, grid.n_nodes - 1)
     w = grid.subrange_weights(i0, i1)
     vals = np.asarray(f, dtype=float)
     grad = _gradient(f, field_x, profile)
     rho = profile.values
-    mid = (grid.n_nodes - 1) // 2
     g_mid_sq = vals[mid] ** 2
     sign = 1.0 if side == "left" else -1.0
     seg = slice(i0, i1 + 1)
@@ -187,9 +179,7 @@ def check_interpolation_identity(
     return IdentityReport(lhs, rhs)
 
 
-def check_sobolev_embedding(
-    f, profile: HeightProfile, s: float = 0.25
-) -> RatioReport:
+def check_sobolev_embedding(f, profile: HeightProfile, s: float = 0.25) -> RatioReport:
     """Fractional embedding ||w||_{L^{2/(1-2s)}} <= C ||w||_{H^s}, 0 < s < 1/2.
 
     The H^s norm uses the cosine-spectral symbol (1 + (n pi)^2)^s. Exercised
@@ -200,16 +190,10 @@ def check_sobolev_embedding(
     vals = np.asarray(f, dtype=float)
     p = 2.0 / (1.0 - 2.0 * s)
     lhs = quadrature(np.abs(vals) ** p, 0, profile) ** (1.0 / p)
-    coeffs = project_cosine(vals, profile)
-    n = np.arange(len(coeffs))
-    symbol = (1.0 + (n * np.pi) ** 2) ** s
-    rhs = math.sqrt(float(np.dot(symbol, coeffs**2)))
-    return _ratio_report(lhs, rhs, "spectral norm vanished with nonzero Lp norm")
+    return _ratio_report(lhs, _hs_norm(vals, profile, s), "spectral norm vanished with nonzero Lp norm")
 
 
-def check_interpolation_inequality(
-    f, profile: HeightProfile, field_x=None
-) -> RatioReport:
+def check_interpolation_inequality(f, profile: HeightProfile, field_x=None) -> RatioReport:
     """Plain L2 norm against the geometric mean of the weighted norms:
 
         ||g||_L2 <= C ||g||_{L2,rho0}^(1/2) ||g||_{H1,rho0}^(1/2).

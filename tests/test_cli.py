@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from svfree import eulerian, jet
+from svfree import checks, eulerian, jet, picard, weighted_calculus as wc
 from svfree.cli import (
     ENERGY_COLUMNS,
     RunConfig,
@@ -23,7 +23,7 @@ from svfree.cli import (
     run_simulation,
     run_verification_suite,
 )
-from svfree.errors import ConfigurationError
+from svfree.errors import ConfigurationError, NonConvergenceError, SvfreeError
 from svfree.galerkin import n_steps_for, stored_index
 from svfree.picard import ContractionReport, PicardSettings
 from svfree.profile import build_grid
@@ -191,10 +191,10 @@ VERIFY_CHECK_ORDER = [
 class TestVerificationSuite:
     def test_default_config_all_pass(self, tmp_path):
         cfg = config_from_dict({**SMALL, "n_nodes": 201, "n_modes": 16})
-        checks = run_verification_suite(cfg)
-        failed = [c.name for c in checks if not c.passed]
+        rows = run_verification_suite(cfg)
+        failed = [c.name for c in rows if not c.passed]
         assert failed == []
-        assert [c.name for c in checks] == VERIFY_CHECK_ORDER
+        assert [c.name for c in rows] == VERIFY_CHECK_ORDER
 
     def test_one_energy_pass(self):
         # embedding-constants reads E(T) from the apriori-ceiling sample, which ends at T
@@ -211,29 +211,49 @@ class TestVerificationSuite:
             return np.interp(y, flow.row, flow.nodes)
 
         with mock.patch.object(eulerian._FlowMap, "inverse", linear_start):
-            checks = {c.name: c for c in run_verification_suite(cfg)}
-        assert not checks["roundtrip-inverse-map"].passed
+            rows = {c.name: c for c in run_verification_suite(cfg)}
+        assert not rows["roundtrip-inverse-map"].passed
 
     def test_corrupted_profile_fails_by_name(self):
         from svfree.profile import sample_height_profile
 
-        cfg = config_from_dict({**SMALL, "n_nodes": 201, "n_modes": 16})
-        grid = build_grid(201)
-        corrupted = sample_height_profile("parabolic", {"amplitude": 1.0}, grid)
+        corrupted = sample_height_profile("parabolic", {"amplitude": 1.0}, build_grid(201))
         corrupted.values[0] = 0.05  # boundary vacuum broken
-        checks = run_verification_suite(cfg, profile_override=corrupted)
-        failed = {c.name for c in checks if not c.passed}
-        assert "physical-vacuum" in failed
-
+        row = checks.physical_vacuum(corrupted)
+        assert row.name == "physical-vacuum" and not row.passed
 
     def test_nonvanishing_boundary_fails_physical_vacuum(self):
         from svfree.profile import HeightProfile
 
-        cfg = config_from_dict({**SMALL, "n_nodes": 201, "n_modes": 16})
         lifted = HeightProfile("custom", "x*(1-x) + 1/10", build_grid(201), c1=0.1, c2=1.0)
-        checks = run_verification_suite(cfg, profile_override=lifted)
-        failed = {c.name: c.detail for c in checks if not c.passed}
-        assert "vanish" in failed["physical-vacuum"]
+        row = checks.physical_vacuum(lifted)
+        assert not row.passed and "vanish" in row.detail
+
+    def test_refinement_rate_fails_when_it_measures_nothing(self):
+        # no family member has a gap above 1e-14 at n=101: no rate is measured
+        cfg = config_from_dict({**SMALL, "n_nodes": 201, "n_modes": 16})
+        with mock.patch.object(wc, "interpolation_identity_gaps", return_value=np.zeros(10)):
+            rows = {c.name: c for c in run_verification_suite(cfg)}
+        assert rows["interpolation-identity-gap"].passed
+        assert not rows["identity-refinement-rate"].passed
+
+    def test_failed_nonlinear_run_keeps_the_static_rows(self):
+        cfg = config_from_dict({**SMALL, "n_nodes": 201, "n_modes": 16})
+        stalled = NonConvergenceError("no fixed point in 50 iterations")
+        with mock.patch.object(picard, "solve_nonlinear", side_effect=stalled):
+            rows = run_verification_suite(cfg)
+        assert [c.name for c in rows] == VERIFY_CHECK_ORDER[:16] + ["nonlinear-run"]
+        assert all(c.passed for c in rows[:16])
+        assert not rows[-1].passed
+        assert rows[-1].detail == "small nonlinear run failed: no fixed point in 50 iterations"
+
+    def test_failed_energy_pass_keeps_the_solution_rows(self):
+        cfg = config_from_dict({**SMALL, "n_nodes": 201, "n_modes": 16})
+        with mock.patch.object(jet, "energy_reports", side_effect=SvfreeError("pole")):
+            rows = run_verification_suite(cfg)
+        assert [c.name for c in rows] == VERIFY_CHECK_ORDER[:21] + ["nonlinear-run"]
+        assert all(c.passed for c in rows[:21])
+        assert rows[-1].detail == "small nonlinear run failed: pole"
 
 
 class TestSweep:

@@ -17,7 +17,7 @@ from . import eulerian, picard, weighted_calculus as wc
 from .errors import SvfreeError
 from .galerkin import (assemble_forcing, assemble_mass, assemble_stiffness, energy_identity_residual,
                        solve_linearized)
-from .profile import (_validate_vacuum_profile, build_grid, differentiate, quadrature, sample_height_profile,
+from .profile import (_validate_vacuum_profile, build_grid, quadrature, sample_height_profile,
                       sample_velocity)
 
 
@@ -187,7 +187,8 @@ def apriori_ceiling(reports) -> CheckResult:
 def embedding_constants(profile, sol, reports) -> CheckResult:
     """Empirical embedding constants and the time window they imply; informational, it always passes.
 
-    The last energy report gives E(T) and M0, and its time the velocity v(T).
+    The last energy report gives E(T) and M0, and its time the velocity v(T),
+    whose H^3 norm comes from the exact derivatives of its modal sum.
     """
     c1 = 0.0
     for _, f, fx in wc.identity_family(profile.grid):
@@ -195,11 +196,8 @@ def embedding_constants(profile, sol, reports) -> CheckResult:
         if h1 > 0:
             c1 = max(c1, float(np.max(np.abs(f))) / h1)
     eT = reports[-1]
-    vT = sol.velocity(eT.t)
-    h3 = math.sqrt(
-        quadrature(vT**2, 0, profile)
-        + sum(quadrature(differentiate(vT, k, profile.grid) ** 2, 0, profile) for k in (1, 2, 3))
-    )
+    lam = sol.coeffs[sol.index_of(eT.t)]
+    h3 = math.sqrt(sum(quadrature((lam @ sol.basis.table(k)) ** 2, 0, profile) for k in range(4)))
     c2 = h3 / math.sqrt(eT.E_total) if eT.E_total > 0 else float("nan")
     m1 = 2.0 * eT.M0
     t_admissible = 1.0 / (2.0 * c1 * c2 * math.sqrt(m1)) if c1 * c2 > 0 and m1 > 0 else float("nan")

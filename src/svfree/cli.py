@@ -95,10 +95,11 @@ def _check_run_size(t_final: float, dt: float, n_nodes: int) -> None:
 def _validate_config(cfg: RunConfig) -> RunConfig:
     if not _is_int(cfg.n_nodes) or cfg.n_nodes < 5 or cfg.n_nodes % 2 == 0:
         raise ConfigurationError(f"config field 'n_nodes' must be an odd integer >= 5, got {cfg.n_nodes!r}")
-    for key in ("n_modes", "max_iter"):
+    # max_iter >= 2: a contraction report compares two Picard iterates
+    for key, least in (("n_modes", 1), ("max_iter", 2)):
         value = getattr(cfg, key)
-        if not _is_int(value) or value < 1:
-            raise ConfigurationError(f"config field '{key}' must be an integer >= 1, got {value!r}")
+        if not _is_int(value) or value < least:
+            raise ConfigurationError(f"config field '{key}' must be an integer >= {least}, got {value!r}")
     if cfg.n_modes > (cfg.n_nodes - 1) // 2:
         raise ConfigurationError(
             f"config field 'n_modes' must be <= (n_nodes-1)//2 = {(cfg.n_nodes - 1) // 2} "
@@ -126,6 +127,11 @@ def _validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigurationError("config field 'profile': the distance weight is not a solver profile")
     if not isinstance(cfg.u0, dict) or "kind" not in cfg.u0:
         raise ConfigurationError("config field 'u0' must be an object with a 'kind'")
+    mode = cfg.u0.get("mode", 1)
+    if cfg.u0["kind"] == "cosine" and _is_int(mode) and mode >= cfg.n_modes:
+        raise ConfigurationError(
+            f"config field 'u0': cosine mode {mode} needs n_modes > {mode}, got n_modes = {cfg.n_modes}"
+        )
     if not isinstance(cfg.emit, dict):
         raise ConfigurationError("config field 'emit' must be an object")
     unknown = set(cfg.emit) - set(_EMIT_DEFAULTS)
@@ -180,11 +186,15 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 
 def build_problem(cfg: RunConfig):
+    """The grid, profile and u0 of a config, each checked finite at the nodes and both ends."""
     grid = build_grid(cfg.n_nodes)
     pparams = {k: v for k, v in cfg.profile.items() if k != "kind"}
     profile = sample_height_profile(cfg.profile["kind"], pparams, grid)
     uparams = {k: v for k, v in cfg.u0.items() if k != "kind"}
     u0 = sample_velocity(cfg.u0["kind"], uparams, grid)
+    for f in (profile, u0):  # the endpoint series stay cached for the energy monitor
+        for x0 in (0.0, 1.0):
+            f.endpoint_derivatives(x0)
     return grid, profile, u0
 
 
@@ -322,8 +332,8 @@ def run_simulation(cfg: RunConfig) -> RunSummary:
     summary with converged=false) before propagating.
     """
     t0 = time.perf_counter()
-    out = _out_dir(cfg)
     grid, profile, u0 = build_problem(cfg)
+    out = _out_dir(cfg)
 
     sol = None
     fd = None
@@ -489,8 +499,8 @@ def run_sweep(cfg: RunConfig, spec: str) -> list:
         _check_run_size(t_final, cfg.dt, cfg.n_nodes)
         steps = max(1, round(t_final / cfg.dt))
         points.append(dataclasses.replace(cfg, t_final=steps * cfg.dt))
-    out = _out_dir(cfg)
     grid, profile, u0 = build_problem(cfg)
+    out = _out_dir(cfg)
     rows = [_sweep_row(profile, u0, settings) for settings in points]
     emit_report("sweep", rows, out / "sweep.csv")
     return rows
@@ -537,8 +547,8 @@ def main(argv=None) -> int:
             )
             return EXIT_OK
         if args.command == "verify":
-            out = _out_dir(cfg)
             rows = run_verification_suite(cfg)
+            out = _out_dir(cfg)
             emit_report("verification", rows, out / "verification.json")
             width = max(len(c.name) for c in rows)
             for c in rows:

@@ -153,9 +153,8 @@ def boundary_reports(profile: HeightProfile, traj, times) -> list[BoundaryReport
         )
         eta_xb += 1.0
     elif isinstance(traj, FDTrajectory):
-        idx = [traj.index_of(t) for t in times]
         vx = np.array([traj.boundary_vx(t) for t in times])
-        eta_xb = np.gradient(traj.eta[idx], traj.grid.spacing, axis=1, edge_order=2)[:, [0, -1]]
+        eta_xb = np.array([traj.boundary_eta_x(t) for t in times])
     else:
         raise ConfigurationError(f"unsupported trajectory type {type(traj).__name__}")
     slopes = np.abs([profile.endpoint_derivatives(s, 2)[1] for s in (0.0, 1.0)]) / eta_xb**2

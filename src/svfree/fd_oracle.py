@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .galerkin import check_jacobian, n_steps_for, stored_index
-from .profile import AnalyticField, HeightProfile, fornberg_weights
+from .profile import AnalyticField, HeightProfile
 
 __all__ = ["FDTrajectory", "fd_oracle_solve"]
 
@@ -44,22 +44,27 @@ class FDTrajectory:
         """Nodal velocity at the stored time t (a copy)."""
         return self.v[self.index_of(t)].copy()
 
+    def _end_slopes(self, row: np.ndarray, stencil) -> tuple[float, float]:
+        """Slopes of a nodal row at x = 0 and x = 1: a one-sided stencil (in units
+        of 1/h) at the left end, its negated reverse at the right end.
+
+        The products are summed left to right, as np.gradient sums its edge rows.
+        """
+        w = np.array(stencil) / self.grid.spacing
+        return float(sum(w * row[: len(w)])), float(sum(-w[::-1] * row[-len(w):]))
+
     def boundary_vx(self, t: float) -> tuple[float, float]:
-        """One-sided endpoint slopes from a four-point stencil.
+        """One-sided endpoint slopes of v from the four-point stencil (-11/6, 3, -3/2, 1/3)/h.
 
         Deliberately a wider stencil than the solver's three-point Neumann
         closure, so the reported value measures the genuine O(h^2) defect
         instead of reproducing the constraint identically.
         """
-        vals = self.v[self.index_of(t)]
-        h = self.grid.spacing
-        xs = np.arange(4) * h
-        w_left = fornberg_weights(1, 0.0, xs)
-        w_right = fornberg_weights(1, 3 * h, xs)
-        return (
-            float(np.dot(w_left, vals[:4])),
-            float(np.dot(w_right, vals[-4:])),
-        )
+        return self._end_slopes(self.v[self.index_of(t)], (-11.0 / 6.0, 3.0, -1.5, 1.0 / 3.0))
+
+    def boundary_eta_x(self, t: float) -> tuple[float, float]:
+        """Endpoint Jacobians from the second-order three-point stencil (-3/2, 2, -1/2)/h."""
+        return self._end_slopes(self.eta[self.index_of(t)], (-1.5, 2.0, -0.5))
 
 
 def fd_oracle_solve(

@@ -1,4 +1,4 @@
-"""Reference-interval grid, vacuum height profiles, quadrature, differentiation.
+"""Reference-interval grid, vacuum height profiles and initial velocities, quadrature.
 
 The initial height rho0 lives on the fixed reference interval [0, 1], vanishes
 exactly at both endpoints, and is pinched between multiples of the boundary
@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigurationError, UnsupportedOperationError, ValidationError
+from .errors import ConfigurationError, ValidationError
 from ._series import N_TERMS
 
 __all__ = [
@@ -34,8 +33,6 @@ __all__ = [
     "sample_height_profile",
     "sample_velocity",
     "quadrature",
-    "differentiate",
-    "fornberg_weights",
 ]
 
 _ZERO_SNAP = 1e-12
@@ -451,10 +448,10 @@ def _known_params(params: dict | None, what: str, *allowed: str) -> dict:
     return params
 
 
-def _number_param(params: dict, key: str, default: float) -> float:
+def _number_param(params: dict, what: str, key: str, default: float) -> float:
     value = params.get(key, default)
     if not _is_real(value):
-        raise ValidationError(f"'{key}' must be a finite number, got {value!r}")
+        raise ValidationError(f"{what} '{key}' must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -466,13 +463,13 @@ def sample_height_profile(kind: str, params: dict | None, grid: Grid) -> HeightP
     """
     if kind == "parabolic":
         params = _known_params(params, "parabolic profile", "amplitude")
-        a = _number_param(params, "amplitude", 1.0)
+        a = _number_param(params, "parabolic profile", "amplitude", 1.0)
         if a <= 0:
             raise ValidationError("parabolic profile needs amplitude > 0")
         profile = HeightProfile(kind, _parabola(a), grid, c1=a / 2.0, c2=a)
     elif kind == "sine":
         params = _known_params(params, "sine profile", "amplitude")
-        a = _number_param(params, "amplitude", 1.0)
+        a = _number_param(params, "sine profile", "amplitude", 1.0)
         if a <= 0:
             raise ValidationError("sine profile needs amplitude > 0")
         profile = HeightProfile(kind, _trig(a, 1, 0), grid, c1=2.0 * a, c2=a * math.pi)
@@ -512,7 +509,7 @@ def sample_velocity(kind: str, params: dict | None, grid: Grid) -> AnalyticField
         return AnalyticField(_ZERO, grid, kind)
     if kind == "cosine":
         params = _known_params(params, "cosine velocity", "amplitude", "mode")
-        a = _number_param(params, "amplitude", 1.0)
+        a = _number_param(params, "cosine velocity", "amplitude", 1.0)
         m = params.get("mode", 1)
         if not _is_int(m) or m < 1:
             raise ValidationError(f"cosine velocity needs an integer 'mode' >= 1, got {m!r}")
@@ -535,6 +532,16 @@ def sample_velocity(kind: str, params: dict | None, grid: Grid) -> AnalyticField
     return u0
 
 
+def _nodal_values(f, grid: Grid) -> np.ndarray:
+    """f as a float array of one value per node of grid."""
+    vals = np.asarray(f, dtype=float)
+    if vals.shape != (grid.n_nodes,):
+        raise ConfigurationError(
+            f"field length {vals.shape} does not match grid n_nodes={grid.n_nodes}"
+        )
+    return vals
+
+
 def quadrature(f, weight_power: int, profile: HeightProfile) -> float:
     """Composite Simpson value of the weighted integral of rho0^k * f on [0, 1].
 
@@ -542,64 +549,5 @@ def quadrature(f, weight_power: int, profile: HeightProfile) -> float:
     """
     if not 0 <= weight_power <= 6:
         raise ConfigurationError(f"weight_power must be in 0..6, got {weight_power}")
-    vals = np.asarray(f, dtype=float)
-    grid = profile.grid
-    if vals.shape != (grid.n_nodes,):
-        raise ConfigurationError(
-            f"field length {vals.shape} does not match grid n_nodes={grid.n_nodes}"
-        )
-    return float(np.dot(grid.simpson_weights, profile.weight_values(weight_power) * vals))
-
-
-def fornberg_weights(order: int, x0: float, xs: np.ndarray) -> np.ndarray:
-    """Finite-difference weights for the order-th derivative at x0 on nodes xs."""
-    n = len(xs)
-    c = np.zeros((n, order + 1))
-    c[0, 0] = 1.0
-    c1 = 1.0
-    c4 = xs[0] - x0
-    for i in range(1, n):
-        mn = min(i, order)
-        c2 = 1.0
-        c5 = c4
-        c4 = xs[i] - x0
-        for j in range(i):
-            c3 = xs[i] - xs[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c[:, order]
-
-
-def differentiate(values: np.ndarray, order: int, grid: Grid) -> np.ndarray:
-    """Derivative of nodal values by sliding finite-difference stencils.
-
-    Each stencil has order+2 points, second-order consistent including the
-    one-sided boundary rows.
-    """
-    if order > 6:
-        raise UnsupportedOperationError(f"derivative order {order} > 6 is unsupported")
-    if order < 1:
-        raise ConfigurationError(f"derivative order must be >= 1, got {order}")
-    n = grid.n_nodes
-    if n < order + 2:
-        raise ConfigurationError(
-            f"grid has {n} nodes; order-{order} stencils need at least {order + 2}"
-        )
-    s = order + 2
-    h = grid.spacing
-    xs = np.arange(s) * h
-    table = np.array([fornberg_weights(order, pos * h, xs) for pos in range(s)])
-    out = np.empty(n)
-    windows = sliding_window_view(np.asarray(values, dtype=float), s)
-    half = s // 2
-    for i in range(n):
-        start = min(max(i - half, 0), n - s)
-        out[i] = np.dot(table[i - start], windows[start])
-    return out
+    vals = _nodal_values(f, profile.grid)
+    return float(np.dot(profile.grid.simpson_weights, profile.weight_values(weight_power) * vals))

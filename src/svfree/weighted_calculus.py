@@ -5,7 +5,9 @@ that the analysis never makes explicit; the checks therefore report the
 empirical ratio lhs/rhs and assert only finiteness, the one ceiling
 RATIO_CEILING, and stability under grid refinement. The half-interval
 integration-by-parts identities behind the weighted interpolation inequality
-are exact statements and are checked to quadrature tolerance.
+are exact statements and are checked to quadrature tolerance. A check that
+needs g_x takes the exact nodal derivative as field_x; nothing here
+differences nodal values.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InequalityViolationError, ValidationError
+from .galerkin import GalerkinBasis, project_initial
 from .profile import (
     HeightProfile,
+    _nodal_values,
     build_grid,
-    differentiate,
     quadrature,
     sample_height_profile,
 )
@@ -31,7 +34,6 @@ __all__ = [
     "weighted_l2_norm",
     "weighted_h1_norm",
     "h_half_norm",
-    "project_cosine",
     "check_weighted_sobolev",
     "check_h_half_weighted",
     "check_sobolev_embedding",
@@ -72,41 +74,24 @@ class IdentityReport:
         return abs(self.lhs - self.rhs)
 
 
-def _gradient(f, field_x, profile: HeightProfile) -> np.ndarray:
-    """The given nodal derivative, or finite differences of the nodal values."""
-    if field_x is not None:
-        return np.asarray(field_x, dtype=float)
-    return differentiate(f, 1, profile.grid)
-
-
 def weighted_l2_norm(f, weight_power: int, profile: HeightProfile) -> float:
     """sqrt of int rho0^k g^2."""
     vals = np.asarray(f, dtype=float)
     return math.sqrt(max(quadrature(vals * vals, weight_power, profile), 0.0))
 
 
-def weighted_h1_norm(f, weight_power: int, profile: HeightProfile, field_x=None) -> float:
-    """sqrt of int rho0^k (g^2 + g_x^2)."""
+def weighted_h1_norm(f, weight_power: int, profile: HeightProfile, field_x) -> float:
+    """sqrt of int rho0^k (g^2 + g_x^2), g_x the exact nodal derivative field_x."""
     vals = np.asarray(f, dtype=float)
-    grad = _gradient(f, field_x, profile)
+    grad = np.asarray(field_x, dtype=float)
     return math.sqrt(max(quadrature(vals * vals + grad * grad, weight_power, profile), 0.0))
-
-
-def project_cosine(f, profile: HeightProfile) -> np.ndarray:
-    """Unweighted cosine-mode coefficients of a nodal field (Simpson pairing)."""
-    grid = profile.grid
-    vals = np.asarray(f, dtype=float)
-    coeffs = np.empty(min((grid.n_nodes - 1) // 2, 129))
-    # quadrature rejects an array that is not one value per node
-    coeffs[0] = quadrature(vals, 0, profile)
-    for n in range(1, len(coeffs)):
-        coeffs[n] = np.dot(grid.simpson_weights, vals * np.sqrt(2.0) * np.cos(n * np.pi * grid.nodes))
-    return coeffs
 
 
 def _hs_norm(f, profile: HeightProfile, s: float) -> float:
     """Cosine-spectral H^s norm of a nodal field: sqrt(sum (1 + (n pi)^2)^s c_n^2)."""
-    coeffs = project_cosine(f, profile)
+    grid = profile.grid
+    basis = GalerkinBasis(min((grid.n_nodes - 1) // 2, 129), grid)
+    coeffs = project_initial(_nodal_values(f, grid), basis, grid)
     n = np.arange(len(coeffs))
     return math.sqrt(float(np.dot((1.0 + (n * np.pi) ** 2) ** s, coeffs**2)))
 
@@ -116,12 +101,12 @@ def h_half_norm(f, profile: HeightProfile) -> float:
     return _hs_norm(f, profile, 0.5)
 
 
-def check_weighted_sobolev(f, weight_power: int, profile: HeightProfile, field_x=None) -> RatioReport:
+def check_weighted_sobolev(f, weight_power: int, profile: HeightProfile, field_x) -> RatioReport:
     """Distance-weighted Poincare-type bound: int d^k w^2 <= C int d^{k+2}(w^2 + w_x^2)."""
     if weight_power < 0:
         raise ConfigurationError("weight_power must be >= 0")
     vals = np.asarray(f, dtype=float)
-    grad = _gradient(f, field_x, profile)
+    grad = np.asarray(field_x, dtype=float)
     lhs = quadrature(vals * vals, weight_power, profile)
     rhs = quadrature(vals * vals + grad * grad, weight_power + 2, profile)
     return _ratio_report(
@@ -132,10 +117,10 @@ def check_weighted_sobolev(f, weight_power: int, profile: HeightProfile, field_x
     )
 
 
-def check_h_half_weighted(f, profile: HeightProfile, field_x=None) -> RatioReport:
+def check_h_half_weighted(f, profile: HeightProfile, field_x) -> RatioReport:
     """Half-derivative norm controlled by first-order distance-weighted data."""
     vals = np.asarray(f, dtype=float)
-    grad = _gradient(f, field_x, profile)
+    grad = np.asarray(field_x, dtype=float)
     lhs = h_half_norm(f, profile) ** 2
     rhs = quadrature(vals * vals + grad * grad, 1, profile)
     return _ratio_report(
@@ -144,7 +129,7 @@ def check_h_half_weighted(f, profile: HeightProfile, field_x=None) -> RatioRepor
 
 
 def check_interpolation_identity(
-    f, profile: HeightProfile, field_x=None, weighted: bool = False, side: str = "left"
+    f, profile: HeightProfile, field_x, weighted: bool = False, side: str = "left"
 ) -> IdentityReport:
     """Half-interval integration-by-parts identities for the distance weight.
 
@@ -165,7 +150,7 @@ def check_interpolation_identity(
     i0, i1 = (0, mid) if side == "left" else (mid, grid.n_nodes - 1)
     w = grid.subrange_weights(i0, i1)
     vals = np.asarray(f, dtype=float)
-    grad = _gradient(f, field_x, profile)
+    grad = np.asarray(field_x, dtype=float)
     rho = profile.values
     g_mid_sq = vals[mid] ** 2
     sign = 1.0 if side == "left" else -1.0
@@ -193,15 +178,14 @@ def check_sobolev_embedding(f, profile: HeightProfile, s: float = 0.25) -> Ratio
     return _ratio_report(lhs, _hs_norm(vals, profile, s), "spectral norm vanished with nonzero Lp norm")
 
 
-def check_interpolation_inequality(f, profile: HeightProfile, field_x=None) -> RatioReport:
+def check_interpolation_inequality(f, profile: HeightProfile, field_x) -> RatioReport:
     """Plain L2 norm against the geometric mean of the weighted norms:
 
         ||g||_L2 <= C ||g||_{L2,rho0}^(1/2) ||g||_{H1,rho0}^(1/2).
     """
-    grad = _gradient(f, field_x, profile)
     lhs = weighted_l2_norm(f, 0, profile)
     l2w = weighted_l2_norm(f, 1, profile)
-    h1w = weighted_h1_norm(f, 1, profile, field_x=grad)
+    h1w = weighted_h1_norm(f, 1, profile, field_x)
     rhs = math.sqrt(l2w) * math.sqrt(h1w)
     return _ratio_report(lhs, rhs, "weighted norms vanished with nonzero L2 norm")
 

@@ -5,8 +5,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from svfree import checks
-from svfree.picard import ContractionReport
+from svfree import checks, jet
+from svfree.picard import ContractionReport, PicardSettings, solve_nonlinear
+from svfree.profile import build_grid, quadrature, sample_height_profile, sample_velocity
 
 
 def _history(ratio):
@@ -29,3 +30,17 @@ def test_check_fails_just_past_its_bound(check, inside, outside):
 def test_contraction_needs_decreasing_updates():
     growing = [ContractionReport(1, 1e-2, 1e-2, math.nan), ContractionReport(2, 1e-2, 1e-2, 0.5)]
     assert not checks.contraction_monotonicity(growing).passed
+
+
+def test_embedding_constant_uses_the_spectral_h3_norm():
+    # mode 15 on 41 nodes is under three nodes per wavelength: nodal
+    # differencing misses the third derivative by tens of percent there
+    grid = build_grid(41)
+    para = sample_height_profile("parabolic", {"amplitude": 1.0}, grid)
+    u0 = sample_velocity("cosine", {"amplitude": 0.5, "mode": 15}, grid)
+    sol = solve_nonlinear(para, u0, PicardSettings(t_final=1e-3, dt=1e-4, n_modes=16))
+    reports = jet.energy_reports(sol, sol.times[::5])
+    lam = sol.coeffs[sol.index_of(reports[-1].t)]
+    h3 = math.sqrt(sum(quadrature(sol.basis.evaluate(lam, grid.nodes, k) ** 2, 0, para) for k in range(4)))
+    c2 = h3 / math.sqrt(reports[-1].E_total)
+    assert f"c2~{c2:.3g}," in checks.embedding_constants(para, sol, reports).detail

@@ -301,12 +301,24 @@ class TestMainExitCodes:
         ({"profile": {"kind": "custom", "expr": "x*(1-x)*(sqrt(x)+2)"}}, "expr"),
         ({"profile": {"kind": "custom", "expr": "x*(1-x)*(tan(pi*x/2)+2)"}}, "expr"),
         ({"profile": {"kind": "distance"}}, "profile"),
+        ({"profile": {"kind": "sine", "amplitude": True}}, "profile"),
+        ({"u0": {"kind": "cosine", "amplitude": "big"}}, "velocity"),
+        ({"n_nodes": 21, "n_modes": 4, "u0": {"kind": "cosine", "mode": 4}}, "u0"),
+        ({"max_iter": 1}, "max_iter"),
     ])
     def test_bad_field_type_is_3_and_named(self, tmp_path, monkeypatch, capsys, patch, field):
         monkeypatch.setenv("SVFREE_OUT", str(tmp_path / "out"))
         cfg = _write_config(tmp_path, {**SMALL, **patch})
         assert main(["simulate", "--config", str(cfg)]) == 3
         assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["verify"], ["sweep", "T=0.002:0.004:2"]])
+    def test_bad_profile_makes_no_out_dir(self, tmp_path, monkeypatch, argv):
+        monkeypatch.setenv("SVFREE_OUT", str(tmp_path / "out"))
+        cfg = _write_config(tmp_path, {**SMALL, "profile": {"kind": "sine", "amplitude": -1}})
+        assert main([*argv, "--config", str(cfg)]) == 3
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("expr", ["1/(x-x)", "log(x-x)", "(x-x)**-1"])
     def test_not_finite_expr_quotes_the_config_text(self, tmp_path, monkeypatch, capsys, expr):
@@ -493,7 +505,7 @@ _FIELDS = {
         ),
     ),
     "picard_tol": (st.sampled_from([1e-10, 1e-6, 1e-30]), st.just(float("inf"))),
-    "max_iter": (st.integers(1, 8), st.just(3.0)),
+    "max_iter": (st.integers(2, 8), st.just(3.0)),
     "scheme": (st.sampled_from(["implicit-euler", "crank-nicolson"]), st.just("rk4")),
     "solver": (st.sampled_from(["galerkin", "fd-oracle", "both"]), st.just("spectral")),
     "initial_guess": (st.sampled_from(["u0", "identity"]), st.just("zero")),

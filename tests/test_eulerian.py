@@ -11,7 +11,7 @@ from svfree.eulerian import (
     eulerian_fields,
     eulerian_mass,
 )
-from svfree.fd_oracle import fd_oracle_solve
+from svfree.fd_oracle import FDTrajectory, fd_oracle_solve
 from svfree.galerkin import GalerkinBasis, ModalTrajectory
 from svfree.picard import SolutionTrajectory, _integrate_flow_coeffs
 from svfree.profile import build_grid, quadrature, sample_height_profile, sample_velocity
@@ -179,6 +179,17 @@ class TestBoundaryDiagnostics:
             defects.append(max(abs(rep.vx_at_boundary[0]), abs(rep.vx_at_boundary[1])))
         assert defects[1] < defects[0] / 2.0
         assert defects[0] <= 5.0 * (1.0 / 100.0) ** 2
+
+    def test_fd_endpoint_stencils_exact_on_polynomials(self):
+        # the four-point v_x stencil is exact for cubics, the three-point eta_x one for quadratics
+        grid = build_grid(101)
+        para = sample_height_profile("parabolic", {"amplitude": 1.0}, grid)
+        x = grid.nodes
+        v = 1.0 - 2.0 * x + 3.0 * x**2 - 4.0 * x**3  # v_x = -2 at 0, -8 at 1
+        eta = x + 0.1 * x * x  # eta_x = 1 at 0, 1.2 at 1
+        fd = FDTrajectory(np.array([0.0]), v[None, :], eta[None, :], 1e-3, para, 1.0, 1.2)
+        assert fd.boundary_vx(0.0) == pytest.approx((-2.0, -8.0), rel=1e-12)
+        assert fd.boundary_eta_x(0.0) == pytest.approx((1.0, 1.2), rel=1e-12)
 
     def test_fd_report_reads_the_flow_map_row(self, para201, u0zero201):
         fd = fd_oracle_solve(para201, u0zero201, 0.01, 1e-3)

@@ -12,8 +12,6 @@ from svfree.profile import (
     _parse_expr,
     _validate_vacuum_profile,
     build_grid,
-    differentiate,
-    fornberg_weights,
     quadrature,
     sample_height_profile,
     sample_velocity,
@@ -172,18 +170,7 @@ class TestQuadrature:
 
 
 class TestDifferentiate:
-    def test_quadratic_first_derivative(self, grid401):
-        f = grid401.nodes**2
-        d = differentiate(f, 1, grid401)
-        assert np.max(np.abs(d - 2 * grid401.nodes)) < 1e-11
-
-    def test_constant_all_orders(self, grid201):
-        f = np.full(201, 3.25)
-        for order in range(1, 7):
-            d = differentiate(f, order, grid201)
-            # zero up to rounding amplified by the 1/h^order stencil scale
-            floor = 1e3 * np.finfo(float).eps * 3.25 / grid201.spacing**order
-            assert np.max(np.abs(d)) < floor
+    """A spectral field differentiates exactly through the basis tables."""
 
     def test_constant_spectral_exact(self, grid201):
         basis = GalerkinBasis(3, grid201)
@@ -191,38 +178,12 @@ class TestDifferentiate:
         for order in range(1, 7):
             assert np.all(coeffs @ basis.table(order) == 0.0)
 
-    def test_second_order_consistency_under_refinement(self):
-        errs = []
-        for n in (101, 201, 401):
-            grid = build_grid(n)
-            f = np.sin(2 * np.pi * grid.nodes)
-            d = differentiate(f, 2, grid)
-            exact = -(2 * np.pi) ** 2 * np.sin(2 * np.pi * grid.nodes)
-            errs.append(np.max(np.abs(d - exact)))
-        assert errs[1] < errs[0] / 3.0
-        assert errs[2] < errs[1] / 3.0
-
     def test_spectral_mode_second_derivative_exact(self, grid401):
         basis = GalerkinBasis(4, grid401)
         coeffs = np.array([0.0, 1.0, 0.0, 0.0])
         d2 = coeffs @ basis.table(2)
         exact = -np.pi**2 * np.sqrt(2.0) * np.cos(np.pi * grid401.nodes)
         assert np.max(np.abs(d2 - exact)) < 1e-10
-
-    def test_order_out_of_range(self, grid201):
-        from svfree.errors import UnsupportedOperationError
-
-        with pytest.raises(UnsupportedOperationError):
-            differentiate(np.ones(201), 7, grid201)
-
-    def test_grid_too_small_for_order(self):
-        grid = build_grid(5)
-        with pytest.raises(ConfigurationError):
-            differentiate(np.ones(5), 4, grid)
-
-    def test_fornberg_weights_reproduce_centered_stencil(self):
-        w = fornberg_weights(2, 1.0, np.array([0.0, 1.0, 2.0]))
-        assert np.allclose(w, [1.0, -2.0, 1.0], atol=1e-14)
 
 
 class TestVelocity:

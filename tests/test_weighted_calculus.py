@@ -17,9 +17,12 @@ from svfree.weighted_calculus import (
 
 
 def _smooth_random_field(grid, rng, n_modes=8):
+    """A random cosine sum and its exact derivative."""
     coeffs = rng.standard_normal(n_modes)
     x = grid.nodes
-    return sum(c * np.cos(k * np.pi * x) for k, c in enumerate(coeffs))
+    f = sum(c * np.cos(k * np.pi * x) for k, c in enumerate(coeffs))
+    fx = sum(-c * k * np.pi * np.sin(k * np.pi * x) for k, c in enumerate(coeffs))
+    return f, fx
 
 
 class TestNorms:
@@ -35,16 +38,16 @@ class TestNorms:
         assert weighted_l2_norm(np.ones(401), 0, para401) == pytest.approx(1.0, abs=1e-14)
 
     def test_h1_zero(self, para401):
-        assert weighted_h1_norm(np.zeros(401), 1, para401) == 0.0
+        assert weighted_h1_norm(np.zeros(401), 1, para401, field_x=np.zeros(401)) == 0.0
 
     def test_h1_constant_reduces_to_l2(self, para401):
-        assert weighted_h1_norm(np.ones(401), 1, para401) == pytest.approx(
+        assert weighted_h1_norm(np.ones(401), 1, para401, field_x=np.zeros(401)) == pytest.approx(
             math.sqrt(1.0 / 6.0), abs=1e-13
         )
 
     def test_h1_linear_field(self, grid401, para401):
         # int x(1-x)(x^2 + 1) dx = 1/20 + 1/6, antiderivatives exact
-        val = weighted_h1_norm(grid401.nodes, 1, para401)
+        val = weighted_h1_norm(grid401.nodes, 1, para401, field_x=np.ones(401))
         # quartic integrand: Simpson carries an O(h^4) defect ~5e-12
         assert val == pytest.approx(math.sqrt(1.0 / 6.0 + 1.0 / 20.0), abs=1e-10)
 
@@ -68,7 +71,7 @@ class TestNorms:
     @pytest.mark.parametrize("norm_k", [0, 1, 2])
     def test_homogeneity(self, grid401, para401, norm_k):
         rng = np.random.default_rng(11)
-        f = _smooth_random_field(grid401, rng)
+        f, _ = _smooth_random_field(grid401, rng)
         alpha = -2.3
         a = weighted_l2_norm(alpha * f, norm_k, para401)
         b = abs(alpha) * weighted_l2_norm(f, norm_k, para401)
@@ -76,14 +79,14 @@ class TestNorms:
 
     def test_h1_homogeneity(self, grid401, para401):
         rng = np.random.default_rng(12)
-        f = _smooth_random_field(grid401, rng)
-        assert weighted_h1_norm(4.0 * f, 1, para401) == pytest.approx(
-            4.0 * weighted_h1_norm(f, 1, para401), rel=1e-12
+        f, fx = _smooth_random_field(grid401, rng)
+        assert weighted_h1_norm(4.0 * f, 1, para401, field_x=4.0 * fx) == pytest.approx(
+            4.0 * weighted_h1_norm(f, 1, para401, field_x=fx), rel=1e-12
         )
 
     def test_h_half_homogeneity(self, grid401, para401):
         rng = np.random.default_rng(13)
-        f = _smooth_random_field(grid401, rng)
+        f, _ = _smooth_random_field(grid401, rng)
         assert h_half_norm(0.5 * f, para401) == pytest.approx(
             0.5 * h_half_norm(f, para401), rel=1e-12
         )
@@ -91,19 +94,19 @@ class TestNorms:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_triangle_inequality_random_pairs(self, grid401, para401, seed):
         rng = np.random.default_rng(seed)
-        f = _smooth_random_field(grid401, rng)
-        g = _smooth_random_field(grid401, rng)
+        f, fx = _smooth_random_field(grid401, rng)
+        g, gx = _smooth_random_field(grid401, rng)
         for norm in (
-            lambda w: weighted_l2_norm(w, 1, para401),
-            lambda w: weighted_h1_norm(w, 1, para401),
-            lambda w: h_half_norm(w, para401),
+            lambda w, wx: weighted_l2_norm(w, 1, para401),
+            lambda w, wx: weighted_h1_norm(w, 1, para401, field_x=wx),
+            lambda w, wx: h_half_norm(w, para401),
         ):
-            assert norm(f + g) <= norm(f) + norm(g) + 1e-12
+            assert norm(f + g, fx + gx) <= norm(f, fx) + norm(g, gx) + 1e-12
 
 
 class TestWeightedSobolev:
     def test_zero_field_trivial(self, dist401):
-        rep = check_weighted_sobolev(np.zeros(401), 0, dist401)
+        rep = check_weighted_sobolev(np.zeros(401), 0, dist401, field_x=np.zeros(401))
         assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.satisfied()
 
     def test_unit_field_distance_weight(self, dist401):
@@ -122,7 +125,7 @@ class TestWeightedSobolev:
 
 class TestHHalfWeighted:
     def test_zero(self, dist401):
-        rep = check_h_half_weighted(np.zeros(401), dist401)
+        rep = check_h_half_weighted(np.zeros(401), dist401, field_x=np.zeros(401))
         assert rep.lhs == 0.0 and rep.rhs == 0.0
 
     def test_unit_field(self, dist401):
@@ -189,12 +192,12 @@ class TestInterpolationIdentity:
 
     def test_wrong_profile_kind_rejected(self, para401):
         with pytest.raises(ValidationError):
-            check_interpolation_identity(np.ones(401), para401)
+            check_interpolation_identity(np.ones(401), para401, field_x=np.zeros(401))
 
 
 class TestInterpolationInequality:
     def test_zero(self, dist401):
-        rep = check_interpolation_inequality(np.zeros(401), dist401)
+        rep = check_interpolation_inequality(np.zeros(401), dist401, field_x=np.zeros(401))
         assert rep.lhs == 0.0 and rep.rhs == 0.0
 
     def test_unit_field_constant_two(self, dist401):

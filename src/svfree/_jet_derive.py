@@ -6,9 +6,11 @@ The momentum equation solved pointwise for the acceleration,
           - 2 rho0_x / eta_x^2 + 2 rho0 eta_xx / eta_x^3,
 
 is differentiated in time symbolically (eta_t = v closes the recursion), which
-expresses d_t^k v and its spatial derivatives as rational functions of the
-profile (r*), the velocity (w*), the flow map (j*) and the earlier outputs
-(a*, b*); the digit is the order of the spatial derivative.
+expresses a0 = v_t, b0 = v_tt and c0 = v_ttt as rational functions of the
+profile (r*), the velocity (w*), the flow map (j*) and the x-derivatives of
+the earlier outputs (a*, b*); the digit is the order of the spatial
+derivative. The x-derivatives a1..a4 and b1, b2 are not derived here:
+``svfree.jet`` reads them off the Taylor series of a0 and b0.
 
 ``render()`` prints each output with sympy's plain-operator ("math") printer
 and common-subexpression elimination into one table, and returns the source
@@ -41,29 +43,15 @@ _HEADER = '''"""The jet recursion outputs as plain Python functions. Generated: 
 Rewrite with ``PYTHONPATH=src python -m svfree._jet_derive``. Each function is
 the source that ``sympy.lambdify(ARGUMENTS, expr, "math", cse=True)`` prints
 for one output of ``svfree._jet_derive``: only arithmetic operators, so one
-function runs on floats, numpy rows and LaurentSeries alike. The one table,
-``PRESSURE``, lists the nine outputs of the momentum equation with its
-pressure term in evaluation order: a* need only the r, w and j arguments, b*
-also consume a-outputs, and c0 consumes b-outputs.
+function runs on floats and on the Taylor and Laurent series of
+``svfree._series`` alike. The one table, ``PRESSURE``, lists the three
+outputs of the momentum equation with its pressure term in evaluation order:
+a0 = v_t needs only the r, w and j arguments, b0 = v_tt also consumes a1 and
+a2, and c0 = v_ttt consumes a1, a2, b1 and b2. ``svfree.jet`` reads those
+x-derivatives off the series of a0 and b0.
 """
 
 '''
-
-
-def _dx(expr):
-    shift = {}
-    tops = set()
-    for fam in _FAMILIES:
-        for k in range(DEPTH - 1):
-            shift[fam[k]] = fam[k + 1]
-        tops.add(fam[DEPTH - 1])
-    if expr.free_symbols & tops:
-        raise RuntimeError("derivative depth exhausted; raise the symbol depth")
-    total = sp.Integer(0)
-    for s in expr.free_symbols:
-        if s in shift:
-            total += sp.diff(expr, s) * shift[s]
-    return total
 
 
 def _dt(expr):
@@ -81,18 +69,14 @@ def _dt(expr):
 
 
 def _expressions() -> dict:
-    """The nine recursion outputs, in evaluation order."""
+    """The three recursion outputs, in evaluation order."""
     r0, r1 = _R[0], _R[1]
     w1, w2 = _W[1], _W[2]
     j1, j2 = _J[1], _J[2]
     accel = ((r1 * w1 / r0 + w2) / j1**2 - 2 * w1 * j2 / j1**3
              - 2 * r1 / j1**2 + 2 * r0 * j2 / j1**3)
     exprs = {"a0": accel}
-    for k in range(1, 5):
-        exprs[f"a{k}"] = _dx(exprs[f"a{k-1}"])
     exprs["b0"] = _dt(exprs["a0"])
-    exprs["b1"] = _dx(exprs["b0"])
-    exprs["b2"] = _dx(exprs["b1"])
     exprs["c0"] = _dt(exprs["b0"])
     return exprs
 
@@ -110,7 +94,7 @@ def render() -> str:
     exprs = _expressions()
     for name, expr in exprs.items():
         # the plain-operator "math" printer writes integer powers and 1/x,
-        # so one function serves numpy rows and LaurentSeries alike; cse
+        # so one function serves numpy rows and both series types; cse
         # hoists the shared Jacobian/profile powers, which matters a lot
         # for the series arithmetic
         fn = sp.lambdify(_ALL_SYMBOLS, expr, "math", cse=True)

@@ -1,4 +1,4 @@
-"""Truncated Laurent-series arithmetic for one-sided boundary limits.
+"""Truncated series arithmetic: Laurent series at the vacuum endpoints, Taylor series inside.
 
 The vacuum endpoints make pointwise formulas of the form N(x)/rho0(x)^p
 indeterminate: rho0 vanishes there, and whenever the data is compatible the
@@ -15,6 +15,13 @@ broadcasts across rows like numpy, so a single pass through a generated
 function evaluates every row at once. The recurrences for the product and the inverse
 are the standard Taylor-coefficient ones (Griewank & Walther, Evaluating
 Derivatives, 2nd ed., ch. 13); only the batch axis is added.
+
+``TaylorSeries`` is the same ring about every interior node at once, where no
+denominator vanishes: no offset and no valuation, and its coefficients are
+stored terms-first, one array per power, so every operation is elementwise.
+Both types differentiate: a series of f carries f's x-derivatives as its
+coefficients times factorials, which is how ``svfree.jet`` reads a1..a4 and
+b1, b2 off the series of a0 and b0.
 """
 
 from __future__ import annotations
@@ -54,7 +61,55 @@ class MixedValuationError(ArithmeticError):
     """
 
 
-class LaurentSeries:
+class _Series:
+    """The operators both series types derive from +, unary -, * and their _inverse."""
+
+    __slots__ = ()
+
+    def __radd__(self, other):
+        return self + other
+
+    def __rmul__(self, other):
+        return self * other
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __truediv__(self, other):
+        if isinstance(other, _SCALARS):
+            return self * (1.0 / float(other))
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self * other._inverse()
+
+    def __rtruediv__(self, other):
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
+        return self._inverse() * float(other)
+
+    def __pow__(self, n):
+        if not isinstance(n, (int, np.integer)):
+            return NotImplemented
+        n = int(n)
+        if n < 0:
+            return self._inverse() ** (-n)
+        if n == 0:
+            return self * 0.0 + 1.0
+        result = None
+        base = self
+        while True:
+            if n & 1:
+                result = base if result is None else result * base
+            n >>= 1
+            if not n:
+                return result
+            base = base * base
+
+
+class LaurentSeries(_Series):
     """Power series sum_k c_k xi^(offset+k), truncated to N_TERMS coefficients.
 
     ``coeffs`` has shape ``(..., N_TERMS)``: one series, or a batch of rows
@@ -126,19 +181,8 @@ class LaurentSeries:
         off = min(self.offset, other.offset)
         return LaurentSeries(self._shifted_to(off) + other._shifted_to(off), off)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return LaurentSeries(-self.coeffs, self.offset)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
@@ -148,8 +192,6 @@ class LaurentSeries:
             return NotImplemented
         pairs = self.coeffs[..., _PAIR_I] * other.coeffs[..., _PAIR_J]
         return LaurentSeries(pairs @ _CAUCHY, self.offset + other.offset)
-
-    __rmul__ = __mul__
 
     def _inverse(self):
         if self._inv is not None:
@@ -171,37 +213,13 @@ class LaurentSeries:
         self._inv = LaurentSeries(inv / lead, -(self.offset + val))
         return self._inv
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other._inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self._inverse()
-
-    def __pow__(self, n):
-        if not isinstance(n, (int, np.integer)):
-            return NotImplemented
-        n = int(n)
-        if n < 0:
-            return self._inverse() ** (-n)
-        if n == 0:
-            one = np.zeros(self.coeffs.shape)
-            one[..., 0] = 1.0
-            return LaurentSeries(one, 0)
-        result = None
-        base = self
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
+    def derivative(self, k: int):
+        """The k-th derivative; its finite part is k! times the coefficient of power k."""
+        powers = self.offset + np.arange(N_TERMS)
+        falling = np.ones(N_TERMS)
+        for i in range(k):
+            falling *= powers - i
+        return LaurentSeries(self.coeffs * falling, self.offset - k)
 
     # -- extraction ---------------------------------------------------
 
@@ -234,3 +252,87 @@ class LaurentSeries:
 
     def __repr__(self):
         return f"LaurentSeries(offset={self.offset}, coeffs={self.coeffs!r})"
+
+
+class TaylorSeries(_Series):
+    """Power series sum_k c_k h^k about every point of an array, stored terms-first.
+
+    ``terms`` holds c_0, c_1, ... as arrays that broadcast against each other.
+    Every operation is elementwise, so a point's coefficients do not depend on
+    the batch it is evaluated in. A binary operation keeps the shorter
+    operand's number of terms. No operation writes into an operand's terms,
+    so they may be views of the caller's arrays.
+    """
+
+    __slots__ = ("terms", "_inv")
+
+    def __init__(self, terms):
+        self.terms = tuple(terms)
+        self._inv = None
+
+    @classmethod
+    def from_derivatives(cls, derivs):
+        """Series with coefficients derivs[m] / m! (Taylor data at every point)."""
+        return cls(d if m < 2 else d / _FACTORIALS[m] for m, d in enumerate(derivs))
+
+    def head(self, n: int):
+        """The first n terms, with the inverse's first n if it is already known."""
+        if n >= len(self.terms):
+            return self
+        out = TaylorSeries(self.terms[:n])
+        if self._inv is not None:
+            out._inv = self._inv.head(n)
+        return out
+
+    def derivative(self, k: int):
+        """The series of the k-th derivative: one term fewer per order."""
+        if k == 0:
+            return self
+        return TaylorSeries(
+            c * (_FACTORIALS[m + k] / _FACTORIALS[m]) for m, c in enumerate(self.terms[k:])
+        )
+
+    def __add__(self, other):
+        if isinstance(other, _SCALARS):
+            return TaylorSeries((self.terms[0] + other, *self.terms[1:]))
+        if not isinstance(other, TaylorSeries):
+            return NotImplemented
+        return TaylorSeries(a + b for a, b in zip(self.terms, other.terms))
+
+    def __sub__(self, other):
+        if isinstance(other, _SCALARS):
+            return TaylorSeries((self.terms[0] - other, *self.terms[1:]))
+        if not isinstance(other, TaylorSeries):
+            return NotImplemented
+        return TaylorSeries(a - b for a, b in zip(self.terms, other.terms))
+
+    def __neg__(self):
+        return TaylorSeries(-c for c in self.terms)
+
+    def __mul__(self, other):
+        if isinstance(other, _SCALARS):
+            return TaylorSeries(c * other for c in self.terms)
+        if not isinstance(other, TaylorSeries):
+            return NotImplemented
+        a, b = self.terms, other.terms
+        # the triangular Cauchy sum, one power at a time
+        out = []
+        for k in range(min(len(a), len(b))):
+            total = a[0] * b[k]
+            for i in range(1, k + 1):
+                total += a[i] * b[k - i]
+            out.append(total)
+        return TaylorSeries(out)
+
+    def _inverse(self):
+        if self._inv is None:
+            a = self.terms
+            lead = 1.0 / a[0]
+            inv = [lead]
+            for k in range(1, len(a)):
+                total = a[1] * inv[k - 1]
+                for i in range(2, k + 1):
+                    total += a[i] * inv[k - i]
+                inv.append(-lead * total)
+            self._inv = TaylorSeries(inv)
+        return self._inv

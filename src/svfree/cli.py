@@ -434,9 +434,13 @@ def run_verification_suite(cfg: RunConfig) -> list[checks.CheckResult]:
         checks.norm_homogeneity(profile),
         checks.energy_identity(),
     ]
-    # small nonlinear run: contraction, flow-map bound, mass, round trip, ceiling
+    # small nonlinear run: contraction, flow-map bound, mass, round trip,
+    # ceiling; 16 modes, or enough to hold a cosine u0's mode
+    modes = 16
+    if cfg.u0["kind"] == "cosine":
+        modes = max(modes, cfg.u0.get("mode", 1) + 1)
     settings = picard.PicardSettings(
-        t_final=0.0125, dt=1e-4, n_modes=min(cfg.n_modes, 16), picard_tol=1e-10, max_iter=50
+        t_final=0.0125, dt=1e-4, n_modes=min(cfg.n_modes, modes), picard_tol=1e-10, max_iter=50
     )
     try:
         sol = picard.solve_nonlinear(profile, u0, settings)

@@ -6,15 +6,18 @@ The momentum equation solved pointwise for the acceleration,
           - 2 rho0_x / eta_x^2 + 2 rho0 eta_xx / eta_x^3,
 
 is differentiated in time (eta_t = v closes the recursion), which expresses
-d_t^k v and its spatial derivatives as rational functions of the profile,
-the velocity and the flow map. ``svfree._jet_derive`` derives them with sympy
-and prints them once into the committed module ``_jet_generated.py``, so a
-run neither derives nor compiles anything. The same function runs vectorized
-on the interior nodes and in truncated Laurent arithmetic at the two vacuum
-endpoints, where the 1/rho0 factors cancel exactly for compatible data.
-When the data is incompatible (nonzero endpoint values of d_t^k v_x), a
-genuine pole survives; the endpoint value is then the Hadamard finite part
-and the report is flagged.
+a0 = v_t, b0 = v_tt and c0 = v_ttt as rational functions of the profile, the
+velocity, the flow map and the spatial derivatives of the earlier outputs.
+``svfree._jet_derive`` derives these three with sympy and prints them once
+into the committed module ``_jet_generated.py``, so a run neither derives nor
+compiles anything. Each runs on truncated series in x (Taylor propagation,
+Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13), so the spatial
+derivatives a1..a4 of v_t and b1, b2 of v_tt are read off the series of a0 and
+b0 instead of being evaluated: terms-first Taylor series about every interior
+node, and Laurent series at the two vacuum endpoints, where the 1/rho0
+factors cancel exactly for compatible data. When the data is incompatible
+(nonzero endpoint values of d_t^k v_x), a genuine pole survives; the endpoint
+value is then the Hadamard finite part and the report is flagged.
 
 The higher-order energy functional sums fifteen weighted squared norms
 (time derivatives through order three, mixed and pure spatial derivatives
@@ -30,9 +33,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._jet_generated import ARGUMENTS, PRESSURE
 from ._jet_generated import DEPTH as _DEPTH
-from ._series import N_TERMS, LaurentSeries
+from ._jet_generated import PRESSURE
+from ._series import N_TERMS, LaurentSeries, TaylorSeries
 from .errors import UnsupportedOperationError, ValidationError
 from .galerkin import check_jacobian
 from .profile import AnalyticField, HeightProfile
@@ -54,10 +57,14 @@ log = logging.getLogger(__name__)
 
 _ATOM_ORDERS = 6 + N_TERMS
 
-# the names of the compiled outputs, in evaluation order
-_OUTPUTS = tuple(PRESSURE)
-# the argument position of each output that later outputs consume
-_FED_BACK = {name: i for i, name in enumerate(ARGUMENTS) if name in _OUTPUTS}
+# the x-derivatives read off the series of a0 (a0..a4) and of b0 (b0..b2):
+# b0 consumes a1 and a2, and c0 consumes a1, a2, b1 and b2
+_A_ORDERS, _B_ORDERS = 5, 3
+# the names of the recursion outputs, in evaluation order
+_OUTPUTS = (*(f"a{k}" for k in range(_A_ORDERS)), *(f"b{k}" for k in range(_B_ORDERS)), "c0")
+# the series length of each compiled call in the interior pass: as many terms
+# as the derivatives read off its output need
+_INTERIOR_TERMS = {"a0": _A_ORDERS, "b0": _B_ORDERS, "c0": 1}
 
 
 @lru_cache(maxsize=8)
@@ -78,15 +85,30 @@ def _atom_series(atoms: np.ndarray) -> list[LaurentSeries]:
     return [LaurentSeries.from_derivatives(atoms[:, k:]) for k in range(_DEPTH)]
 
 
-def _outputs(r, w, j) -> dict:
-    """Every recursion output from the r, w and j arguments, each output fed to the later ones."""
-    args = [*r, *w, *j, *[None] * (2 * _DEPTH)]
-    out = {}
-    for name in _OUTPUTS:
-        out[name] = PRESSURE[name](*args)
-        if name in _FED_BACK:
-            args[_FED_BACK[name]] = out[name]
-    return out
+def _outputs(r, w, j, terms=None) -> dict:
+    """Every recursion output from the series of the r, w and j arguments.
+
+    Only a0, b0 and c0 are compiled; a1..a4 and b1, b2 are the derivatives of
+    the a0 and b0 series. ``terms`` maps each compiled output to the length
+    its Taylor arguments are cut to; None keeps Laurent series whole, since
+    the endpoint squares need their finite parts.
+    """
+
+    def call(name, a=(), b=()):
+        args = [s for fam in (r, w, j, a, b) for s in (*fam, *[None] * (_DEPTH - len(fam)))]
+        if terms is not None:
+            args = [s if s is None else s.head(terms[name]) for s in args]
+        return PRESSURE[name](*args)
+
+    a = call("a0")
+    a = [a.derivative(k) for k in range(_A_ORDERS)]
+    b = call("b0", a)
+    b = [b.derivative(k) for k in range(_B_ORDERS)]
+    return {
+        **{f"a{k}": s for k, s in enumerate(a)},
+        **{f"b{k}": s for k, s in enumerate(b)},
+        "c0": call("c0", a, b),
+    }
 
 
 def _endpoint_pass(profile: HeightProfile, w_atoms, j_atoms) -> dict:
@@ -94,11 +116,12 @@ def _endpoint_pass(profile: HeightProfile, w_atoms, j_atoms) -> dict:
 
     ``w_atoms`` and ``j_atoms`` hold (rows, _ATOM_ORDERS) Taylor data of v
     and eta per side, one row per stored time; each compiled output runs once
-    per side on the row-batched series of every row. Returns name -> (left,
-    right). Raises MixedValuationError when the rows of a denominator differ
-    in valuation. The only inverted series are r0, one unbatched row, and j1,
-    whose constant term is exactly 1 in every row (odd mode derivatives vanish
-    at both ends), so the rows of an admissible trajectory never raise it.
+    per side on the row-batched series of every row, and the other outputs
+    are derivatives of those series. Returns name -> (left, right). Raises
+    MixedValuationError when the rows of a denominator differ in valuation.
+    The only inverted series are r0, one unbatched row, and j1, whose
+    constant term is exactly 1 in every row (odd mode derivatives vanish at
+    both ends), so the rows of an admissible trajectory never raise it.
     """
     sides = []
     for side in (0, 1):
@@ -110,20 +133,39 @@ def _endpoint_pass(profile: HeightProfile, w_atoms, j_atoms) -> dict:
     return {name: (left[name], right[name]) for name in left}
 
 
+def _taylor_family(derivs) -> list:
+    """Series about every node of the derivatives of orders 0..2, which the recursion reads.
+
+    ``derivs`` holds the nodal derivatives of orders 0.._DEPTH - 1, which fill
+    the _A_ORDERS terms of each series.
+    """
+    orders = range(_DEPTH - _A_ORDERS + 1)
+    return [TaylorSeries.from_derivatives(derivs[k : k + _A_ORDERS]) for k in orders]
+
+
+@lru_cache(maxsize=8)
+def _profile_taylor(profile: HeightProfile) -> list[TaylorSeries]:
+    """Interior Taylor series of rho0 and its derivatives; every chunk shares them and 1/rho0."""
+    return _taylor_family([profile.derivative_values(k)[1:-1] for k in range(_DEPTH)])
+
+
 def _interior_pass(profile: HeightProfile, w, j) -> dict[str, np.ndarray]:
     """(rows, n - 2) values of every recursion output on the interior nodes.
 
-    ``w`` and ``j`` are (rows, _DEPTH, n) nodal stacks of v and eta; each
-    compiled output runs once on all rows, so its cse temporaries are all of
-    that size: callers pass a few stored times at once (_CHUNK_VALUES).
+    ``w`` and ``j`` are (rows, _DEPTH, n) nodal stacks of v and eta. Each
+    compiled output runs once on the Taylor series about every node of all
+    rows, elementwise, so a row's values do not depend on its batch; callers
+    pass a few stored times at once (_CHUNK_VALUES).
     """
     check_jacobian(j[:, 1])
     inner = slice(1, -1)
-    return _outputs(
-        [profile.derivative_values(k)[inner] for k in range(_DEPTH)],
-        w[:, :, inner].swapaxes(0, 1),
-        j[:, :, inner].swapaxes(0, 1),
+    out = _outputs(
+        _profile_taylor(profile),
+        _taylor_family(w[:, :, inner].swapaxes(0, 1)),
+        _taylor_family(j[:, :, inner].swapaxes(0, 1)),
+        _INTERIOR_TERMS,
     )
+    return {name: s.terms[0] for name, s in out.items()}
 
 
 def _jets(profile: HeightProfile, w, j, w_atoms, j_atoms):
@@ -323,11 +365,12 @@ _SUMMAND_COLUMNS = {
     for label, key in {**E_SUMMAND_WEIGHTS, **LOW_SUMMAND_WEIGHTS}.items()
 }
 
-# nodal values per call of a compiled output in the interior pass: 8 stored
-# times at 401 nodes. A call keeps all its cse temporaries alive (about 170
-# for a4), so each further stored time adds about 0.5 MB to the peak at 401
-# nodes, while the time per stored time hardly falls beyond 8
-_CHUNK_VALUES = 3500
+# nodal values per interior pass: 16 stored times at 401 nodes, 32 at 201.
+# Such a pass peaks at about 3.2 MB (tracemalloc, canonical and sine
+# configs), about 500 bytes per nodal value, and that chunk sets the peak RSS
+# of the sine simulate run; at 3,500 values a canonical simulate ran about
+# 0.1 s slower, and doubling the chunk saved little more time
+_CHUNK_VALUES = 6500
 
 
 def _squares(traj, rows) -> tuple[np.ndarray, np.ndarray]:

@@ -214,6 +214,17 @@ class TestVerificationSuite:
             rows = {c.name: c for c in run_verification_suite(cfg)}
         assert not rows["roundtrip-inverse-map"].passed
 
+    def test_small_run_keeps_a_high_cosine_mode(self):
+        # a cosine u0 of mode 20 lives on the 21 modes of the small run: it is
+        # not projected away, so the run judges the configured problem
+        base = json.loads((Path(__file__).parents[1] / "configs" / "canonical.json").read_text())
+        details = {}
+        for label, u0 in (("zero", {"kind": "zero"}),
+                          ("mode 20", {"kind": "cosine", "amplitude": 0.5, "mode": 20})):
+            rows = {c.name: c for c in run_verification_suite(config_from_dict({**base, "u0": u0}))}
+            details[label] = rows["embedding-constants"].detail
+        assert details["mode 20"] != details["zero"]
+
     def test_corrupted_profile_fails_by_name(self):
         from svfree.profile import sample_height_profile
 

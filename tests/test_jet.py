@@ -2,8 +2,10 @@ import dataclasses
 import math
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from svfree import _jet_derive, _jet_generated, eulerian, jet
@@ -354,12 +356,12 @@ def test_energy_reports_reject_a_degenerate_flow_map(small_solution):
 @settings(max_examples=25)
 @given(data=st.data())
 def test_compiled_outputs_agree_on_rows_and_constant_series(small_solution, data):
-    # one compiled function per output serves the interior rows and the
-    # endpoint series: on constant series of one node's inputs it must give
-    # that node's row value. The series divide as x * (1/y) and take powers
-    # by products, so the two differ by rounding; within ten cells of the vacuum
-    # the 1/rho0^k cancellation in a3 and a4 amplifies that to about 6e-11
-    # relative, so nodes are drawn from the rest of the interior, and the
+    # each compiled function serves the interior Taylor series and the
+    # endpoint Laurent series: on constant series of one node's inputs, and of
+    # the x-derivatives the interior pass read off there, it must give that
+    # node's row value. The series divide as x * (1/y) and take powers by
+    # products, so the two differ by rounding, which the 1/rho0^k cancellation
+    # amplifies near the vacuum; nodes are drawn from ten cells in on, and the
     # tolerance is relative to the row's size because outputs cross zero
     sol = small_solution
     n = sol.basis.grid.n_nodes
@@ -368,20 +370,23 @@ def test_compiled_outputs_agree_on_rows_and_constant_series(small_solution, data
     w, j = jet._nodal_stacks(sol, [row])
     # interior values: column i is node i + 1
     out = jet._interior_pass(sol.profile, w, j)
-    inputs = [
-        *(sol.profile.derivative_values(k)[node] for k in range(jet._DEPTH)),
-        *w[0, :, node],
-        *j[0, :, node],
-        *[0.0] * (2 * jet._DEPTH),
+
+    def family(values):
+        series = [LaurentSeries.constant(v) for v in values]
+        return series + [None] * (jet._DEPTH - len(series))
+
+    args = [
+        *family(sol.profile.derivative_values(k)[node] for k in range(jet._DEPTH)),
+        *family(w[0, :, node]),
+        *family(j[0, :, node]),
+        *family(out[f"a{k}"][0, node - 1] for k in range(5)),
+        *family(out[f"b{k}"][0, node - 1] for k in range(3)),
     ]
-    args = [LaurentSeries.constant(v) for v in inputs]
-    for name in jet._OUTPUTS:
-        series = _jet_generated.PRESSURE[name](*args)
+    for name, fn in _jet_generated.PRESSURE.items():
+        series = fn(*args)
         values = out[name][0, 9 : n - 11]
         assert not series.has_pole(), name
         assert abs(series.finite_part() - out[name][0, node - 1]) <= 1e-12 * np.max(np.abs(values)), name
-        if name in jet._FED_BACK:
-            args[jet._FED_BACK[name]] = series
 
 
 def test_generated_module_is_fresh():
@@ -389,6 +394,121 @@ def test_generated_module_is_fresh():
     # today, and each function needs no name from any namespace
     assert _jet_derive.GENERATED.read_bytes() == _jet_derive.render().encode()
     assert _jet_generated.ARGUMENTS == tuple(s.name for s in _jet_derive._ALL_SYMBOLS)
-    assert tuple(_jet_generated.PRESSURE) == jet._OUTPUTS
+    assert tuple(_jet_generated.PRESSURE) == ("a0", "b0", "c0")
+    assert jet._OUTPUTS == ("a0", "a1", "a2", "a3", "a4", "b0", "b1", "b2", "c0")
     for name, fn in _jet_generated.PRESSURE.items():
         assert fn.__code__.co_names == (), name
+
+
+# -- the x-derivative outputs as closed forms, derived with sympy here ----------
+
+
+def _dx(expr):
+    """The total x-derivative of a recursion expression: every symbol steps one order up."""
+    families, depth = _jet_derive._FAMILIES, _jet_derive.DEPTH
+    if expr.free_symbols & {fam[depth - 1] for fam in families}:
+        raise RuntimeError("derivative depth exhausted; raise the symbol depth")
+    shift = {fam[k]: fam[k + 1] for fam in families for k in range(depth - 1)}
+    return sum((sp.diff(expr, s) * shift[s] for s in expr.free_symbols if s in shift), sp.Integer(0))
+
+
+@pytest.fixture(scope="module")
+def closed_forms():
+    """All nine recursion outputs as sympy expressions, a1..a4, b1 and b2 by _dx."""
+    exprs = _jet_derive._expressions()
+    for k in range(1, 5):
+        exprs[f"a{k}"] = _dx(exprs[f"a{k - 1}"])
+    exprs["b1"] = _dx(exprs["b0"])
+    exprs["b2"] = _dx(exprs["b1"])
+    return {name: exprs[name] for name in jet._OUTPUTS}
+
+
+@pytest.fixture(scope="module")
+def closed_form_functions(closed_forms):
+    # the plain-operator printer, so one function runs on numpy rows and on
+    # Laurent series
+    return {
+        name: sp.lambdify(_jet_derive._ALL_SYMBOLS, expr, "math", cse=True)
+        for name, expr in closed_forms.items()
+    }
+
+
+def _closed_form_outputs(functions, r, w, j) -> dict:
+    """Every output from its closed form, each fed to the later ones in evaluation order."""
+    args = [*r, *w, *j, *[None] * (2 * jet._DEPTH)]
+    positions = {name: i for i, name in enumerate(_jet_generated.ARGUMENTS)}
+    out = {}
+    for name, fn in functions.items():
+        out[name] = fn(*args)
+        if name in positions:
+            args[positions[name]] = out[name]
+    return out
+
+
+@settings(max_examples=12)
+@given(data=st.data())
+def test_series_derivatives_match_the_closed_forms(
+    small_solution, canonical_solution, closed_form_functions, data
+):
+    # a1..a4 and b1, b2 are read off the series of a0 and b0; they must be the
+    # values of their own closed forms, inside and at both ends
+    sol = data.draw(st.sampled_from([small_solution, canonical_solution]), label="solution")
+    profile = sol.profile
+    n = sol.basis.grid.n_nodes
+    row = data.draw(st.integers(0, len(sol.times) - 1), label="row")
+    w, j = jet._nodal_stacks(sol, [row])
+    inner = slice(1, -1)
+    ref = _closed_form_outputs(
+        closed_form_functions,
+        [profile.derivative_values(k)[inner] for k in range(jet._DEPTH)],
+        w[0, :, inner],
+        j[0, :, inner],
+    )
+    got = jet._interior_pass(profile, w, j)
+    # interior column i is node i + 1: nodes 10 .. n - 11, as above
+    away = slice(9, n - 11)
+    scale = {name: np.max(np.abs(ref[name][away])) for name in jet._OUTPUTS}
+    for name in jet._OUTPUTS:
+        gap = np.max(np.abs(got[name][0, away] - ref[name][away]))
+        assert gap <= 1e-12 * scale[name], name
+
+    w_atoms, j_atoms = jet._endpoint_atoms(sol, [row])
+    series = jet._endpoint_pass(profile, w_atoms, j_atoms)
+    for side in (0, 1):
+        ends = _closed_form_outputs(
+            closed_form_functions,
+            jet._profile_series(profile, side),
+            jet._atom_series(w_atoms[side]),
+            jet._atom_series(j_atoms[side]),
+        )
+        for name in jet._OUTPUTS:
+            s = series[name][side]
+            assert bool(s.has_pole()[0]) == bool(ends[name].has_pole()[0]), (name, side)
+            gap = abs(s.finite_part()[0] - ends[name].finite_part()[0])
+            assert gap <= 1e-12 * scale[name], (name, side)
+
+
+def test_a3_a4_next_to_the_vacuum_match_a_60_digit_evaluation(canonical_solution, closed_forms):
+    # at the first interior nodes a3 and a4 cancel 1/rho0^k factors; read off
+    # the a0 series they keep nine digits of the exact value of their closed
+    # forms on the same inputs
+    sol = canonical_solution
+    profile = sol.profile
+    row = len(sol.times) - 1
+    w, j = jet._nodal_stacks(sol, [row])
+    got = jet._interior_pass(profile, w, j)
+    exact = {
+        name: sp.lambdify(_jet_derive._ALL_SYMBOLS, closed_forms[name], "mpmath")
+        for name in ("a3", "a4")
+    }
+    with mpmath.workdps(60):
+        for node in (1, 2, 3):
+            inputs = [
+                *(profile.derivative_values(k)[node] for k in range(jet._DEPTH)),
+                *w[0, :, node],
+                *j[0, :, node],
+            ]
+            args = [mpmath.mpf(float(v)) for v in inputs] + [None] * (2 * jet._DEPTH)
+            for name, fn in exact.items():
+                ref = fn(*args)
+                assert abs((got[name][0, node - 1] - ref) / ref) <= 1e-9, (name, node)

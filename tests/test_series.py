@@ -6,7 +6,7 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from svfree._series import N_TERMS, LaurentSeries, MixedValuationError
+from svfree._series import N_TERMS, LaurentSeries, MixedValuationError, TaylorSeries
 
 
 def _poly(*coeffs):
@@ -209,3 +209,49 @@ class TestRingLaws:
         exact = [float(expansion.coeff(x, k - val)) for k in range(N_TERMS)]
         scale = max(map(abs, exact))
         assert np.max(np.abs(inv.coeffs - exact)) <= 1e-12 * scale
+
+
+# -- Taylor series about many points, checked against one Laurent series per point
+
+
+class TestTaylorMatchesLaurent:
+    @given(data=st.data())
+    def test_ring_operations_and_derivatives(self, data):
+        # terms-first series about 3 points, of the 5 terms the interior
+        # pass uses; each point must read what its valuation-0 Laurent
+        # series reads in its first 5 coefficients
+        n = 5
+        coeffs = [data.draw(arrays(float, (3, n), elements=_COEFF)) for _ in range(2)]
+        for c in coeffs:
+            c[:, 0] = [data.draw(_LEAD) for _ in range(3)]
+        a, b = (TaylorSeries(c.T) for c in coeffs)
+        power = data.draw(st.integers(-3, 4))
+        scalar = data.draw(_COEFF)
+        order = data.draw(st.integers(0, n - 1))
+        results = {
+            "a + b": (a + b, lambda x, y: x + y),
+            "a - b": (a - b, lambda x, y: x - y),
+            "a * b": (a * b, lambda x, y: x * y),
+            "a / b": (a / b, lambda x, y: x / y),
+            "c / b": (scalar / b, lambda x, y: scalar / y),
+            "c - a * c": (scalar - a * scalar, lambda x, y: scalar - x * scalar),
+            "a ** k": (a**power, lambda x, y: x**power),
+            "a'": (a.derivative(order), lambda x, y: x.derivative(order)),
+        }
+        for label, (got, op) in results.items():
+            for p in range(3):
+                ref = op(*(LaurentSeries(c[p]) for c in coeffs))
+                # slot -offset holds the coefficient of power 0
+                expect = ref.coeffs[-ref.offset :][: len(got.terms)]
+                values = np.array([t[p] for t in got.terms])
+                scale = max(np.max(np.abs(expect)), 1.0)
+                assert np.max(np.abs(values - expect)) <= 1e-12 * scale, label
+
+    def test_head_and_derivative_lengths(self):
+        s = TaylorSeries.from_derivatives([np.full(2, float(math.factorial(k))) for k in range(5)])
+        assert [len(s.derivative(k).terms) for k in range(5)] == [5, 4, 3, 2, 1]
+        # a series of 1/(1 - x) carries f^(k)(0) = k! as coefficient k
+        geometric = 1.0 / (1.0 - TaylorSeries([np.zeros(2), np.ones(2), *[np.zeros(2)] * 3]))
+        assert all(np.allclose(t, 1.0) for t in geometric.terms)
+        assert np.allclose(geometric.derivative(3).terms[0], 6.0)
+        assert len((s * s.head(2)).terms) == 2

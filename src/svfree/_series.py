@@ -8,13 +8,14 @@ cancellation at once and to machine precision. When a genuine pole survives,
 the constant coefficient is the Hadamard finite part and the pole is flagged.
 
 Series objects support +, -, *, /, ** with integers and mix freely with
-Python scalars, so they can be fed straight through the generated rational
-jet functions of ``_jet_generated``. A series is one row of coefficients or a
-batch of rows that share one offset (one stored time per row); the arithmetic
-broadcasts across rows like numpy, so a single pass through a generated
-function evaluates every row at once. The recurrences for the product and the inverse
-are the standard Taylor-coefficient ones (Griewank & Walther, Evaluating
-Derivatives, 2nd ed., ch. 13); only the batch axis is added.
+Python scalars, so a rational function written with those operators, as
+``svfree.jet`` writes the momentum equation, runs on them unchanged. A series
+is one row of coefficients or a batch of rows that share one offset (one
+stored time per row); the arithmetic broadcasts across rows like numpy, so a
+single pass through such a function evaluates every row at once. The
+recurrences for the product and the inverse are the standard
+Taylor-coefficient ones (Griewank & Walther, Evaluating Derivatives, 2nd ed.,
+ch. 13); only the batch axis is added.
 
 ``TaylorSeries`` is the same ring about every interior node at once, where no
 denominator vanishes: no offset and no valuation, and its coefficients are
@@ -22,6 +23,10 @@ stored terms-first, one array per power, so every operation is elementwise.
 Both types differentiate: a series of f carries f's x-derivatives as its
 coefficients times factorials, which is how ``svfree.jet`` reads a1..a4 and
 b1, b2 off the series of a0 and b0.
+
+``TimeSeries`` is a short series in t whose coefficients are series in x of
+either type; fed through the momentum equation it propagates the time
+derivatives, so its t^1 and t^2 coefficients give v_tt and v_ttt / 2.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ class MixedValuationError(ArithmeticError):
 
 
 class _Series:
-    """The operators both series types derive from +, unary -, * and their _inverse."""
+    """The operators every series type derives from +, unary -, * and its _inverse."""
 
     __slots__ = ()
 
@@ -299,13 +304,6 @@ class TaylorSeries(_Series):
             return NotImplemented
         return TaylorSeries(a + b for a, b in zip(self.terms, other.terms))
 
-    def __sub__(self, other):
-        if isinstance(other, _SCALARS):
-            return TaylorSeries((self.terms[0] - other, *self.terms[1:]))
-        if not isinstance(other, TaylorSeries):
-            return NotImplemented
-        return TaylorSeries(a - b for a, b in zip(self.terms, other.terms))
-
     def __neg__(self):
         return TaylorSeries(-c for c in self.terms)
 
@@ -335,4 +333,53 @@ class TaylorSeries(_Series):
                     total += a[i] * inv[k - i]
                 inv.append(-lead * total)
             self._inv = TaylorSeries(inv)
+        return self._inv
+
+
+class TimeSeries(_Series):
+    """Power series q_0 + q_1 t + q_2 t^2 + ... whose coefficients are series in x.
+
+    ``terms`` holds q_0, q_1, ... as Taylor or Laurent series; a scalar or a
+    series in x is constant in t. A binary operation keeps the shorter
+    operand's number of terms, and only q_0 is ever inverted.
+    """
+
+    __slots__ = ("terms", "_inv")
+
+    def __init__(self, terms):
+        self.terms = tuple(terms)
+        self._inv = None
+
+    def __add__(self, other):
+        if isinstance(other, TimeSeries):
+            return TimeSeries(a + b for a, b in zip(self.terms, other.terms))
+        return TimeSeries((self.terms[0] + other, *self.terms[1:]))
+
+    def __neg__(self):
+        return TimeSeries(-q for q in self.terms)
+
+    def __mul__(self, other):
+        if not isinstance(other, TimeSeries):
+            return TimeSeries(q * other for q in self.terms)
+        a, b = self.terms, other.terms
+        # the triangular Cauchy sum, one power at a time
+        out = []
+        for k in range(min(len(a), len(b))):
+            total = a[0] * b[k]
+            for i in range(1, k + 1):
+                total += a[i] * b[k - i]
+            out.append(total)
+        return TimeSeries(out)
+
+    def _inverse(self):
+        if self._inv is None:
+            q = self.terms
+            lead = q[0]._inverse()
+            inv = [lead]
+            for k in range(1, len(q)):
+                total = q[1] * inv[k - 1]
+                for i in range(2, k + 1):
+                    total += q[i] * inv[k - i]
+                inv.append(-(lead * total))
+            self._inv = TimeSeries(inv)
         return self._inv

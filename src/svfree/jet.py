@@ -2,22 +2,20 @@
 
 The momentum equation solved pointwise for the acceleration,
 
-    v_t = (rho0_x/rho0) v_x / eta_x^2 + v_xx / eta_x^2 - 2 v_x eta_xx / eta_x^3
-          - 2 rho0_x / eta_x^2 + 2 rho0 eta_xx / eta_x^3,
+    v_t = ((rho0_x/rho0) v_x + v_xx - 2 rho0_x) / eta_x^2 + 2 eta_xx (rho0 - v_x) / eta_x^3,
 
-is differentiated in time (eta_t = v closes the recursion), which expresses
-a0 = v_t, b0 = v_tt and c0 = v_ttt as rational functions of the profile, the
-velocity, the flow map and the spatial derivatives of the earlier outputs.
-``svfree._jet_derive`` derives these three with sympy and prints them once
-into the committed module ``_jet_generated.py``, so a run neither derives nor
-compiles anything. Each runs on truncated series in x (Taylor propagation,
-Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13), so the spatial
-derivatives a1..a4 of v_t and b1, b2 of v_tt are read off the series of a0 and
-b0 instead of being evaluated: terms-first Taylor series about every interior
-node, and Laurent series at the two vacuum endpoints, where the 1/rho0
-factors cancel exactly for compatible data. When the data is incompatible
-(nonzero endpoint values of d_t^k v_x), a genuine pole survives; the endpoint
-value is then the Hadamard finite part and the report is flagged.
+is written once, as ``_accel``, and evaluated on truncated series (Taylor
+propagation, Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13).
+On series in x it gives a0 = v_t, and the spatial derivatives a1..a4 are
+read off that series instead of being evaluated. On series in t whose
+coefficients are the x-series of v and eta at one instant (eta_t = v closes
+the recursion) it gives b0 = v_tt and c0 = v_ttt as its t^1 and twice its
+t^2 coefficient, and b1, b2 are read off the series of b0. The x-series are
+terms-first Taylor series about every interior node, and Laurent series at
+the two vacuum endpoints, where the 1/rho0 factors cancel exactly for
+compatible data. When the data is incompatible (nonzero endpoint values of
+d_t^k v_x), a genuine pole survives; the endpoint value is then the Hadamard
+finite part and the report is flagged.
 
 The higher-order energy functional sums fifteen weighted squared norms
 (time derivatives through order three, mixed and pure spatial derivatives
@@ -33,9 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._jet_generated import DEPTH as _DEPTH
-from ._jet_generated import PRESSURE
-from ._series import N_TERMS, LaurentSeries, TaylorSeries
+from ._series import N_TERMS, LaurentSeries, TaylorSeries, TimeSeries
 from .errors import UnsupportedOperationError, ValidationError
 from .galerkin import check_jacobian
 from .profile import AnalyticField, HeightProfile
@@ -55,6 +51,9 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+# the orders of the x-derivatives of v (and of eta and rho0) that the energy
+# and the recursion read
+_DEPTH = 7
 _ATOM_ORDERS = 6 + N_TERMS
 
 # the x-derivatives read off the series of a0 (a0..a4) and of b0 (b0..b2):
@@ -62,9 +61,9 @@ _ATOM_ORDERS = 6 + N_TERMS
 _A_ORDERS, _B_ORDERS = 5, 3
 # the names of the recursion outputs, in evaluation order
 _OUTPUTS = (*(f"a{k}" for k in range(_A_ORDERS)), *(f"b{k}" for k in range(_B_ORDERS)), "c0")
-# the series length of each compiled call in the interior pass: as many terms
-# as the derivatives read off its output need
-_INTERIOR_TERMS = {"a0": _A_ORDERS, "b0": _B_ORDERS, "c0": 1}
+# the x-series length of each stage of the interior pass (a0, b0, c0): as
+# many terms as the derivatives read off its output need
+_INTERIOR_TERMS = (_A_ORDERS, _B_ORDERS, 1)
 
 
 @lru_cache(maxsize=8)
@@ -85,29 +84,52 @@ def _atom_series(atoms: np.ndarray) -> list[LaurentSeries]:
     return [LaurentSeries.from_derivatives(atoms[:, k:]) for k in range(_DEPTH)]
 
 
-def _outputs(r, w, j, terms=None) -> dict:
-    """Every recursion output from the series of the r, w and j arguments.
+def _accel(r0, r1, w1, w2, j1, j2):
+    """v_t from the momentum equation, on floats or on any series of ``svfree._series``.
 
-    Only a0, b0 and c0 are compiled; a1..a4 and b1, b2 are the derivatives of
-    the a0 and b0 series. ``terms`` maps each compiled output to the length
-    its Taylor arguments are cut to; None keeps Laurent series whole, since
-    the endpoint squares need their finite parts.
+    The r, w and j arguments are rho0, v and eta; the digit is the order of
+    the x-derivative. r0 and r1 stay series in x, so only j1 is inverted as
+    a series in t.
+    """
+    inv = 1.0 / j1
+    return (r1 / r0 * w1 + w2 - 2.0 * r1 + 2.0 * j2 * (r0 - w1) * inv) * (inv * inv)
+
+
+def _outputs(r, w, j, terms=None) -> dict:
+    """Every recursion output from the x-series of rho0, v and eta and their x-derivatives.
+
+    Three stages run ``_accel``. On the x-series it gives a0, and a1..a4
+    are derivatives of that series. On the t-series [w_k, a_k] and
+    [j_k, w_k] (eta_t = v) its t^1 coefficient is b0, and b1, b2 are
+    derivatives again. On [w_k, a_k, b_k/2] and [j_k, w_k, a_k/2] twice its
+    t^2 coefficient is c0. ``terms`` gives each stage's Taylor input
+    length; None keeps Laurent series whole, since the endpoint squares need
+    their finite parts.
     """
 
-    def call(name, a=(), b=()):
-        args = [s for fam in (r, w, j, a, b) for s in (*fam, *[None] * (_DEPTH - len(fam)))]
-        if terms is not None:
-            args = [s if s is None else s.head(terms[name]) for s in args]
-        return PRESSURE[name](*args)
+    def cut(stage, *series):
+        return series if terms is None else [s.head(terms[stage]) for s in series]
 
-    a = call("a0")
+    r0, r1, w1, w2, j1, j2 = cut(0, r[0], r[1], w[1], w[2], j[1], j[2])
+    # release the families, which hold orders no stage reads, and let each
+    # cut below release the terms only the stage before needed: the interior
+    # pass passes temporaries, and its peak falls from about 3.9 to 3.1 MB
+    del r, w, j
+    a = _accel(r0, r1, w1, w2, j1, j2)
     a = [a.derivative(k) for k in range(_A_ORDERS)]
-    b = call("b0", a)
+
+    r0, r1, w1, w2, j1, j2, a1, a2 = cut(1, r0, r1, w1, w2, j1, j2, a[1], a[2])
+    t = TimeSeries
+    b = _accel(r0, r1, t([w1, a1]), t([w2, a2]), t([j1, w1]), t([j2, w2])).terms[1]
     b = [b.derivative(k) for k in range(_B_ORDERS)]
+
+    r0, r1, w1, w2, j1, j2, a1, a2, b1, b2 = cut(2, r0, r1, w1, w2, j1, j2, a1, a2, b[1], b[2])
+    c = _accel(r0, r1, t([w1, a1, b1 / 2]), t([w2, a2, b2 / 2]),
+               t([j1, w1, a1 / 2]), t([j2, w2, a2 / 2]))
     return {
         **{f"a{k}": s for k, s in enumerate(a)},
         **{f"b{k}": s for k, s in enumerate(b)},
-        "c0": call("c0", a, b),
+        "c0": 2.0 * c.terms[2],
     }
 
 
@@ -115,10 +137,10 @@ def _endpoint_pass(profile: HeightProfile, w_atoms, j_atoms) -> dict:
     """Endpoint series of w0..w6 (the spatial derivatives of v) and of every recursion output.
 
     ``w_atoms`` and ``j_atoms`` hold (rows, _ATOM_ORDERS) Taylor data of v
-    and eta per side, one row per stored time; each compiled output runs once
-    per side on the row-batched series of every row, and the other outputs
-    are derivatives of those series. Returns name -> (left, right). Raises
-    MixedValuationError when the rows of a denominator differ in valuation.
+    and eta per side, one row per stored time; each stage of ``_outputs``
+    runs once per side on the row-batched series of every row. Returns
+    name -> (left, right). Raises MixedValuationError when the rows of a
+    denominator differ in valuation.
     The only inverted series are r0, one unbatched row, and j1, whose
     constant term is exactly 1 in every row (odd mode derivatives vanish at
     both ends), so the rows of an admissible trajectory never raise it.
@@ -153,8 +175,8 @@ def _interior_pass(profile: HeightProfile, w, j) -> dict[str, np.ndarray]:
     """(rows, n - 2) values of every recursion output on the interior nodes.
 
     ``w`` and ``j`` are (rows, _DEPTH, n) nodal stacks of v and eta. Each
-    compiled output runs once on the Taylor series about every node of all
-    rows, elementwise, so a row's values do not depend on its batch; callers
+    stage of ``_outputs`` runs once on the Taylor series about every node of
+    all rows, elementwise, so a row's values do not depend on its batch; callers
     pass a few stored times at once (_CHUNK_VALUES).
     """
     check_jacobian(j[:, 1])

@@ -17,7 +17,7 @@ import pytest
 from svfree import checks, eulerian, jet
 from svfree.errors import SvfreeError
 from svfree.fd_oracle import fd_oracle_solve
-from svfree.galerkin import GalerkinBasis, energy_identity_residual, solve_linearized
+from svfree.galerkin import energy_identity_residual, solve_linearized
 from svfree.jet import LOW_SUMMAND_WEIGHTS
 from svfree.picard import PicardSettings, solve_nonlinear
 from svfree.profile import (
@@ -84,8 +84,8 @@ def test_criterion_4_energy_identity_residual(para401, u0zero401):
     )
 
 
-def test_criterion_5_closed_form_assembly(grid401, para401):
-    rows = checks.closed_form_assembly(para401, GalerkinBasis(4, grid401))
+def test_criterion_5_closed_form_assembly():
+    rows = checks.closed_form_assembly()  # 401 nodes
     for row in rows:  # M00 and S11 to 1e-8, and F0 = 0 exactly
         assert row.passed, row.detail
     _ok("5 closed-form assembly", ", ".join(row.detail for row in rows))

@@ -2,10 +2,12 @@
 
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
 from svfree import checks, jet
+from svfree.galerkin import assemble_stiffness
 from svfree.picard import ContractionReport, PicardSettings, solve_nonlinear
 from svfree.profile import build_grid, quadrature, sample_height_profile, sample_velocity
 
@@ -44,3 +46,16 @@ def test_embedding_constant_uses_the_spectral_h3_norm():
     h3 = math.sqrt(sum(quadrature(sol.basis.evaluate(lam, grid.nodes, k) ** 2, 0, para) for k in range(4)))
     c2 = h3 / math.sqrt(reports[-1].E_total)
     assert f"c2~{c2:.3g}," in checks.embedding_constants(para, sol, reports).detail
+
+
+def test_stiffness_row_catches_a_scaled_stiffness():
+    # a stiffness 1e-6 too large moves S11 by about 1.5e-6, past the 1e-8 bound
+    assert all(row.passed for row in checks.closed_form_assembly())
+
+    def scaled(*args):
+        return assemble_stiffness(*args) * (1.0 + 1e-6)
+
+    with mock.patch.object(checks, "assemble_stiffness", scaled):
+        rows = {row.name: row for row in checks.closed_form_assembly()}
+    assert not rows["assembly-stiffness-closed-form"].passed
+    assert rows["assembly-mass-closed-form"].passed

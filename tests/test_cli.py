@@ -225,6 +225,23 @@ class TestVerificationSuite:
             details[label] = rows["embedding-constants"].detail
         assert details["mode 20"] != details["zero"]
 
+    def test_small_run_keeps_a_custom_velocity_whole(self):
+        # an expression's mode content is not known, so a nonzero custom u0
+        # runs on every configured mode; at 16 it would read as u0 = 0
+        base = json.loads((Path(__file__).parents[1] / "configs" / "canonical.json").read_text())
+        details = {}
+        for label, u0 in (("zero", {"kind": "zero"}),
+                          ("custom", {"kind": "custom", "expr": "cos(20*pi*x)/2"})):
+            rows = {c.name: c for c in run_verification_suite(config_from_dict({**base, "u0": u0}))}
+            details[label] = rows["embedding-constants"].detail
+        assert details["custom"] != details["zero"]
+
+    def test_closed_form_rows_pass_on_a_coarse_config(self):
+        # the closed-form rows judge the assembly on their own 401-node grid,
+        # not Simpson's error on the config's 101 nodes
+        rows = {c.name: c for c in run_verification_suite(config_from_dict({"n_nodes": 101, "n_modes": 16}))}
+        assert rows["assembly-stiffness-closed-form"].passed, rows["assembly-stiffness-closed-form"].detail
+
     def test_corrupted_profile_fails_by_name(self):
         from svfree.profile import sample_height_profile
 

@@ -8,7 +8,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from svfree import _jet_derive, _jet_generated, eulerian, jet
+from svfree import eulerian, jet
 from svfree._series import LaurentSeries, MixedValuationError
 from svfree.errors import ConfigurationError, FlowMapDegeneracyError, ValidationError
 from svfree.jet import (
@@ -356,11 +356,10 @@ def test_energy_reports_reject_a_degenerate_flow_map(small_solution):
 @settings(max_examples=25)
 @given(data=st.data())
 def test_compiled_outputs_agree_on_rows_and_constant_series(small_solution, data):
-    # each compiled function serves the interior Taylor series and the
-    # endpoint Laurent series: on constant series of one node's inputs, and of
-    # the x-derivatives the interior pass read off there, it must give that
-    # node's row value. The series divide as x * (1/y) and take powers by
-    # products, so the two differ by rounding, which the 1/rho0^k cancellation
+    # the three stages of _outputs serve the interior Taylor series and the
+    # endpoint Laurent series: fed one interior node's derivative data as
+    # Laurent series, every output's finite part must be that node's interior
+    # value. The two differ by rounding, which the 1/rho0^k cancellation
     # amplifies near the vacuum; nodes are drawn from ten cells in on, and the
     # tolerance is relative to the row's size because outputs cross zero
     sol = small_solution
@@ -371,51 +370,68 @@ def test_compiled_outputs_agree_on_rows_and_constant_series(small_solution, data
     # interior values: column i is node i + 1
     out = jet._interior_pass(sol.profile, w, j)
 
-    def family(values):
-        series = [LaurentSeries.constant(v) for v in values]
-        return series + [None] * (jet._DEPTH - len(series))
+    def family(derivs):
+        return [LaurentSeries.from_derivatives(derivs[k:]) for k in range(jet._DEPTH)]
 
-    args = [
-        *family(sol.profile.derivative_values(k)[node] for k in range(jet._DEPTH)),
-        *family(w[0, :, node]),
-        *family(j[0, :, node]),
-        *family(out[f"a{k}"][0, node - 1] for k in range(5)),
-        *family(out[f"b{k}"][0, node - 1] for k in range(3)),
-    ]
-    for name, fn in _jet_generated.PRESSURE.items():
-        series = fn(*args)
-        values = out[name][0, 9 : n - 11]
-        assert not series.has_pole(), name
-        assert abs(series.finite_part() - out[name][0, node - 1]) <= 1e-12 * np.max(np.abs(values)), name
+    profile = np.array([sol.profile.derivative_values(k)[node] for k in range(jet._DEPTH)])
+    series = jet._outputs(family(profile), family(w[0, :, node]), family(j[0, :, node]))
+    for name in jet._OUTPUTS:
+        scale = np.max(np.abs(out[name][0, 9 : n - 11]))
+        if scale == 0.0:  # a row of zeros: the bound would be 0
+            continue
+        assert not series[name].has_pole(), name
+        assert abs(series[name].finite_part() - out[name][0, node - 1]) <= 1e-12 * scale, name
 
 
-def test_generated_module_is_fresh():
-    # the committed recursion is exactly what the sympy derivation prints
-    # today, and each function needs no name from any namespace
-    assert _jet_derive.GENERATED.read_bytes() == _jet_derive.render().encode()
-    assert _jet_generated.ARGUMENTS == tuple(s.name for s in _jet_derive._ALL_SYMBOLS)
-    assert tuple(_jet_generated.PRESSURE) == ("a0", "b0", "c0")
-    assert jet._OUTPUTS == ("a0", "a1", "a2", "a3", "a4", "b0", "b1", "b2", "c0")
-    for name, fn in _jet_generated.PRESSURE.items():
-        assert fn.__code__.co_names == (), name
+# -- the recursion outputs as closed forms, derived with sympy here --------------
+
+_SYMBOL_DEPTH = 7
+_R = sp.symbols(f"r0:{_SYMBOL_DEPTH}")
+_W = sp.symbols(f"w0:{_SYMBOL_DEPTH}")
+_J = sp.symbols(f"j0:{_SYMBOL_DEPTH}")
+_A = sp.symbols(f"a0:{_SYMBOL_DEPTH}")
+_B = sp.symbols(f"b0:{_SYMBOL_DEPTH}")
+_FAMILIES = (_R, _W, _J, _A, _B)
+# the arguments of every lambdified closed form, in this order
+_ALL_SYMBOLS = tuple(s for fam in _FAMILIES for s in fam)
 
 
-# -- the x-derivative outputs as closed forms, derived with sympy here ----------
+def _dt(expr):
+    """The total t-derivative: w_k -> a_k -> b_k, and eta_t = v gives j_k -> w_k."""
+    rate = {}
+    for k in range(_SYMBOL_DEPTH):
+        rate[_W[k]] = _A[k]
+        rate[_A[k]] = _B[k]
+        if k >= 1:
+            rate[_J[k]] = _W[k]
+    return sum((sp.diff(expr, s) * rate[s] for s in expr.free_symbols if s in rate), sp.Integer(0))
 
 
 def _dx(expr):
     """The total x-derivative of a recursion expression: every symbol steps one order up."""
-    families, depth = _jet_derive._FAMILIES, _jet_derive.DEPTH
-    if expr.free_symbols & {fam[depth - 1] for fam in families}:
+    if expr.free_symbols & {fam[_SYMBOL_DEPTH - 1] for fam in _FAMILIES}:
         raise RuntimeError("derivative depth exhausted; raise the symbol depth")
-    shift = {fam[k]: fam[k + 1] for fam in families for k in range(depth - 1)}
+    shift = {fam[k]: fam[k + 1] for fam in _FAMILIES for k in range(_SYMBOL_DEPTH - 1)}
     return sum((sp.diff(expr, s) * shift[s] for s in expr.free_symbols if s in shift), sp.Integer(0))
+
+
+def _expressions() -> dict:
+    """a0 = v_t from the momentum equation, and b0 = v_tt, c0 = v_ttt by _dt."""
+    r0, r1 = _R[0], _R[1]
+    w1, w2 = _W[1], _W[2]
+    j1, j2 = _J[1], _J[2]
+    accel = ((r1 * w1 / r0 + w2) / j1**2 - 2 * w1 * j2 / j1**3
+             - 2 * r1 / j1**2 + 2 * r0 * j2 / j1**3)
+    exprs = {"a0": accel}
+    exprs["b0"] = _dt(exprs["a0"])
+    exprs["c0"] = _dt(exprs["b0"])
+    return exprs
 
 
 @pytest.fixture(scope="module")
 def closed_forms():
     """All nine recursion outputs as sympy expressions, a1..a4, b1 and b2 by _dx."""
-    exprs = _jet_derive._expressions()
+    exprs = _expressions()
     for k in range(1, 5):
         exprs[f"a{k}"] = _dx(exprs[f"a{k - 1}"])
     exprs["b1"] = _dx(exprs["b0"])
@@ -428,15 +444,15 @@ def closed_form_functions(closed_forms):
     # the plain-operator printer, so one function runs on numpy rows and on
     # Laurent series
     return {
-        name: sp.lambdify(_jet_derive._ALL_SYMBOLS, expr, "math", cse=True)
+        name: sp.lambdify(_ALL_SYMBOLS, expr, "math", cse=True)
         for name, expr in closed_forms.items()
     }
 
 
 def _closed_form_outputs(functions, r, w, j) -> dict:
     """Every output from its closed form, each fed to the later ones in evaluation order."""
-    args = [*r, *w, *j, *[None] * (2 * jet._DEPTH)]
-    positions = {name: i for i, name in enumerate(_jet_generated.ARGUMENTS)}
+    args = [*r, *w, *j, *[None] * (2 * _SYMBOL_DEPTH)]
+    positions = {s.name: i for i, s in enumerate(_ALL_SYMBOLS)}
     out = {}
     for name, fn in functions.items():
         out[name] = fn(*args)
@@ -450,8 +466,9 @@ def _closed_form_outputs(functions, r, w, j) -> dict:
 def test_series_derivatives_match_the_closed_forms(
     small_solution, canonical_solution, closed_form_functions, data
 ):
-    # a1..a4 and b1, b2 are read off the series of a0 and b0; they must be the
-    # values of their own closed forms, inside and at both ends
+    # b0 and c0 are read off series in t, and a1..a4, b1 and b2 off the
+    # series of a0 and b0; every output must be the value of its own closed
+    # form, inside and at both ends
     sol = data.draw(st.sampled_from([small_solution, canonical_solution]), label="solution")
     profile = sol.profile
     n = sol.basis.grid.n_nodes
@@ -498,7 +515,7 @@ def test_a3_a4_next_to_the_vacuum_match_a_60_digit_evaluation(canonical_solution
     w, j = jet._nodal_stacks(sol, [row])
     got = jet._interior_pass(profile, w, j)
     exact = {
-        name: sp.lambdify(_jet_derive._ALL_SYMBOLS, closed_forms[name], "mpmath")
+        name: sp.lambdify(_ALL_SYMBOLS, closed_forms[name], "mpmath")
         for name in ("a3", "a4")
     }
     with mpmath.workdps(60):
@@ -508,7 +525,7 @@ def test_a3_a4_next_to_the_vacuum_match_a_60_digit_evaluation(canonical_solution
                 *w[0, :, node],
                 *j[0, :, node],
             ]
-            args = [mpmath.mpf(float(v)) for v in inputs] + [None] * (2 * jet._DEPTH)
+            args = [mpmath.mpf(float(v)) for v in inputs] + [None] * (2 * _SYMBOL_DEPTH)
             for name, fn in exact.items():
                 ref = fn(*args)
                 assert abs((got[name][0, node - 1] - ref) / ref) <= 1e-9, (name, node)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from svfree._series import N_TERMS, LaurentSeries, MixedValuationError, TaylorSeries
+from svfree._series import N_TERMS, LaurentSeries, MixedValuationError, TaylorSeries, TimeSeries
 
 
 def _poly(*coeffs):
@@ -255,3 +256,84 @@ class TestTaylorMatchesLaurent:
         assert all(np.allclose(t, 1.0) for t in geometric.terms)
         assert np.allclose(geometric.derivative(3).terms[0], 6.0)
         assert len((s * s.head(2)).terms) == 2
+
+
+# -- series in t whose coefficients are series in x, checked against bivariate
+# polynomial arithmetic on (t power, x power) coefficient arrays
+
+
+def _product_matrix(a):
+    """M with vec(a * b) = M @ vec(b) for b of a's shape, both truncated in t and in x."""
+    kt, mx = a.shape
+    m = np.zeros((kt, mx, kt, mx))
+    for k in range(kt):
+        for i in range(k + 1):
+            for p in range(mx):
+                m[k, p, k - i, : p + 1] += a[i, p::-1]
+    return m.reshape(kt * mx, kt * mx)
+
+
+def _exact_inverse(c):
+    """The inverse of a (t terms, x terms) coefficient array, by forward substitution in rationals.
+
+    The product matrix is lower triangular in t-major order, and each of its
+    entries is one coefficient of c, so every float enters exactly.
+    """
+    m = _product_matrix(c)
+    x = []
+    for r in range(len(m)):
+        rhs = Fraction(int(r == 0)) - sum(Fraction(m[r, q]) * x[q] for q in range(r) if m[r, q])
+        x.append(rhs / Fraction(m[r, r]))
+    return np.array([float(v) for v in x]).reshape(c.shape)
+
+
+def _time_series(c, kind, offset):
+    """A TimeSeries of (points, t terms, x terms) coefficients, with Taylor or Laurent terms."""
+    if kind == "taylor":
+        return TimeSeries(TaylorSeries(list(c[:, k].T)) for k in range(c.shape[1]))
+    return TimeSeries(LaurentSeries(c[:, k], offset) for k in range(c.shape[1]))
+
+
+def _coefficients(s, kind):
+    """(points, t terms, x terms) coefficients of a TimeSeries, and the offset of its x-series."""
+    if kind == "taylor":
+        return np.stack([np.stack(q.terms, axis=-1) for q in s.terms], axis=1), 0
+    offsets = {q.offset for q in s.terms}
+    assert len(offsets) == 1
+    return np.stack([q.coeffs for q in s.terms], axis=1), offsets.pop()
+
+
+class TestTimeSeries:
+    @given(data=st.data(), kind=st.sampled_from(["taylor", "laurent"]))
+    def test_product_and_inverse_match_bivariate_arithmetic(self, data, kind):
+        points, mx = 3, (5 if kind == "taylor" else N_TERMS)
+        lengths = [data.draw(st.integers(1, 3), label="t terms") for _ in range(2)]
+        coeffs = [data.draw(arrays(float, (points, kt, mx), elements=_COEFF)) for kt in lengths]
+        for c in coeffs:
+            c[:, 0, 0] = [data.draw(_LEAD) for _ in range(points)]
+        offsets = [0, 0] if kind == "taylor" else [data.draw(st.integers(-2, 2)) for _ in range(2)]
+        a, b = (_time_series(c, kind, o) for c, o in zip(coeffs, offsets))
+
+        n = min(lengths)
+        got, offset = _coefficients(a * b, kind)
+        assert got.shape == (points, n, mx) and offset == sum(offsets)
+        inv, inv_offset = _coefficients(a._inverse(), kind)
+        assert inv.shape == coeffs[0].shape and inv_offset == -offsets[0]
+        one, one_offset = _coefficients(a * a._inverse(), kind)
+        assert one_offset == 0
+        # an x-series is constant in t, from either side
+        scaled, _ = _coefficients(b.terms[0] * a, kind)
+        for p in range(points):
+            ca, cb = coeffs[0][p], coeffs[1][p]
+            expect = (_product_matrix(ca[:n]) @ cb[:n].ravel()).reshape(n, mx)
+            assert np.max(np.abs(got[p] - expect)) <= 1e-12 * max(np.max(np.abs(expect)), 1.0)
+            exact = _exact_inverse(ca)
+            assert np.max(np.abs(inv[p] - exact)) <= 1e-12 * np.max(np.abs(exact))
+            identity = np.zeros_like(ca)
+            identity[0, 0] = 1.0
+            scale = np.max(np.abs(ca)) * np.max(np.abs(inv[p]))
+            assert np.max(np.abs(one[p] - identity)) <= 1e-12 * scale
+            constant = np.zeros_like(ca)
+            constant[0] = cb[0]
+            expect = (_product_matrix(constant) @ ca.ravel()).reshape(ca.shape)
+            assert np.max(np.abs(scaled[p] - expect)) <= 1e-12 * max(np.max(np.abs(expect)), 1.0)

@@ -17,16 +17,18 @@ recurrences for the product and the inverse are the standard
 Taylor-coefficient ones (Griewank & Walther, Evaluating Derivatives, 2nd ed.,
 ch. 13); only the batch axis is added.
 
-``TaylorSeries`` is the same ring about every interior node at once, where no
-denominator vanishes: no offset and no valuation, and its coefficients are
-stored terms-first, one array per power, so every operation is elementwise.
-Both types differentiate: a series of f carries f's x-derivatives as its
-coefficients times factorials, which is how ``svfree.jet`` reads a1..a4 and
-b1, b2 off the series of a0 and b0.
-
-``TimeSeries`` is a short series in t whose coefficients are series in x of
-either type; fed through the momentum equation it propagates the time
-derivatives, so its t^1 and t^2 coefficients give v_tt and v_ttt / 2.
+``TaylorSeries`` and ``TimeSeries`` are one ring, stored terms-first: +,
+unary -, the triangular Cauchy product and the inverse's recurrence are
+written once, and the two differ only in what they take as a constant.
+``TaylorSeries`` holds arrays about every interior node at once, where no
+denominator vanishes (no offset, no valuation), and its constants are
+scalars. ``TimeSeries`` is a short series in t whose coefficients are series
+in x of either type, and anything else is constant in t; fed through the
+momentum equation it propagates the time derivatives, so its t^1 and t^2
+coefficients give v_tt and v_ttt / 2. Taylor and Laurent series
+differentiate: a series of f carries f's x-derivatives as its coefficients
+times factorials, which is how ``svfree.jet`` reads a1..a4 and b1, b2 off
+the series of a0 and b0.
 """
 
 from __future__ import annotations
@@ -259,21 +261,71 @@ class LaurentSeries(_Series):
         return f"LaurentSeries(offset={self.offset}, coeffs={self.coeffs!r})"
 
 
-class TaylorSeries(_Series):
-    """Power series sum_k c_k h^k about every point of an array, stored terms-first.
+class _TermsSeries(_Series):
+    """Power series c_0 + c_1 h + ... stored terms-first, the ring of both types below.
 
-    ``terms`` holds c_0, c_1, ... as arrays that broadcast against each other.
-    Every operation is elementwise, so a point's coefficients do not depend on
-    the batch it is evaluated in. A binary operation keeps the shorter
-    operand's number of terms. No operation writes into an operand's terms,
-    so they may be views of the caller's arrays.
+    A binary operation keeps the shorter operand's number of terms and
+    writes into neither operand's terms, which may be views of the caller's
+    arrays. ``_CONSTANTS`` names what a subclass takes as a constant.
     """
 
     __slots__ = ("terms", "_inv")
+    _CONSTANTS = ()
 
     def __init__(self, terms):
         self.terms = tuple(terms)
         self._inv = None
+
+    def __add__(self, other):
+        cls = type(self)
+        if isinstance(other, cls):
+            return cls(a + b for a, b in zip(self.terms, other.terms))
+        if isinstance(other, self._CONSTANTS):
+            return cls((self.terms[0] + other, *self.terms[1:]))
+        return NotImplemented
+
+    def __neg__(self):
+        return type(self)(-c for c in self.terms)
+
+    def __mul__(self, other):
+        cls = type(self)
+        if isinstance(other, cls):
+            a, b = self.terms, other.terms
+            # the triangular Cauchy sum, one power at a time
+            out = []
+            for k in range(min(len(a), len(b))):
+                total = a[0] * b[k]
+                for i in range(1, k + 1):
+                    total += a[i] * b[k - i]
+                out.append(total)
+            return cls(out)
+        if isinstance(other, self._CONSTANTS):
+            return cls(c * other for c in self.terms)
+        return NotImplemented
+
+    def _inverse(self):
+        if self._inv is None:
+            a = self.terms
+            lead = a[0]._inverse() if isinstance(a[0], _Series) else 1.0 / a[0]
+            inv = [lead]
+            for k in range(1, len(a)):
+                total = a[1] * inv[k - 1]
+                for i in range(2, k + 1):
+                    total += a[i] * inv[k - i]
+                inv.append(-(lead * total))
+            self._inv = type(self)(inv)
+        return self._inv
+
+
+class TaylorSeries(_TermsSeries):
+    """Power series sum_k c_k h^k about every point of an array; its constants are scalars.
+
+    Every operation is elementwise, so a point's coefficients do not depend
+    on the batch it is evaluated in.
+    """
+
+    __slots__ = ()
+    _CONSTANTS = _SCALARS
 
     @classmethod
     def from_derivatives(cls, derivs):
@@ -297,89 +349,12 @@ class TaylorSeries(_Series):
             c * (_FACTORIALS[m + k] / _FACTORIALS[m]) for m, c in enumerate(self.terms[k:])
         )
 
-    def __add__(self, other):
-        if isinstance(other, _SCALARS):
-            return TaylorSeries((self.terms[0] + other, *self.terms[1:]))
-        if not isinstance(other, TaylorSeries):
-            return NotImplemented
-        return TaylorSeries(a + b for a, b in zip(self.terms, other.terms))
 
-    def __neg__(self):
-        return TaylorSeries(-c for c in self.terms)
+class TimeSeries(_TermsSeries):
+    """Power series q_0 + q_1 t + ... whose terms are Taylor or Laurent series in x.
 
-    def __mul__(self, other):
-        if isinstance(other, _SCALARS):
-            return TaylorSeries(c * other for c in self.terms)
-        if not isinstance(other, TaylorSeries):
-            return NotImplemented
-        a, b = self.terms, other.terms
-        # the triangular Cauchy sum, one power at a time
-        out = []
-        for k in range(min(len(a), len(b))):
-            total = a[0] * b[k]
-            for i in range(1, k + 1):
-                total += a[i] * b[k - i]
-            out.append(total)
-        return TaylorSeries(out)
-
-    def _inverse(self):
-        if self._inv is None:
-            a = self.terms
-            lead = 1.0 / a[0]
-            inv = [lead]
-            for k in range(1, len(a)):
-                total = a[1] * inv[k - 1]
-                for i in range(2, k + 1):
-                    total += a[i] * inv[k - i]
-                inv.append(-lead * total)
-            self._inv = TaylorSeries(inv)
-        return self._inv
-
-
-class TimeSeries(_Series):
-    """Power series q_0 + q_1 t + q_2 t^2 + ... whose coefficients are series in x.
-
-    ``terms`` holds q_0, q_1, ... as Taylor or Laurent series; a scalar or a
-    series in x is constant in t. A binary operation keeps the shorter
-    operand's number of terms, and only q_0 is ever inverted.
+    Anything but a TimeSeries is constant in t; only q_0 is inverted as a series in x.
     """
 
-    __slots__ = ("terms", "_inv")
-
-    def __init__(self, terms):
-        self.terms = tuple(terms)
-        self._inv = None
-
-    def __add__(self, other):
-        if isinstance(other, TimeSeries):
-            return TimeSeries(a + b for a, b in zip(self.terms, other.terms))
-        return TimeSeries((self.terms[0] + other, *self.terms[1:]))
-
-    def __neg__(self):
-        return TimeSeries(-q for q in self.terms)
-
-    def __mul__(self, other):
-        if not isinstance(other, TimeSeries):
-            return TimeSeries(q * other for q in self.terms)
-        a, b = self.terms, other.terms
-        # the triangular Cauchy sum, one power at a time
-        out = []
-        for k in range(min(len(a), len(b))):
-            total = a[0] * b[k]
-            for i in range(1, k + 1):
-                total += a[i] * b[k - i]
-            out.append(total)
-        return TimeSeries(out)
-
-    def _inverse(self):
-        if self._inv is None:
-            q = self.terms
-            lead = q[0]._inverse()
-            inv = [lead]
-            for k in range(1, len(q)):
-                total = q[1] * inv[k - 1]
-                for i in range(2, k + 1):
-                    total += q[i] * inv[k - i]
-                inv.append(-(lead * total))
-            self._inv = TimeSeries(inv)
-        return self._inv
+    __slots__ = ()
+    _CONSTANTS = object

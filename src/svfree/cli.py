@@ -27,7 +27,8 @@ from .errors import ConfigurationError, SvfreeError, ValidationError
 from .fd_oracle import fd_oracle_solve
 from .galerkin import GalerkinBasis, assemble_stiffness, n_steps_for  # perfbench's tracing test wraps cli.assemble_stiffness
 from .jet import E_SUMMAND_WEIGHTS, LOW_SUMMAND_WEIGHTS
-from .profile import _is_int, _is_real, build_grid, sample_height_profile, sample_velocity
+from .profile import _DEPTH, _ENDPOINT_ORDERS, _is_int, _is_real, build_grid, sample_height_profile, sample_velocity
+from .weighted_calculus import _HS_MODES
 
 __all__ = [
     "RunConfig",
@@ -53,8 +54,8 @@ _SCHEMES = ("implicit-euler", "crank-nicolson")
 _SOLVERS = ("galerkin", "fd-oracle", "both")
 _EMIT_DEFAULTS = {"energy": True, "contraction": True, "snapshots": 5, "boundary": True}
 
-# the largest nodal stack, (steps+1) x n_nodes float64 values, one run may
-# allocate: 1 GiB, about 167 times the largest run of the shipped sweep
+# the largest array one run may allocate, in float64 values: 1 GiB, about
+# 167 times the nodal stack of the largest run of the shipped sweep
 MAX_STACK_VALUES = 2**27
 
 
@@ -82,14 +83,26 @@ class RunSummary:
     wall_time_s: float
 
 
-def _check_run_size(t_final: float, dt: float, n_nodes: int) -> None:
-    """Reject a run whose nodal stack holds more than MAX_STACK_VALUES values."""
+def _check_run_size(t_final: float, dt: float, n_nodes: int, n_modes: int) -> None:
+    """Reject a run with an array of more than MAX_STACK_VALUES values.
+
+    Those a config sizes: the nodal stack, the basis gradient products and
+    verify's half-norm table; the last also bounds the energy monitor's
+    one-stored-time interior pass, about 63 values per node (svfree.jet).
+    """
     rows = t_final / dt + 1.0
     if rows * n_nodes > MAX_STACK_VALUES:
         raise ConfigurationError(
             f"config fields 't_final'/'dt'/'n_nodes' ask for {rows:.3g} stored times of "
             f"{n_nodes} nodes, more than {MAX_STACK_VALUES} nodal values per stack"
         )
+    for name, size in (("basis gradient products", n_nodes * (n_modes * (n_modes + 1) // 2)),
+                       ("half-norm table", n_nodes * min((n_nodes - 1) // 2, _HS_MODES))):
+        if size > MAX_STACK_VALUES:
+            raise ConfigurationError(
+                f"config fields 'n_nodes'/'n_modes' ask for {size:.3g} values in the {name}, "
+                f"more than {MAX_STACK_VALUES}"
+            )
 
 
 def _validate_config(cfg: RunConfig) -> RunConfig:
@@ -111,7 +124,7 @@ def _validate_config(cfg: RunConfig) -> RunConfig:
             raise ConfigurationError(f"config field '{key}' must be a positive number, got {value!r}")
     if not isinstance(cfg.out_dir, str):
         raise ConfigurationError(f"config field 'out_dir' must be a string, got {cfg.out_dir!r}")
-    _check_run_size(cfg.t_final, cfg.dt, cfg.n_nodes)
+    _check_run_size(cfg.t_final, cfg.dt, cfg.n_nodes, cfg.n_modes)
     n_steps_for(cfg.t_final, cfg.dt)
     if cfg.scheme not in _SCHEMES:
         raise ConfigurationError(f"config field 'scheme' must be one of {_SCHEMES}, got {cfg.scheme!r}")
@@ -186,15 +199,21 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 
 def build_problem(cfg: RunConfig):
-    """The grid, profile and u0 of a config, each checked finite at the nodes and both ends."""
+    """The grid, profile and u0 of a config, each checked finite at the nodes and both ends.
+
+    Every profile derivative a run reads is evaluated here and stays cached
+    for the energy monitor; a run reads only u0's nodal values.
+    """
     grid = build_grid(cfg.n_nodes)
     pparams = {k: v for k, v in cfg.profile.items() if k != "kind"}
     profile = sample_height_profile(cfg.profile["kind"], pparams, grid)
     uparams = {k: v for k, v in cfg.u0.items() if k != "kind"}
     u0 = sample_velocity(cfg.u0["kind"], uparams, grid)
-    for f in (profile, u0):  # the endpoint series stay cached for the energy monitor
-        for x0 in (0.0, 1.0):
-            f.endpoint_derivatives(x0)
+    for k in range(_DEPTH):
+        profile.derivative_values(k)
+    for x0 in (0.0, 1.0):
+        profile.endpoint_derivatives(x0, _ENDPOINT_ORDERS)
+        u0.endpoint_derivatives(x0)
     return grid, profile, u0
 
 
@@ -325,6 +344,22 @@ def _emit_energy(out: Path, sol) -> float:
     return max(abs(r.E_total - r.lowE_total) for r in reports)
 
 
+def _emit_summary(out: Path, t0: float, history, primary=None, max_gap: float = math.nan) -> RunSummary:
+    """Write summary.json of a run begun at perf_counter() t0; a failed run has no primary solution."""
+    history = history or []
+    summary = RunSummary(
+        converged=primary is not None,
+        iterations=len(history),
+        final_contraction_ratio=history[-1].ratio if history else math.nan,
+        eta_x_min=primary.eta_x_min if primary is not None else math.nan,
+        eta_x_max=primary.eta_x_max if primary is not None else math.nan,
+        max_energy_gap=max_gap,
+        wall_time_s=time.perf_counter() - t0,
+    )
+    emit_report("summary", summary, out / "summary.json")
+    return summary
+
+
 def run_simulation(cfg: RunConfig) -> RunSummary:
     """Solve per the configured solver(s) and emit the requested reports.
 
@@ -346,16 +381,7 @@ def run_simulation(cfg: RunConfig) -> RunSummary:
         history = getattr(exc, "history", None)
         if history and cfg.emit["contraction"]:
             emit_report("contraction", history, out / "contraction.csv")
-        summary = RunSummary(
-            converged=False,
-            iterations=len(history) if history else 0,
-            final_contraction_ratio=history[-1].ratio if history else float("nan"),
-            eta_x_min=float("nan"),
-            eta_x_max=float("nan"),
-            max_energy_gap=float("nan"),
-            wall_time_s=time.perf_counter() - t0,
-        )
-        emit_report("summary", summary, out / "summary.json")
+        _emit_summary(out, t0, history)
         raise
 
     max_gap = float("nan")
@@ -398,17 +424,7 @@ def run_simulation(cfg: RunConfig) -> RunSummary:
         diffs = {"final_weighted_l2_diff": gaps[0], "max_weighted_l2_diff": max(gaps[1:])}
         emit_report("diff", diffs, out / "diff.json")
 
-    summary = RunSummary(
-        converged=True,
-        iterations=sol.iterations if sol is not None else 0,
-        final_contraction_ratio=sol.history[-1].ratio if sol is not None and sol.history else float("nan"),
-        eta_x_min=primary.eta_x_min,
-        eta_x_max=primary.eta_x_max,
-        max_energy_gap=max_gap,
-        wall_time_s=time.perf_counter() - t0,
-    )
-    emit_report("summary", summary, out / "summary.json")
-    return summary
+    return _emit_summary(out, t0, sol.history if sol is not None else None, primary, max_gap)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +514,7 @@ def run_sweep(cfg: RunConfig, spec: str) -> list:
     """Rerun the nonlinear solve across a t_final range; chart convergence."""
     points = []
     for t_final in parse_sweep_range(spec):
-        _check_run_size(t_final, cfg.dt, cfg.n_nodes)
+        _check_run_size(t_final, cfg.dt, cfg.n_nodes, cfg.n_modes)
         steps = max(1, round(t_final / cfg.dt))
         points.append(dataclasses.replace(cfg, t_final=steps * cfg.dt))
     grid, profile, u0 = build_problem(cfg)

@@ -31,10 +31,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._series import N_TERMS, LaurentSeries, TaylorSeries, TimeSeries
-from .errors import UnsupportedOperationError, ValidationError
+from ._series import LaurentSeries, TaylorSeries, TimeSeries
+from .errors import UnsupportedOperationError
 from .galerkin import check_jacobian
-from .profile import AnalyticField, HeightProfile
+from .profile import _DEPTH, _ENDPOINT_ORDERS, AnalyticField, HeightProfile, _check_neumann
 
 __all__ = [
     "InitialJet",
@@ -51,11 +51,6 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# the orders of the x-derivatives of v (and of eta and rho0) that the energy
-# and the recursion read
-_DEPTH = 7
-_ATOM_ORDERS = 6 + N_TERMS
-
 # the x-derivatives read off the series of a0 (a0..a4) and of b0 (b0..b2):
 # b0 consumes a1 and a2, and c0 consumes a1, a2, b1 and b2
 _A_ORDERS, _B_ORDERS = 5, 3
@@ -69,7 +64,7 @@ _INTERIOR_TERMS = (_A_ORDERS, _B_ORDERS, 1)
 @lru_cache(maxsize=8)
 def _profile_series(profile: HeightProfile, side: int) -> tuple[LaurentSeries, ...]:
     """Endpoint series of rho0 and its first _DEPTH - 1 derivatives."""
-    atoms = profile.endpoint_derivatives(float(side), _ATOM_ORDERS)
+    atoms = profile.endpoint_derivatives(float(side), _ENDPOINT_ORDERS)
     return tuple(LaurentSeries.from_derivatives(atoms[k:]) for k in range(_DEPTH))
 
 
@@ -80,7 +75,7 @@ def _weight_series(profile: HeightProfile, side: int, weight: int) -> LaurentSer
 
 
 def _atom_series(atoms: np.ndarray) -> list[LaurentSeries]:
-    """Series of the first _DEPTH derivatives from (rows, _ATOM_ORDERS) endpoint atoms."""
+    """Series of the first _DEPTH derivatives from (rows, _ENDPOINT_ORDERS) endpoint atoms."""
     return [LaurentSeries.from_derivatives(atoms[:, k:]) for k in range(_DEPTH)]
 
 
@@ -136,7 +131,7 @@ def _outputs(r, w, j, terms=None) -> dict:
 def _endpoint_pass(profile: HeightProfile, w_atoms, j_atoms) -> dict:
     """Endpoint series of w0..w6 (the spatial derivatives of v) and of every recursion output.
 
-    ``w_atoms`` and ``j_atoms`` hold (rows, _ATOM_ORDERS) Taylor data of v
+    ``w_atoms`` and ``j_atoms`` hold (rows, _ENDPOINT_ORDERS) Taylor data of v
     and eta per side, one row per stored time; each stage of ``_outputs``
     runs once per side on the row-batched series of every row. Returns
     name -> (left, right). Raises MixedValuationError when the rows of a
@@ -219,15 +214,15 @@ def _require_spectral(traj) -> None:
 
 
 def _endpoint_atoms(traj, idx) -> tuple[tuple, tuple]:
-    """(rows, _ATOM_ORDERS) Taylor data of v and of eta at both ends of the stored steps idx.
+    """(rows, _ENDPOINT_ORDERS) Taylor data of v and of eta at both ends of the stored steps idx.
 
     The endpoint series divide by eta_x, so its end values are checked first.
     """
     basis = traj.basis
     w_atoms, j_atoms = [], []
     for s in (0.0, 1.0):
-        w_atoms.append(basis.endpoint_derivatives(traj.coeffs[idx], s, _ATOM_ORDERS))
-        atoms = basis.endpoint_derivatives(traj.flow_coeffs[idx], s, _ATOM_ORDERS)
+        w_atoms.append(basis.endpoint_derivatives(traj.coeffs[idx], s, _ENDPOINT_ORDERS))
+        atoms = basis.endpoint_derivatives(traj.flow_coeffs[idx], s, _ENDPOINT_ORDERS)
         atoms[:, :2] += s, 1.0
         check_jacobian(atoms[:, 1])
         j_atoms.append(atoms)
@@ -282,16 +277,13 @@ def initial_jet(profile: HeightProfile, u0: AnalyticField) -> InitialJet:
     Requires u0_x = 0 at both endpoints (already enforced by sample_velocity);
     re-validated here for velocities built by hand.
     """
-    d1 = u0.derivative_values(1)
-    scale = max(float(np.max(np.abs(d1))), 1.0)
-    if abs(d1[0]) > 1e-10 * scale or abs(d1[-1]) > 1e-10 * scale:
-        raise ValidationError("u0 violates the endpoint compatibility u0_x = 0")
+    d1 = _check_neumann(u0)
     w = np.stack([u0.derivative_values(k) for k in range(_DEPTH)])[None]
-    w_atoms = tuple(u0.endpoint_derivatives(s, _ATOM_ORDERS)[None] for s in (0.0, 1.0))
+    w_atoms = tuple(u0.endpoint_derivatives(s, _ENDPOINT_ORDERS)[None] for s in (0.0, 1.0))
     # the identity flow map: eta = x, eta_x = 1
     j = np.zeros((1, _DEPTH, profile.grid.n_nodes))
     j[0, 0], j[0, 1] = profile.grid.nodes, 1.0
-    j_atoms = tuple(np.pad([[s, 1.0]], ((0, 0), (0, _ATOM_ORDERS - 2))) for s in (0.0, 1.0))
+    j_atoms = tuple(np.pad([[s, 1.0]], ((0, 0), (0, _ENDPOINT_ORDERS - 2))) for s in (0.0, 1.0))
     out, poles = _jets(profile, w, j, w_atoms, j_atoms)
     if poles:
         log.warning(

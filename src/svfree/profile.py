@@ -37,6 +37,11 @@ __all__ = [
 
 _ZERO_SNAP = 1e-12
 
+# the energy monitor reads x-derivative orders 0.._DEPTH-1 of each field, and
+# at an endpoint the one-sided orders that fill the N_TERMS-term series of each
+_DEPTH = 7
+_ENDPOINT_ORDERS = _DEPTH - 1 + N_TERMS
+
 
 def _zero_tolerance(vals: np.ndarray) -> float:
     """Rounding dust of a boundary value, relative to the height's scale."""
@@ -213,7 +218,11 @@ class _Custom:
         return fn
 
     def sample(self, x: np.ndarray, order: int):
-        return self._callable(order)(x)
+        try:
+            return self._callable(order)(x)
+        except NameError as exc:  # a sympy function numpy lacks, such as DiracDelta
+            what = f"'expr' {self.text}: numpy cannot evaluate its derivative of order {order}"
+            raise ConfigurationError(f"{what} ({exc})") from None
 
     def taylor(self, x0: float, n: int) -> np.ndarray:
         import sympy as sp
@@ -318,17 +327,18 @@ _ZERO = _ClosedForm("0", lambda x, order: 0.0, lambda x0, n: np.zeros(n))
 _DISTANCE = _ClosedForm("min(x, 1 - x)", _distance, _distance_taylor)
 
 
-class _AnalyticBase:
-    """Scalar on the grid with exact derivatives of any order.
+class AnalyticField:
+    """Scalar on the grid with exact derivatives of any order: a velocity, test field or height.
 
     expr is a built-in kind's _ClosedForm, or the config text of a custom
     expression in x. A derivative that is not finite at a grid node or an
     endpoint is a ConfigurationError naming 'expr'.
     """
 
-    def __init__(self, expr, grid: Grid):
+    def __init__(self, expr, grid: Grid, kind: str = "custom"):
         self._form = expr if isinstance(expr, _ClosedForm) else _Custom(expr)
         self.grid = grid
+        self.kind = kind
         self._deriv_cache: dict[int, np.ndarray] = {}
         self._taylor_cache: dict[float, np.ndarray] = {}
 
@@ -355,34 +365,26 @@ class _AnalyticBase:
         return self.derivative_values(0)
 
     def endpoint_derivatives(self, x0: float, n: int = N_TERMS) -> np.ndarray:
-        """One-sided derivatives of orders 0..n-1 at the endpoint x0, unsnapped.
+        """One-sided derivatives of orders 0..n-1 (n <= _ENDPOINT_ORDERS) at the endpoint x0, unsnapped.
 
-        Dust in a denominator is left to the valuation of the endpoint series.
+        The first call at x0 computes all _ENDPOINT_ORDERS; a call checks the
+        n it returns. Dust in a denominator is left to the endpoint series.
         """
         cached = self._taylor_cache.get(x0)
-        if cached is None or len(cached) < n:
-            cached = self._form.taylor(x0, max(n, N_TERMS))
-            bad = np.flatnonzero(~np.isfinite(cached))
-            if bad.size:
-                raise _not_finite(self._form.text, int(bad[0]), f"at x={x0:g}")
-            self._taylor_cache[x0] = cached
+        if cached is None:
+            cached = self._taylor_cache[x0] = self._form.taylor(x0, _ENDPOINT_ORDERS)
+        # a custom form stops at its first non-finite order, which it keeps
+        bad = np.flatnonzero(~np.isfinite(cached[:n]))
+        if bad.size:
+            raise _not_finite(self._form.text, int(bad[0]), f"at x={x0:g}")
         return cached[:n]
 
 
-class AnalyticField(_AnalyticBase):
-    """Analytic velocity/test field with exact derivatives at the nodes."""
-
-    def __init__(self, expr, grid: Grid, kind: str = "custom"):
-        super().__init__(expr, grid)
-        self.kind = kind
-
-
-class HeightProfile(_AnalyticBase):
+class HeightProfile(AnalyticField):
     """Initial height rho0 with its vacuum-rate constants c1, c2."""
 
     def __init__(self, kind, expr, grid, c1, c2):
-        super().__init__(expr, grid)
-        self.kind = kind
+        super().__init__(expr, grid, kind)
         self.c1 = float(c1)
         self.c2 = float(c2)
         vals = self.derivative_values(0)
@@ -429,6 +431,15 @@ def _validate_vacuum_profile(profile: HeightProfile) -> None:
         )
 
 
+def _check_neumann(u0: AnalyticField) -> np.ndarray:
+    """u0_x at the nodes, checked to vanish at both ends to 1e-10 of its scale."""
+    d1 = u0.derivative_values(1)
+    scale = max(float(np.max(np.abs(d1))), 1.0)
+    if abs(d1[0]) > 1e-10 * scale or abs(d1[-1]) > 1e-10 * scale:
+        raise ValidationError("initial velocity must satisfy the endpoint condition u0_x = 0")
+    return d1
+
+
 def _is_int(value) -> bool:
     """A JSON integer; bool is an int subclass in Python but not a count."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -461,18 +472,15 @@ def sample_height_profile(kind: str, params: dict | None, grid: Grid) -> HeightP
     kinds: ``parabolic`` a*x*(1-x); ``sine`` a*sin(pi*x); ``distance``
     min(x, 1-x); ``custom`` with a closed-form ``expr`` in x.
     """
-    if kind == "parabolic":
-        params = _known_params(params, "parabolic profile", "amplitude")
-        a = _number_param(params, "parabolic profile", "amplitude", 1.0)
+    if kind in ("parabolic", "sine"):
+        what = f"{kind} profile"
+        a = _number_param(_known_params(params, what, "amplitude"), what, "amplitude", 1.0)
         if a <= 0:
-            raise ValidationError("parabolic profile needs amplitude > 0")
-        profile = HeightProfile(kind, _parabola(a), grid, c1=a / 2.0, c2=a)
-    elif kind == "sine":
-        params = _known_params(params, "sine profile", "amplitude")
-        a = _number_param(params, "sine profile", "amplitude", 1.0)
-        if a <= 0:
-            raise ValidationError("sine profile needs amplitude > 0")
-        profile = HeightProfile(kind, _trig(a, 1, 0), grid, c1=2.0 * a, c2=a * math.pi)
+            raise ValidationError(f"{what} needs amplitude > 0")
+        if kind == "parabolic":
+            profile = HeightProfile(kind, _parabola(a), grid, c1=a / 2.0, c2=a)
+        else:
+            profile = HeightProfile(kind, _trig(a, 1, 0), grid, c1=2.0 * a, c2=a * math.pi)
     elif kind == "distance":
         _known_params(params, "distance profile")
         return HeightProfile(kind, _DISTANCE, grid, c1=1.0, c2=1.0)
@@ -521,12 +529,7 @@ def sample_velocity(kind: str, params: dict | None, grid: Grid) -> AnalyticField
         u0 = AnalyticField(params["expr"], grid, kind)
     else:
         raise ConfigurationError(f"unknown velocity kind {kind!r}")
-    d1 = u0.derivative_values(1)
-    scale = max(float(np.max(np.abs(d1))), 1.0)
-    if abs(d1[0]) > 1e-10 * scale or abs(d1[-1]) > 1e-10 * scale:
-        raise ValidationError(
-            "initial velocity must satisfy the endpoint condition u0_x = 0"
-        )
+    d1 = _check_neumann(u0)
     d1[0] = 0.0
     d1[-1] = 0.0
     return u0

@@ -45,6 +45,8 @@ __all__ = [
 
 # the largest empirical constant a RatioReport accepts
 RATIO_CEILING = 50.0
+# the most cosine modes of the spectral H^s norm (a table of _HS_MODES x n_nodes)
+_HS_MODES = 129
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,7 @@ def weighted_h1_norm(f, weight_power: int, profile: HeightProfile, field_x) -> f
 def _hs_norm(f, profile: HeightProfile, s: float) -> float:
     """Cosine-spectral H^s norm of a nodal field: sqrt(sum (1 + (n pi)^2)^s c_n^2)."""
     grid = profile.grid
-    basis = GalerkinBasis(min((grid.n_nodes - 1) // 2, 129), grid)
+    basis = GalerkinBasis(min((grid.n_nodes - 1) // 2, _HS_MODES), grid)
     coeffs = project_initial(_nodal_values(f, grid), basis, grid)
     n = np.arange(len(coeffs))
     return math.sqrt(float(np.dot((1.0 + (n * np.pi) ** 2) ** s, coeffs**2)))

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -15,6 +16,7 @@ from svfree.cli import (
     ENERGY_COLUMNS,
     RunConfig,
     RunSummary,
+    build_problem,
     config_from_dict,
     emit_report,
     load_config,
@@ -23,10 +25,11 @@ from svfree.cli import (
     run_simulation,
     run_verification_suite,
 )
+from svfree._series import N_TERMS
 from svfree.errors import ConfigurationError, NonConvergenceError, SvfreeError
 from svfree.galerkin import n_steps_for, stored_index
 from svfree.picard import ContractionReport, PicardSettings
-from svfree.profile import build_grid
+from svfree.profile import AnalyticField, build_grid
 
 SMALL = {
     "profile": {"kind": "parabolic", "amplitude": 1.0},
@@ -367,6 +370,23 @@ class TestMainExitCodes:
         assert main([*argv, "--config", str(cfg)]) == 3
         assert "'out_dir'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize("expr", [
+        "x*(1-x)*(1 + x**11.5)",  # its derivative of order 13 is infinite at x = 0
+        "x*(1-x)*(2 + sqrt((x-0.5)**2)**5)",  # numpy has no DiracDelta for order 2
+    ])
+    def test_profile_the_monitor_cannot_read_is_3_before_out_dir(
+        self, tmp_path, monkeypatch, capsys, command, expr
+    ):
+        monkeypatch.setenv("SVFREE_OUT", str(tmp_path / "out"))
+        cfg = _write_config(tmp_path, {
+            "profile": {"kind": "custom", "expr": expr},
+            "n_nodes": 101, "n_modes": 8, "dt": 1e-3, "t_final": 0.005,
+        })
+        assert main([command, "--config", str(cfg)]) == 3
+        assert "'expr'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_simulate_ok_is_0(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SVFREE_OUT", str(tmp_path / "out"))
         cfg = _write_config(tmp_path, SMALL)
@@ -487,6 +507,55 @@ def test_oversized_run_rejected_at_validation(patch, field):
         config_from_dict({**SMALL, **patch})
 
 
+@pytest.mark.parametrize("patch, table", [
+    ({"n_nodes": 10001, "n_modes": 5000}, "gradient products"),
+    ({"n_nodes": 33554433, "n_modes": 1}, "half-norm table"),
+])
+def test_oversized_tables_rejected_at_validation(tmp_path, capsys, patch, table):
+    data = {**patch, "t_final": 1e-4, "dt": 1e-4, "out_dir": str(tmp_path / "out")}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError, match=f"'n_nodes'/'n_modes'.*{table}"):
+            config_from_dict(data)
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    assert main(["simulate", "--config", str(_write_config(tmp_path, data))]) == 3
+    assert "'n_nodes'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_set_up_evaluates_every_profile_order_a_run_reads(monkeypatch):
+    # (field id, x0 or None for the nodes) -> highest order asked for
+    asked = {}
+
+    def note(field, where, order):
+        asked[id(field), where] = max(asked.get((id(field), where), -1), order)
+
+    nodal, endpoint = AnalyticField.derivative_values, AnalyticField.endpoint_derivatives
+
+    def derivative_values(self, order):
+        note(self, None, order)
+        return nodal(self, order)
+
+    def endpoint_derivatives(self, x0, n=N_TERMS):
+        note(self, x0, n - 1)
+        return endpoint(self, x0, n)
+
+    monkeypatch.setattr(AnalyticField, "derivative_values", derivative_values)
+    monkeypatch.setattr(AnalyticField, "endpoint_derivatives", endpoint_derivatives)
+    cfg = config_from_dict({"t_final": 1e-3})
+    _, profile, u0 = build_problem(cfg)
+    set_up = {where: order for (key, where), order in asked.items() if key == id(profile)}
+    asked.clear()
+    sol = picard.solve_nonlinear(profile, u0, cfg)
+    jet.energy_reports(sol, list(sol.times))
+    run = {where: order for (key, where), order in asked.items() if key == id(profile)}
+    assert set(run) == {None, 0.0, 1.0}
+    for where, order in run.items():
+        assert order <= set_up.get(where, -1), (where, order)
+
+
 def test_unknown_emit_flag_rejected():
     with pytest.raises(ConfigurationError, match="emit"):
         config_from_dict({"emit": {"energy": True, "plots": True}})
@@ -511,7 +580,8 @@ _FIELDS = {
             st.fixed_dictionaries({"kind": st.sampled_from(["parabolic", "sine", "distance", "cone"])},
                                   optional={"amplitude": _WRONG, "amp": st.just(1.0)}),
             st.fixed_dictionaries({"kind": st.just("custom")}, optional={"expr": st.one_of(
-                st.sampled_from(["x*(1-x", "1/x", "log(x)", "x", "x**2*(1-x)", "foo(x)", "10**10**10"]),
+                st.sampled_from(["x*(1-x", "1/x", "log(x)", "x", "x**2*(1-x)", "foo(x)", "10**10**10",
+                                 "x*(1-x)*(2 + sqrt((x-0.5)**2)**5)"]),
                 _WRONG,
             )}),
         ),

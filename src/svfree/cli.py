@@ -175,13 +175,14 @@ def config_from_dict(data: dict) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigurationError(f"config file not found: {p}")
+    """The RunConfig of a UTF-8 JSON file; failing to read or decode it is a ConfigurationError."""
     try:
-        data = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config file {p} is not valid JSON: {exc}") from exc
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except FileNotFoundError:
+        raise ConfigurationError(f"config file not found: '{path}'") from None
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigurationError(f"config file '{path}' cannot be read as JSON: {exc}") from None
     return config_from_dict(data)
 
 
@@ -202,11 +203,16 @@ def build_problem(cfg: RunConfig):
     """The grid, profile and u0 of a config, each checked finite at the nodes and both ends.
 
     Every profile derivative a run reads is evaluated here and stays cached
-    for the energy monitor; a run reads only u0's nodal values.
+    for the energy monitor, as is every weight rho0**k, k = 1..6, of the mass,
+    forcing and monitor; a run reads only u0's nodal values.
     """
     grid = build_grid(cfg.n_nodes)
     pparams = {k: v for k, v in cfg.profile.items() if k != "kind"}
     profile = sample_height_profile(cfg.profile["kind"], pparams, grid)
+    with np.errstate(over="ignore"):
+        overflow = [k for k in range(1, 7) if not np.isfinite(profile.weight_values(k)).all()]
+    if overflow:
+        raise ConfigurationError(f"config field 'profile': its weight rho0**{overflow[0]} overflows")
     uparams = {k: v for k, v in cfg.u0.items() if k != "kind"}
     u0 = sample_velocity(cfg.u0["kind"], uparams, grid)
     for k in range(_DEPTH):
@@ -370,8 +376,7 @@ def run_simulation(cfg: RunConfig) -> RunSummary:
     grid, profile, u0 = build_problem(cfg)
     out = _out_dir(cfg)
 
-    sol = None
-    fd = None
+    sol = fd = None
     try:
         if cfg.solver in ("galerkin", "both"):
             sol = picard.solve_nonlinear(profile, u0, cfg)
@@ -511,15 +516,18 @@ def _sweep_row(profile, u0, settings: picard.PicardSettings) -> tuple:
 
 
 def run_sweep(cfg: RunConfig, spec: str) -> list:
-    """Rerun the nonlinear solve across a t_final range; chart convergence."""
-    points = []
-    for t_final in parse_sweep_range(spec):
-        _check_run_size(t_final, cfg.dt, cfg.n_nodes, cfg.n_modes)
-        steps = max(1, round(t_final / cfg.dt))
-        points.append(dataclasses.replace(cfg, t_final=steps * cfg.dt))
+    """Rerun the nonlinear solve across a t_final range; chart convergence.
+
+    Each point solves to its t_final rounded to whole steps (at least one),
+    with settings built as it solves; the nodal stack grows with t_final, so
+    the last point's size check covers every point.
+    """
+    t_finals = parse_sweep_range(spec)
+    whole_step = lambda t: max(1.0, np.rint(float(t) / cfg.dt)) * cfg.dt
+    _check_run_size(whole_step(t_finals[-1]), cfg.dt, cfg.n_nodes, cfg.n_modes)
     grid, profile, u0 = build_problem(cfg)
     out = _out_dir(cfg)
-    rows = [_sweep_row(profile, u0, settings) for settings in points]
+    rows = [_sweep_row(profile, u0, dataclasses.replace(cfg, t_final=whole_step(t))) for t in t_finals]
     emit_report("sweep", rows, out / "sweep.csv")
     return rows
 
@@ -543,19 +551,15 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", type=str, default=None, help="JSON config file (default: the canonical run)")
         if name == "sweep":
-            p.add_argument("sweep_spec", nargs="?", default=None, help="range spec T=a:b:n")
+            p.add_argument("sweep_spec", help="range spec T=a:b:n")
 
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error and 0 after --help
         return EXIT_CONFIG if exc.code else EXIT_OK
-    try:
-        cfg = load_config(args.config) if args.config else config_from_dict({})
-    except SvfreeError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
     try:
+        cfg = config_from_dict({}) if args.config is None else load_config(args.config)
         if args.command == "simulate":
             summary = run_simulation(cfg)
             print(
@@ -566,8 +570,7 @@ def main(argv=None) -> int:
             return EXIT_OK
         if args.command == "verify":
             rows = run_verification_suite(cfg)
-            out = _out_dir(cfg)
-            emit_report("verification", rows, out / "verification.json")
+            emit_report("verification", rows, _out_dir(cfg) / "verification.json")
             width = max(len(c.name) for c in rows)
             for c in rows:
                 print(f"{'PASS' if c.passed else 'FAIL'}  {c.name:<{width}}  {c.detail}")
@@ -577,17 +580,13 @@ def main(argv=None) -> int:
                 return EXIT_OK
             print(f"FAILED checks: {', '.join(failed)}", file=sys.stderr)
             return EXIT_VERIFICATION
-        if args.command == "sweep":
-            if not args.sweep_spec:
-                print("sweep needs a range spec T=a:b:n", file=sys.stderr)
-                return EXIT_CONFIG
-            rows = run_sweep(cfg, args.sweep_spec)
-            for row in rows:
-                print(
-                    f"T={row[0]:g} converged={row[1]} iterations={row[2]} "
-                    f"final_ratio={row[3]:.3g} eta_x=[{row[4]:.4g}, {row[5]:.4g}]"
-                )
-            return EXIT_OK
+        rows = run_sweep(cfg, args.sweep_spec)  # the third command
+        for row in rows:
+            print(
+                f"T={row[0]:g} converged={row[1]} iterations={row[2]} "
+                f"final_ratio={row[3]:.3g} eta_x=[{row[4]:.4g}, {row[5]:.4g}]"
+            )
+        return EXIT_OK
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -597,7 +596,6 @@ def main(argv=None) -> int:
     except SvfreeError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -9,9 +10,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from svfree import checks, eulerian, jet, picard, weighted_calculus as wc
+from svfree import checks, cli, eulerian, jet, picard, weighted_calculus as wc
 from svfree.cli import (
     ENERGY_COLUMNS,
     RunConfig,
@@ -459,6 +460,54 @@ class TestMainExitCodes:
         assert main(["sweep", "T=0.002:0.004:2", "--config", str(cfg)]) == 0
         assert (tmp_path / "out" / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("argv", [["simulate"], ["verify"], ["sweep", "T=0.002:0.004:2"]])
+    @pytest.mark.parametrize("content", ["directory", b"\xff{}", b"[" * 100_000 + b"]" * 100_000, ""],
+                             ids=["directory", "not-utf8", "nested-100000-deep", "empty-path"])
+    def test_unreadable_config_is_3_before_out_dir(self, tmp_path, monkeypatch, capsys, argv, content):
+        # "" is the empty path: a file name to read, not "use the defaults"
+        monkeypatch.setenv("SVFREE_OUT", str(tmp_path / "out"))
+        path = tmp_path / "config.json"
+        if content == "directory":
+            path.mkdir()
+        elif content == "":
+            path = ""
+        else:
+            path.write_bytes(content)
+        assert main([*argv, "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"'{path}'" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
+                        reason="root reads a file whatever its mode")
+    def test_config_without_read_permission_is_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SVFREE_OUT", str(tmp_path / "out"))
+        cfg = _write_config(tmp_path, SMALL)
+        cfg.chmod(0)
+        assert main(["simulate", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"'{cfg}'" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["simulate"], ["verify"], ["sweep", "T=0.002:0.004:2"]])
+    @pytest.mark.parametrize("profile, power", [
+        ({"kind": "parabolic", "amplitude": 1e300}, 2),
+        ({"kind": "sine", "amplitude": 1e200}, 2),
+        ({"kind": "parabolic", "amplitude": 1e60}, 6),  # only rho0**6 overflows
+    ])
+    def test_overflowing_profile_weight_is_3_before_out_dir(
+        self, tmp_path, monkeypatch, capsys, argv, profile, power
+    ):
+        monkeypatch.setenv("SVFREE_OUT", str(tmp_path / "out"))
+        cfg = _write_config(tmp_path, {**SMALL, "profile": profile})
+        assert main([*argv, "--config", str(cfg)]) == 3
+        assert f"config field 'profile': its weight rho0**{power} overflows" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_sweep_spec_is_a_usage_error(self, capsys):
+        assert main(["sweep"]) == 3
+        assert "the following arguments are required: sweep_spec" in capsys.readouterr().err
+
 
 class TestFdOracleSolverPath:
     def test_fd_only_run(self, tmp_path, monkeypatch):
@@ -525,6 +574,52 @@ def test_oversized_tables_rejected_at_validation(tmp_path, capsys, patch, table)
     assert not (tmp_path / "out").exists()
 
 
+def test_weight_check_is_where_rho0_to_the_sixth_overflows():
+    # rho0 peaks at a/4 on the 101-node grid: rho0**6 is about 2.4e302 at a = 1e51
+    cfg = config_from_dict({**SMALL, "profile": {"kind": "parabolic", "amplitude": 1e51}})
+    _, profile, _ = build_problem(cfg)
+    assert np.isfinite(profile.weight_values(6)).all()
+    with pytest.raises(ConfigurationError, match=r"'profile'.*rho0\*\*6"):
+        build_problem(dataclasses.replace(cfg, profile={"kind": "parabolic", "amplitude": 1e53}))
+
+
+class _FirstPoint(Exception):
+    pass
+
+
+def _stop_at_first_point(profile, u0, settings):
+    raise _FirstPoint(settings.t_final)
+
+
+def test_sweep_holds_one_point_at_a_time(tmp_path, monkeypatch):
+    # stop at the first solve: what a 10^5-point sweep allocated before it is
+    # its 0.8 MB of final times, not settings for every point
+    monkeypatch.setattr(cli, "_sweep_row", _stop_at_first_point)
+    cfg = config_from_dict({**SMALL, "out_dir": str(tmp_path / "out")})
+    tracemalloc.start()
+    try:
+        with pytest.raises(_FirstPoint) as stopped:
+            cli.run_sweep(cfg, "T=0.001:0.002:100000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stopped.value.args == (0.001,)
+    assert peak < 2 * 2**20
+
+
+def test_sweep_size_check_reads_its_last_point_in_whole_steps(tmp_path, monkeypatch):
+    # 2^27 values at 101 nodes hold 1,328,888 stored times, 1,328,887 steps of
+    # 1e-3: T = 1328.88745 rounds down to that and fits, T = 1328.8885 does not
+    monkeypatch.setattr(cli, "_sweep_row", _stop_at_first_point)
+    cfg = config_from_dict({**SMALL, "dt": 1e-3, "t_final": 1e-3, "out_dir": str(tmp_path / "out")})
+    with pytest.raises(ConfigurationError, match="t_final"):
+        cli.run_sweep(cfg, "T=0.001:1328.8885:2")
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(_FirstPoint) as stopped:
+        cli.run_sweep(cfg, "T=1328.88745:1328.88745:1")
+    assert stopped.value.args == (1328887 * 1e-3,)
+
+
 def test_set_up_evaluates_every_profile_order_a_run_reads(monkeypatch):
     # (field id, x0 or None for the nodes) -> highest order asked for
     asked = {}
@@ -568,6 +663,9 @@ _WRONG = st.sampled_from([True, False, "x", None, [], [1], -1, -0.5, 0, 2.5, {}]
 # field -> (well-formed values, malformed values besides _WRONG)
 _PROFILE_EXPRS = ["x*(1-x)", "sin(pi*x)", "x*(1-x)*(2-x)", "x*(1-x)*exp(10*x)"]
 _VELOCITY_EXPRS = ["0", "cos(pi*x)", "0.3*cos(2*pi*x)", "0.5*cos(pi*x)**2"]
+_BROKEN_PROFILE_EXPRS = ["x*(1-x", "1/x", "log(x)", "x", "x**2*(1-x)", "foo(x)", "10**10**10",
+                         "x*(1-x)*(2 + sqrt((x-0.5)**2)**5)"]
+_BROKEN_VELOCITY_EXPRS = ["x", "sin(pi*x)", "cos(pi*x", "1/(x-x)", "__import__('os')"]
 _FIELDS = {
     "profile": (
         st.one_of(
@@ -580,9 +678,7 @@ _FIELDS = {
             st.fixed_dictionaries({"kind": st.sampled_from(["parabolic", "sine", "distance", "cone"])},
                                   optional={"amplitude": _WRONG, "amp": st.just(1.0)}),
             st.fixed_dictionaries({"kind": st.just("custom")}, optional={"expr": st.one_of(
-                st.sampled_from(["x*(1-x", "1/x", "log(x)", "x", "x**2*(1-x)", "foo(x)", "10**10**10",
-                                 "x*(1-x)*(2 + sqrt((x-0.5)**2)**5)"]),
-                _WRONG,
+                st.sampled_from(_BROKEN_PROFILE_EXPRS), _WRONG,
             )}),
         ),
     ),
@@ -597,8 +693,7 @@ _FIELDS = {
             st.fixed_dictionaries({"kind": st.sampled_from(["cosine", "sine"])},
                                   optional={"amplitude": _WRONG, "mode": _WRONG}),
             st.fixed_dictionaries({"kind": st.just("custom")}, optional={"expr": st.one_of(
-                st.sampled_from(["x", "sin(pi*x)", "cos(pi*x", "1/(x-x)", "__import__('os')"]),
-                _WRONG,
+                st.sampled_from(_BROKEN_VELOCITY_EXPRS), _WRONG,
             )}),
         ),
     ),
@@ -648,11 +743,45 @@ def _configs(draw):
     return data
 
 
+def _each_broken_expr(test):
+    """An explicit example per broken expression the fuzzer samples, so each runs every time."""
+    small = {"n_nodes": 21, "n_modes": 4, "dt": 1e-3, "t_final": 2e-3}
+    for key, exprs in (("profile", _BROKEN_PROFILE_EXPRS), ("u0", _BROKEN_VELOCITY_EXPRS)):
+        for expr in exprs:
+            test = example(data={**small, key: {"kind": "custom", "expr": expr}})(test)
+    return test
+
+
 @settings(max_examples=40)
 @given(data=_configs())
+@_each_broken_expr
 def test_any_config_ends_in_an_exit_code(data):
     with tempfile.TemporaryDirectory() as tmp:
         data = {"out_dir": str(Path(tmp) / "out"), **data}
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(data))
         assert main(["simulate", "--config", str(path)]) in (0, 1, 2, 3)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+_CONFIG_KEYS = st.sampled_from([f.name for f in dataclasses.fields(RunConfig)] + ["schema_version", "x"])
+
+
+@settings(max_examples=200)
+@given(raw=st.one_of(
+    st.binary(max_size=64),
+    _JSON_VALUES.map(lambda v: json.dumps(v).encode()),
+    st.dictionaries(_CONFIG_KEYS, _JSON_VALUES, max_size=5).map(lambda d: json.dumps(d).encode()),
+))
+def test_any_file_bytes_load_or_raise_a_configuration_error(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_bytes(raw)
+        try:
+            assert isinstance(load_config(path), RunConfig)
+        except ConfigurationError:
+            pass

@@ -1,0 +1,8 @@
+"""``python -m svfree``: the command line of svfree.cli."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

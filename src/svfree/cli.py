@@ -499,37 +499,57 @@ def parse_sweep_range(spec: str):
     return np.linspace(a, b, n)
 
 
-def _sweep_row(profile, u0, settings: picard.PicardSettings) -> tuple:
-    """The sweep.csv row of one t_final; its solution is freed before the next one solves."""
-    t_final = settings.t_final
+def _sweep_row(settled: tuple) -> tuple:
+    """(t_final, (row, warning)) of one settled horizon (t_final, outcome of picard.solve_horizons).
+
+    The row is its sweep.csv row; the warning (or None) is logged once for
+    each point of that horizon. Nothing of the solution is kept.
+    """
+    t_final, sol = settled
+    failed = (t_final, False, 0, float("nan"), float("nan"), float("nan"), False)
     try:
-        sol = picard.solve_nonlinear(profile, u0, settings)
+        if isinstance(sol, SvfreeError):
+            raise sol  # the error its own solve raised: the same row as a failed energy pass
         sample = sol.times[:: max(1, len(sol.times) // 10)]
         within_all = all(r.within_apriori for r in jet.energy_reports(sol, sample))
     except SvfreeError as exc:
-        log.warning("sweep point T=%g failed: %s", t_final, exc)
-        return (t_final, False, 0, float("nan"), float("nan"), float("nan"), False)
-    if not within_all:
-        log.warning("a-priori ceiling violated in sweep run at T=%g", t_final)
+        return t_final, (failed, f"sweep point T={t_final:g} failed: {exc}")
     ratio = sol.history[-1].ratio if sol.history else float("nan")
-    return (t_final, True, sol.iterations, ratio, sol.eta_x_min, sol.eta_x_max, within_all)
+    row = (t_final, True, sol.iterations, ratio, sol.eta_x_min, sol.eta_x_max, within_all)
+    return t_final, (row, None if within_all else f"a-priori ceiling violated in sweep run at T={t_final:g}")
 
 
-def run_sweep(cfg: RunConfig, spec: str) -> list:
-    """Rerun the nonlinear solve across a t_final range; chart convergence.
+def run_sweep(cfg: RunConfig, spec: str):
+    """Solve the nonlinear problem across a t_final range, write sweep.csv, and return its rows.
 
-    Each point solves to its t_final rounded to whole steps (at least one),
-    with settings built as it solves; the nodal stack grows with t_final, so
-    the last point's size check covers every point.
+    Each point solves to its t_final rounded to whole steps (at least one);
+    the nodal stack grows with t_final, so the last point's size check covers
+    every point. Points of one step count share a horizon, and every horizon
+    settles in one call of picard.solve_horizons, whose passes march only to
+    the longest horizon still open: a shorter horizon's iterates are prefixes
+    of the longest's. The sweep holds one row per horizon and no list of its
+    points, which it reads off the spec again to write sweep.csv in spec order
+    (logging each point's warning) and to build the returned row iterator.
     """
-    t_finals = parse_sweep_range(spec)
-    whole_step = lambda t: max(1.0, np.rint(float(t) / cfg.dt)) * cfg.dt
-    _check_run_size(whole_step(t_finals[-1]), cfg.dt, cfg.n_nodes, cfg.n_modes)
+    def whole_steps():
+        """The spec's final times, each rounded to whole steps (at least one), in spec order."""
+        return (max(1.0, np.rint(float(t) / cfg.dt)) * cfg.dt for t in parse_sweep_range(spec))
+
+    horizons = set(whole_steps())
+    _check_run_size(max(horizons), cfg.dt, cfg.n_nodes, cfg.n_modes)
     grid, profile, u0 = build_problem(cfg)
     out = _out_dir(cfg)
-    rows = [_sweep_row(profile, u0, dataclasses.replace(cfg, t_final=whole_step(t))) for t in t_finals]
-    emit_report("sweep", rows, out / "sweep.csv")
-    return rows
+    settled = dict(map(_sweep_row, picard.solve_horizons(profile, u0, cfg, horizons)))
+
+    def logged():
+        for t in whole_steps():
+            row, warning = settled[t]
+            if warning is not None:
+                log.warning("%s", warning)
+            yield row
+
+    emit_report("sweep", logged(), out / "sweep.csv")
+    return (settled[t][0] for t in whole_steps())
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +616,3 @@ def main(argv=None) -> int:
     except SvfreeError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -3,6 +3,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -587,14 +589,15 @@ class _FirstPoint(Exception):
     pass
 
 
-def _stop_at_first_point(profile, u0, settings):
-    raise _FirstPoint(settings.t_final)
+def _stop_at_first_march(profile, u0, eta_x, t_final, *args, **kwargs):
+    raise _FirstPoint(t_final)
 
 
 def test_sweep_holds_one_point_at_a_time(tmp_path, monkeypatch):
-    # stop at the first solve: what a 10^5-point sweep allocated before it is
-    # its 0.8 MB of final times, not settings for every point
-    monkeypatch.setattr(cli, "_sweep_row", _stop_at_first_point)
+    # stop at the first march, which runs to the longest point: what a
+    # 10^5-point sweep allocated before it is its 0.8 MB of final times and
+    # one entry per step count, not settings for every point
+    monkeypatch.setattr(picard, "solve_linearized", _stop_at_first_march)
     cfg = config_from_dict({**SMALL, "out_dir": str(tmp_path / "out")})
     tracemalloc.start()
     try:
@@ -603,14 +606,14 @@ def test_sweep_holds_one_point_at_a_time(tmp_path, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert stopped.value.args == (0.001,)
+    assert stopped.value.args == (0.002,)
     assert peak < 2 * 2**20
 
 
 def test_sweep_size_check_reads_its_last_point_in_whole_steps(tmp_path, monkeypatch):
     # 2^27 values at 101 nodes hold 1,328,888 stored times, 1,328,887 steps of
     # 1e-3: T = 1328.88745 rounds down to that and fits, T = 1328.8885 does not
-    monkeypatch.setattr(cli, "_sweep_row", _stop_at_first_point)
+    monkeypatch.setattr(picard, "solve_linearized", _stop_at_first_march)
     cfg = config_from_dict({**SMALL, "dt": 1e-3, "t_final": 1e-3, "out_dir": str(tmp_path / "out")})
     with pytest.raises(ConfigurationError, match="t_final"):
         cli.run_sweep(cfg, "T=0.001:1328.8885:2")
@@ -618,6 +621,95 @@ def test_sweep_size_check_reads_its_last_point_in_whole_steps(tmp_path, monkeypa
     with pytest.raises(_FirstPoint) as stopped:
         cli.run_sweep(cfg, "T=1328.88745:1328.88745:1")
     assert stopped.value.args == (1328887 * 1e-3,)
+
+
+def test_complete_sweep_holds_one_row_per_step_count(tmp_path):
+    # 10^5 points on the 11 step counts 10..20 of dt = 1e-4: the sweep solves
+    # 11 horizons and writes every point's row as it goes
+    cfg = config_from_dict({**SMALL, "dt": 1e-4, "out_dir": str(tmp_path / "out")})
+    tracemalloc.start()
+    try:
+        rows = cli.run_sweep(cfg, "T=0.001:0.002:100000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert next(rows)[:3] == (10 * 1e-4, True, 2)
+    with open(tmp_path / "out" / "sweep.csv") as fh:
+        header = next(fh)
+        t_finals = [line.split(",", 1)[0] for line in fh]
+    assert header.startswith("t_final,converged")
+    assert len(t_finals) == 100000 and len(set(t_finals)) == 11
+    assert t_finals == sorted(t_finals, key=float)
+
+
+def _sweep_outcome(cfg, spec, caplog):
+    """sweep.csv's rows and the WARNING lines a sweep logged."""
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="svfree.cli"):
+        list(cli.run_sweep(cfg, spec))
+    with open(Path(cfg.out_dir) / "sweep.csv") as fh:
+        rows = [line.rstrip("\n").split(",") for line in fh][1:]
+    return rows, [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+
+
+def _one_solve_per_point(cfg, spec):
+    """The rows and warnings of a sweep that calls solve_nonlinear once per point."""
+    _, profile, u0 = build_problem(cfg)
+    rows, warnings = [], []
+    for t in parse_sweep_range(spec):
+        t_final = max(1.0, np.rint(float(t) / cfg.dt)) * cfg.dt
+        try:
+            sol = picard.solve_nonlinear(profile, u0, dataclasses.replace(cfg, t_final=t_final))
+            sample = sol.times[:: max(1, len(sol.times) // 10)]
+            within_all = all(r.within_apriori for r in jet.energy_reports(sol, sample))
+        except SvfreeError as exc:
+            warnings.append(f"sweep point T={t_final:g} failed: {exc}")
+            rows.append((t_final, False, 0, math.nan, math.nan, math.nan, False))
+            continue
+        if not within_all:
+            warnings.append(f"a-priori ceiling violated in sweep run at T={t_final:g}")
+        rows.append((t_final, True, sol.iterations, sol.history[-1].ratio,
+                     sol.eta_x_min, sol.eta_x_max, within_all))
+    return [[cli._fmt(v) for v in row] for row in rows], warnings
+
+
+@pytest.mark.parametrize("spec", ["T=10:60:3", "T=1:10:7"])
+def test_sweep_fails_each_point_as_its_own_solve_does(tmp_path, caplog, spec):
+    # breakdown_probe: on T=10:60:3 the points T=10 and T=35 leave the band
+    # (0.5, 1.5) and T=60 fails inside the march (eta_x reaches 10); a march
+    # that fails must fail only the horizons its own solve fails, with its
+    # own message (min/max over its first bad block, cut at its own n)
+    probe = Path(__file__).resolve().parents[1] / "configs" / "breakdown_probe.json"
+    cfg = dataclasses.replace(load_config(probe), out_dir=str(tmp_path))
+    rows, warnings = _sweep_outcome(cfg, spec, caplog)
+    ref_rows, ref_warnings = _one_solve_per_point(cfg, spec)
+    assert warnings == ref_warnings
+    assert len(rows) == len(ref_rows)
+    for row, ref in zip(rows, ref_rows):
+        assert row[:3] + row[4:] == ref[:3] + ref[4:]
+        assert float(row[3]) == pytest.approx(float(ref[3]), rel=1e-3, nan_ok=True)
+    if spec == "T=10:60:3":
+        assert ["admissible band (0.5, 1.5)" in w for w in warnings] == [True, True, False]
+        assert "admissible range (0.1, 10.0): min=1, max=10.3" in warnings[2]
+
+
+def test_module_entry_point_loads_cli_once(tmp_path):
+    # python -m svfree runs cli.main from svfree/__main__.py: runpy does not
+    # execute cli a second time as __main__, so no RuntimeWarning, and the
+    # log lines name svfree.cli
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "SVFREE_OUT": str(tmp_path / "out"),
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "svfree", "simulate", "--config", str(_write_config(tmp_path, SMALL))],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "RuntimeWarning" not in done.stderr
+    assert "WARNING svfree.cli: energy summands carry vacuum-boundary poles" in done.stderr
+    assert "__main__" not in done.stderr
+    assert done.stdout.startswith("converged=True")
 
 
 def test_set_up_evaluates_every_profile_order_a_run_reads(monkeypatch):

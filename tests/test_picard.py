@@ -1,11 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import trapezoid
 
-from svfree.errors import ConfigurationError, FlowMapDegeneracyError, NonConvergenceError
+from svfree.errors import ConfigurationError, FlowMapDegeneracyError, NonConvergenceError, SvfreeError
 from svfree.fd_oracle import fd_oracle_solve
 from svfree.galerkin import (
     assemble_forcing,
@@ -13,7 +14,7 @@ from svfree.galerkin import (
     assemble_stiffness,
     solve_linearized,
 )
-from svfree.picard import PicardSettings, contraction_metrics, solve_nonlinear
+from svfree.picard import PicardSettings, contraction_metrics, solve_horizons, solve_nonlinear
 from svfree.profile import build_grid, quadrature, sample_height_profile, sample_velocity
 
 S11 = np.pi**2 / 6.0 + 0.5
@@ -179,6 +180,63 @@ class TestSolveNonlinear:
             )
             worst = max(worst, resid)
         assert worst < 5.0 * dt
+
+
+def _history(outcome) -> list:
+    return getattr(outcome, "history", [])
+
+
+class TestSharedHorizons:
+    GRID = build_grid(41)
+    PROFILE = sample_height_profile("parabolic", {"amplitude": 1.0}, GRID)
+
+    @settings(max_examples=80)
+    @given(
+        scheme=st.sampled_from(["implicit-euler", "crank-nicolson"]),
+        guess=st.sampled_from(["u0", "identity"]),
+        amplitude=st.sampled_from([0.0, 0.5, 2.0, 20.0]),
+        dt=st.sampled_from([1e-3, 1e-2]),
+        steps=st.lists(st.integers(1, 300), min_size=1, max_size=4, unique=True),
+        max_iter=st.sampled_from([3, 50]),
+    )
+    # zero velocity: T = 1 converges, T = 2.5 and 3 leave the band (0.5, 1.5)
+    @example("implicit-euler", "u0", 0.0, 1e-2, [100, 250, 300], 50)
+    # a strong compression fails the march of every horizon past about 14
+    # steps, each with min/max over its own first bad block
+    @example("implicit-euler", "u0", 20.0, 1e-3, [5, 20, 130, 200], 50)
+    @example("crank-nicolson", "identity", 0.0, 1e-2, [10, 100], 2)
+    def test_each_horizon_settles_as_its_own_solve(self, scheme, guess, amplitude, dt, steps, max_iter):
+        kind, params = ("cosine", {"amplitude": amplitude, "mode": 1}) if amplitude else ("zero", {})
+        u0 = sample_velocity(kind, params, self.GRID)
+        base = PicardSettings(dt=dt, n_modes=6, max_iter=max_iter, scheme=scheme, initial_guess=guess)
+        t_finals = [n * dt for n in steps]
+        shared = dict(solve_horizons(self.PROFILE, u0, base, t_finals))
+        assert sorted(shared) == sorted(t_finals)
+        for t_final in t_finals:
+            try:
+                alone = solve_nonlinear(self.PROFILE, u0, dataclasses.replace(base, t_final=t_final))
+            except SvfreeError as exc:
+                alone = exc
+            got = shared[t_final]
+            assert type(got) is type(alone)
+            assert len(_history(got)) == len(_history(alone))
+            ratios = [r.ratio for r in _history(got)]
+            assert ratios == pytest.approx([r.ratio for r in _history(alone)], rel=0, abs=1e-6, nan_ok=True)
+            if isinstance(alone, SvfreeError):
+                assert str(got) == str(alone)
+                continue
+            assert np.array_equal(got.times, alone.times)
+            scale = np.max(np.abs(alone.coeffs))
+            assert np.max(np.abs(got.coeffs - alone.coeffs)) <= 1e-12 * scale
+            assert got.eta_x_min == pytest.approx(alone.eta_x_min, rel=1e-12)
+            assert got.eta_x_max == pytest.approx(alone.eta_x_max, rel=1e-12)
+
+    def test_t_final_off_the_step_grid_fails_only_its_horizon(self, para201, u0zero201):
+        base = PicardSettings(dt=1e-3, n_modes=8)
+        shared = dict(solve_horizons(para201, u0zero201, base, [2e-3, 2.5e-3, 4e-3]))
+        assert isinstance(shared[2.5e-3], ConfigurationError)
+        assert "must divide evenly" in str(shared[2.5e-3])
+        assert shared[2e-3].iterations >= 1 and shared[4e-3].iterations >= 1
 
 
 class TestFdOracle:

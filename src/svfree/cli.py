@@ -126,14 +126,10 @@ def _validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigurationError(f"config field 'out_dir' must be a string, got {cfg.out_dir!r}")
     _check_run_size(cfg.t_final, cfg.dt, cfg.n_nodes, cfg.n_modes)
     n_steps_for(cfg.t_final, cfg.dt)
-    if cfg.scheme not in _SCHEMES:
-        raise ConfigurationError(f"config field 'scheme' must be one of {_SCHEMES}, got {cfg.scheme!r}")
-    if cfg.solver not in _SOLVERS:
-        raise ConfigurationError(f"config field 'solver' must be one of {_SOLVERS}, got {cfg.solver!r}")
-    if cfg.initial_guess not in ("u0", "identity"):
-        raise ConfigurationError(
-            f"config field 'initial_guess' must be 'u0' or 'identity', got {cfg.initial_guess!r}"
-        )
+    for key, allowed in (("scheme", _SCHEMES), ("solver", _SOLVERS), ("initial_guess", ("u0", "identity"))):
+        value = getattr(cfg, key)
+        if value not in allowed:
+            raise ConfigurationError(f"config field '{key}' must be one of {allowed}, got {value!r}")
     if not isinstance(cfg.profile, dict) or "kind" not in cfg.profile:
         raise ConfigurationError("config field 'profile' must be an object with a 'kind'")
     if cfg.profile["kind"] == "distance":
@@ -227,14 +223,6 @@ def build_problem(cfg: RunConfig):
 # report emission
 
 
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.17g}"
-
-
 ENERGY_COLUMNS = ["t"] + list(E_SUMMAND_WEIGHTS) + list(LOW_SUMMAND_WEIGHTS) + [
     "E_total", "lowE_total", "within_apriori",
 ]
@@ -248,12 +236,20 @@ SWEEP_COLUMNS = [
     "t_final", "converged", "iterations", "final_ratio", "eta_x_min", "eta_x_max",
     "within_apriori_all",
 ]
+# the flag columns: each row builder gives them as text
+_FLAG_COLUMNS = {"within_apriori", "converged", "within_apriori_all"}
+_FLAG_TEXT = {True: "true", False: "false"}
 
 
 def _csv(columns, rows):
+    """A CSV table in pieces: the header, then each row tuple through one row format.
+
+    Numbers print at %.17g, which prints an integer of magnitude up to 2**53
+    as str(int) does; a flag column prints the text its row builder gives.
+    """
     yield ",".join(columns) + "\n"
-    for row in rows:
-        yield ",".join(_fmt(v) for v in row) + "\n"
+    row_fmt = ",".join("%s" if c in _FLAG_COLUMNS else "%.17g" for c in columns) + "\n"
+    yield from map(row_fmt.__mod__, rows)  # each row tuple is freed once formatted
 
 
 def _json(payload: dict, sort_keys: bool = True) -> list[str]:
@@ -261,23 +257,14 @@ def _json(payload: dict, sort_keys: bool = True) -> list[str]:
     return [json.dumps(payload, indent=2, sort_keys=sort_keys) + "\n"]
 
 
-def _energy_row(rep) -> list:
+def _energy_row(rep) -> tuple:
     summands = [rep.summands[k] for k in (*E_SUMMAND_WEIGHTS, *LOW_SUMMAND_WEIGHTS)]
-    return [rep.t, *summands, rep.E_total, rep.lowE_total, rep.within_apriori]
+    return (rep.t, *summands, rep.E_total, rep.lowE_total, _FLAG_TEXT[rep.within_apriori])
 
 
 def _boundary_row(rep) -> tuple:
     return (rep.t, *rep.vx_at_boundary, *rep.ux_at_boundary,
             *rep.stress_at_boundary, *rep.soundspeed_slope)
-
-
-def _trajectory_csv(data):
-    times, values = data
-    yield ",".join(["t"] + [f"v{i}" for i in range(values.shape[1])]) + "\n"
-    # row by row: one tolist() of the whole table adds about 3 MB of peak memory
-    row_fmt = ",".join(["%.17g"] * (values.shape[1] + 1)) + "\n"
-    for t, row in zip(times, values):
-        yield row_fmt % (float(t), *row.tolist())
 
 
 # report kind -> writer returning the file text in pieces; verification.json
@@ -295,14 +282,20 @@ _WRITERS = {
         "boundary_velocity": list(snap.boundary_velocity),
     }),
     "boundary": lambda reps: _csv(BOUNDARY_COLUMNS, map(_boundary_row, reps)),
-    "trajectory": _trajectory_csv,
+    # row by row: one tolist() of the whole table adds about 3 MB of peak memory
+    "trajectory": lambda data: _csv(
+        ["t"] + [f"v{i}" for i in range(data[1].shape[1])],
+        ((float(t), *row.tolist()) for t, row in zip(*data)),
+    ),
     "summary": lambda summary: _json(dataclasses.asdict(summary)),
     "diff": _json,
     "verification": lambda rows: _json({
         "passed": all(c.passed for c in rows),
         "checks": [dataclasses.asdict(c) for c in rows],
     }, sort_keys=False),
-    "sweep": lambda rows: _csv(SWEEP_COLUMNS, rows),
+    "sweep": lambda rows: _csv(SWEEP_COLUMNS, (
+        (t, _FLAG_TEXT[ok], n, ratio, lo, hi, _FLAG_TEXT[within]) for t, ok, n, ratio, lo, hi, within in rows
+    )),
 }
 
 
@@ -616,3 +609,8 @@ def main(argv=None) -> int:
     except SvfreeError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+
+
+if __name__ == "__main__":  # python -m svfree.cli: runpy runs a second copy of this module
+    print("svfree.cli is not a script; run it as python -m svfree", file=sys.stderr)
+    sys.exit(EXIT_CONFIG)

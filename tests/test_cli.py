@@ -139,6 +139,46 @@ class TestEmitReport:
             emit_report("plot", [], tmp_path / "x")
 
 
+def _fmt_rule(x) -> str:
+    """The text of one CSV cell: true/false for a flag, str(int) for an integer, else %.17g."""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return f"{float(x):.17g}"
+
+
+_FLOATS = st.one_of(
+    st.floats(),  # nan, +-inf, +-0.0 and subnormals included
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2250738585072e-308]),
+)
+_INTS = st.integers(-(2**53), 2**53)
+_NUMBERS = st.one_of(_FLOATS, _FLOATS.map(np.float64), _INTS, _INTS.map(np.int64))
+
+
+@given(rows=st.integers(1, 6).flatmap(lambda width: st.lists(st.tuples(*[_NUMBERS] * width), max_size=4)))
+def test_csv_cells_follow_the_cell_rule(rows):
+    # one row format per table prints every number as the cell rule does
+    width = len(rows[0]) if rows else 1
+    columns = [f"c{i}" for i in range(width)]
+    lines = "".join(cli._csv(columns, rows)).splitlines()
+    assert lines[0] == ",".join(columns)
+    assert [line.split(",") for line in lines[1:]] == [[_fmt_rule(x) for x in row] for row in rows]
+
+
+@given(rows=st.lists(st.tuples(_FLOATS, st.booleans(), st.one_of(_INTS, _INTS.map(np.int64)),
+                               _FLOATS, _FLOATS, _FLOATS, st.booleans()), max_size=4),
+       flags=st.lists(st.booleans(), max_size=4))
+def test_flag_columns_follow_the_cell_rule(rows, flags):
+    # sweep.csv and energy.csv hold the three flag columns
+    lines = "".join(cli._WRITERS["sweep"](rows)).splitlines()[1:]
+    assert [line.split(",") for line in lines] == [[_fmt_rule(x) for x in row] for row in rows]
+    summands = dict.fromkeys([*jet.E_SUMMAND_WEIGHTS, *jet.LOW_SUMMAND_WEIGHTS], 0.5)
+    reps = [jet.EnergyReport(0.25, summands, 1.5, -0.0, 1.0, flag, False) for flag in flags]
+    lines = "".join(cli._WRITERS["energy"](reps)).splitlines()[1:]
+    assert [line.split(",")[-1] for line in lines] == [_fmt_rule(flag) for flag in flags]
+
+
 class TestRunSimulation:
     def test_small_run_emits_files(self, tmp_path, monkeypatch):
         monkeypatch.delenv("SVFREE_OUT", raising=False)
@@ -339,6 +379,9 @@ class TestMainExitCodes:
         ({"u0": {"kind": "cosine", "amplitude": "big"}}, "velocity"),
         ({"n_nodes": 21, "n_modes": 4, "u0": {"kind": "cosine", "mode": 4}}, "u0"),
         ({"max_iter": 1}, "max_iter"),
+        ({"scheme": "rk4"}, "scheme"),
+        ({"solver": ["galerkin"]}, "solver"),
+        ({"initial_guess": "zero"}, "initial_guess"),
     ])
     def test_bad_field_type_is_3_and_named(self, tmp_path, monkeypatch, capsys, patch, field):
         monkeypatch.setenv("SVFREE_OUT", str(tmp_path / "out"))
@@ -671,7 +714,7 @@ def _one_solve_per_point(cfg, spec):
             warnings.append(f"a-priori ceiling violated in sweep run at T={t_final:g}")
         rows.append((t_final, True, sol.iterations, sol.history[-1].ratio,
                      sol.eta_x_min, sol.eta_x_max, within_all))
-    return [[cli._fmt(v) for v in row] for row in rows], warnings
+    return [[_fmt_rule(v) for v in row] for row in rows], warnings
 
 
 @pytest.mark.parametrize("spec", ["T=10:60:3", "T=1:10:7"])
@@ -694,22 +737,37 @@ def test_sweep_fails_each_point_as_its_own_solve_does(tmp_path, caplog, spec):
         assert "admissible range (0.1, 10.0): min=1, max=10.3" in warnings[2]
 
 
+def _simulate_as_module(tmp_path, module):
+    """python -m <module> simulate on SMALL, importing svfree from src, with SVFREE_OUT under tmp_path."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "SVFREE_OUT": str(tmp_path / "out"),
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", module, "simulate", "--config", str(_write_config(tmp_path, SMALL))],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
 def test_module_entry_point_loads_cli_once(tmp_path):
     # python -m svfree runs cli.main from svfree/__main__.py: runpy does not
     # execute cli a second time as __main__, so no RuntimeWarning, and the
     # log lines name svfree.cli
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "SVFREE_OUT": str(tmp_path / "out"),
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-m", "svfree", "simulate", "--config", str(_write_config(tmp_path, SMALL))],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
+    done = _simulate_as_module(tmp_path, "svfree")
     assert done.returncode == 0, done.stderr
     assert "RuntimeWarning" not in done.stderr
     assert "WARNING svfree.cli: energy summands carry vacuum-boundary poles" in done.stderr
     assert "__main__" not in done.stderr
     assert done.stdout.startswith("converged=True")
+
+
+def test_cli_module_run_as_a_script_names_the_entry_point(tmp_path):
+    # python -m svfree.cli runs a second copy of cli as __main__: it runs
+    # nothing, names python -m svfree and exits 3
+    done = _simulate_as_module(tmp_path, "svfree.cli")
+    assert done.returncode == cli.EXIT_CONFIG
+    assert done.stderr.splitlines()[-1] == "svfree.cli is not a script; run it as python -m svfree"
+    assert done.stdout == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_set_up_evaluates_every_profile_order_a_run_reads(monkeypatch):

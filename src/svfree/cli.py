@@ -162,12 +162,7 @@ def config_from_dict(data: dict) -> RunConfig:
     unknown = set(data) - known
     if unknown:
         raise ConfigurationError(f"unknown config field(s): {sorted(unknown)}")
-    data = {k: v for k, v in data.items() if k != "schema_version"}
-    try:
-        cfg = RunConfig(**data)
-    except TypeError as exc:
-        raise ConfigurationError(f"malformed config: {exc}") from exc
-    return _validate_config(cfg)
+    return _validate_config(RunConfig(**{k: v for k, v in data.items() if k != "schema_version"}))
 
 
 def load_config(path) -> RunConfig:
@@ -199,8 +194,9 @@ def build_problem(cfg: RunConfig):
     """The grid, profile and u0 of a config, each checked finite at the nodes and both ends.
 
     Every profile derivative a run reads is evaluated here and stays cached
-    for the energy monitor, as is every weight rho0**k, k = 1..6, of the mass,
-    forcing and monitor; a run reads only u0's nodal values.
+    for the energy monitor. Each weight rho0**k, k = 1..6, of the mass,
+    forcing and monitor is only checked for overflow: weight_values computes
+    it again on every call. A run reads only u0's nodal values.
     """
     grid = build_grid(cfg.n_nodes)
     pparams = {k: v for k, v in cfg.profile.items() if k != "kind"}

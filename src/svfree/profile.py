@@ -15,7 +15,6 @@ import ast
 import decimal
 import math
 import operator
-import tokenize
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -48,99 +47,75 @@ def _zero_tolerance(vals: np.ndarray) -> float:
     return _ZERO_SNAP * max(1.0, float(np.max(np.abs(vals))))
 
 
-# the grammar of a closed-form `expr` string: numbers, the names below, calls
-# of the named functions, unary +/- and + - * / **
-_EXPR_NAMES = frozenset({"x", "pi", "E"})
+# the grammar of a closed-form `expr` string: numbers, x, pi, E, calls of the
+# functions below, unary +/- and + - * / **; each operator acts on floats and
+# sympy objects alike
+_NAME_VALUES = {"x": None, "pi": math.pi, "E": math.e}
 _EXPR_FUNCTIONS = frozenset("sin cos tan asin acos atan sinh cosh tanh exp log sqrt".split())
-_EXPR_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub)
-
-
-_CONSTANT_NAMES = {"pi": math.pi, "E": math.e}
-_FLOAT_OPS = {
+_EXPR_OPS = {
     ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
     ast.Div: operator.truediv, ast.Pow: operator.pow,
     ast.UAdd: operator.pos, ast.USub: operator.neg,
 }
 
 
-def _fold(node: ast.expr) -> tuple[ast.expr, float | None]:
-    """node with every constant subtree (one without x) folded, and its float value.
-
-    The value is None when node depends on x. Folding happens in float
-    arithmetic, so an oversized constant such as 10**10**10 raises
-    OverflowError here instead of asking sympy for its exact digits.
-    """
-    leaf = isinstance(node, (ast.Constant, ast.Name))
-    if isinstance(node, ast.Constant):
-        value = float(node.value)
-    elif isinstance(node, ast.Name):
-        value = _CONSTANT_NAMES.get(node.id)
-    elif isinstance(node, ast.UnaryOp):
-        operand, v = _fold(node.operand)
-        node = ast.UnaryOp(node.op, operand)
-        value = None if v is None else _FLOAT_OPS[type(node.op)](v)
-    elif isinstance(node, ast.BinOp):
-        (left, a), (right, b) = _fold(node.left), _fold(node.right)
-        node = ast.BinOp(left, node.op, right)
-        value = None if a is None or b is None else _FLOAT_OPS[type(node.op)](a, b)
-    else:  # a call of one of _EXPR_FUNCTIONS
-        folded = [_fold(arg) for arg in node.args]
-        node = ast.Call(node.func, [arg for arg, _ in folded], [])
-        values = [v for _, v in folded]
-        value = None if None in values else getattr(math, node.func.id)(*values)
-    if value is None:
-        return node, None
+def _finite(value, node: ast.expr) -> float:
+    """The value of node, which must be a finite real number."""
     if isinstance(value, complex) or not math.isfinite(value):
         raise ValueError(f"{ast.unparse(node)!r} is not a finite real number")
-    if leaf:
-        return node, value
-    # integral values stay exact integers for sympy; negatives keep their sign
-    # outside the literal so that the unparsed text keeps its precedence
-    number = int(value) if value.is_integer() else value
-    literal = ast.Constant(abs(number))
-    return (ast.UnaryOp(ast.USub(), literal) if number < 0 else literal), value
+    return value
 
 
-def _check_expr_grammar(text: str) -> str:
-    """The text with its constant subtrees folded to numbers.
+def _walk_expr(node: ast.expr, sp) -> tuple[object, float | None]:
+    """The sympy expression of node, in the plain symbol x, and its float value.
 
-    Raises SyntaxError, ValueError or ArithmeticError for a string outside
-    the allow-listed grammar or with a constant that is not a finite real
-    float.
+    The value is None when node depends on x. A node outside the grammar
+    raises ValueError. A constant subtree that is not a leaf is folded in
+    float arithmetic, so an oversized constant such as 10**10**10 raises
+    OverflowError here instead of asking sympy for its exact digits. Each
+    number becomes what sympy's parser makes of its literal: an Integer if
+    integral, else the Float of its repr.
     """
-    tree = ast.parse(text, mode="eval")
-    nodes = list(ast.walk(tree))
-    called = {id(n.func) for n in nodes if isinstance(n, ast.Call)}
-    for node in nodes:
-        if isinstance(node, ast.Name):
-            ok = node.id in _EXPR_NAMES or (id(node) in called and node.id in _EXPR_FUNCTIONS)
-        elif isinstance(node, ast.Call):
-            ok = isinstance(node.func, ast.Name) and not node.keywords
-        elif isinstance(node, ast.Constant):
-            ok = type(node.value) in (int, float)
-        else:
-            ok = isinstance(node, (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Load, *_EXPR_OPS))
-        if not ok:
-            what = ast.unparse(node) if isinstance(node, ast.expr) else type(node).__name__
-            raise ValueError(f"{what!r} is not allowed")
-    body, _ = _fold(tree.body)
-    return ast.unparse(body)
+    if isinstance(node, ast.Name) and node.id in _NAME_VALUES:
+        value = _NAME_VALUES[node.id]
+        return (sp.Symbol("x") if value is None else getattr(sp, node.id)), value
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        value = _finite(float(node.value), node)
+        return (sp.Integer(node.value) if type(node.value) is int else sp.Float(repr(node.value))), value
+    if isinstance(node, (ast.UnaryOp, ast.BinOp)) and type(node.op) in _EXPR_OPS:
+        args = [node.operand] if isinstance(node, ast.UnaryOp) else [node.left, node.right]
+        on_sympy = on_float = _EXPR_OPS[type(node.op)]
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+          and node.func.id in _EXPR_FUNCTIONS and not node.keywords):
+        args = node.args
+        on_sympy, on_float = getattr(sp, node.func.id), getattr(math, node.func.id)
+    else:
+        raise ValueError(f"{ast.unparse(node)!r} is not allowed")
+    walked = [_walk_expr(arg, sp) for arg in args]
+    values = [value for _, value in walked]
+    if None in values:
+        return on_sympy(*[built for built, _ in walked]), None
+    value = _finite(on_float(*values), node)
+    return (sp.Integer(int(value)) if value.is_integer() else sp.Float(repr(value))), value
 
 
 def _parse_expr(expr: str):
     """A sympy expression in the real symbol x.
 
-    The string must pass the allow-listed grammar before sympy sees it, so it
-    is never run as Python.
+    The string is only parsed by ast; one walk of its tree checks the
+    grammar, folds constants in floating point and builds the sympy
+    expression, so no text reaches sympy's parser or eval.
     """
     import sympy as sp
 
     if not isinstance(expr, str):
         raise ConfigurationError(f"'expr' must be a string, got {expr!r}")
     try:
-        return sp.sympify(_check_expr_grammar(expr)).subs(sp.Symbol("x"), sp.Symbol("x", real=True))
-    except (SyntaxError, ValueError, TypeError, ArithmeticError, RecursionError,
-            sp.SympifyError, tokenize.TokenError) as exc:
+        built, _ = _walk_expr(ast.parse(expr, mode="eval").body, sp)
+        # built in the plain x, as sympy's parser built it: with the real x
+        # from the start, sympy splits some powers differently
+        return built.subs(sp.Symbol("x"), sp.Symbol("x", real=True))
+    except (SyntaxError, ValueError, TypeError, ArithmeticError, RecursionError) as exc:
         raise ConfigurationError(f"'expr' {expr!r} is not a closed form in x: {exc}") from None
 
 

@@ -1,15 +1,18 @@
 """Each named check fails on an input just past its bound and passes just inside it."""
 
+import dataclasses
+import functools
 import importlib
 import math
 from types import SimpleNamespace
 from unittest import mock
 
+import numpy as np
 import pytest
 
-from svfree import checks, jet
+from svfree import checks, eulerian, jet, weighted_calculus as wc
 from svfree.cli import config_from_dict, run_verification_suite
-from svfree.galerkin import assemble_stiffness
+from svfree.galerkin import GalerkinBasis, assemble_stiffness
 from svfree.picard import ContractionReport, PicardSettings, solve_nonlinear
 from svfree.profile import build_grid, quadrature, sample_height_profile, sample_velocity
 
@@ -63,6 +66,84 @@ def test_stiffness_row_catches_a_scaled_stiffness():
     assert rows["assembly-mass-closed-form"].passed
 
 
+def _scaled(factor, part=...):
+    """A planter: fn -> fn with part of its array result scaled by factor."""
+    def plant(fn):
+        def scaled(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            out[part] *= factor
+            return out
+        return scaled
+    return plant
+
+
+def _trapezoid(f, weight_power, profile):
+    """quadrature with trapezoid weights in place of Simpson's."""
+    grid = profile.grid
+    w = np.full(grid.n_nodes, grid.spacing)
+    w[[0, -1]] *= 0.5
+    return float(np.dot(w, profile.weight_values(weight_power) * f))
+
+
+def _without_jacobian(fields):
+    """eulerian_fields with rho0 pulled back but not divided by eta_x."""
+    def pulled_back(profile, traj, t, n_samples=401):
+        snap = fields(profile, traj, t, n_samples)
+        x = eulerian.inverse_flow(traj, traj.index_of(t), snap.y)
+        return dataclasses.replace(snap, rho=profile.sample(x))
+    return pulled_back
+
+
+def _parabola(n_nodes):
+    return sample_height_profile("parabolic", {"amplitude": 1.0}, build_grid(n_nodes))
+
+
+@functools.cache
+def _parabolic_run():
+    """A 201-node, 16-mode parabolic run from rest to T = 5e-3."""
+    profile = _parabola(201)
+    u0 = sample_velocity("zero", {}, profile.grid)
+    return profile, solve_nonlinear(profile, u0, PicardSettings(t_final=5e-3, dt=1e-4, n_modes=16))
+
+
+def _mass_row():
+    profile, sol = _parabolic_run()
+    return checks.mass_conservation(profile, sol, (0.0, sol.times[len(sol.times) // 2], sol.times[-1]))
+
+
+# row -> (owner, attribute, planter of the defect in it, the row's check)
+_PLANTED = {
+    # M00 moves by 1.7e-7, past the 1e-8 bound
+    "assembly-mass-closed-form": (checks, "assemble_mass", _scaled(1.0 + 1e-6),
+                                  lambda: checks.closed_form_assembly()[0]),
+    # the trapezoid error on the cubic is 3.1e-6 at 401 nodes, against 1e-13
+    "quadrature-cubic-exactness": (checks, "quadrature", lambda fn: _trapezoid,
+                                   lambda: checks.quadrature_cubic_exactness(_parabola(401))),
+    # order 4 at the ends 1e-9 off, against 1e-12
+    "spectral-derivative-consistency": (
+        GalerkinBasis, "endpoint_derivatives", _scaled(1.0 + 1e-9, (..., 4)),
+        lambda: checks.spectral_derivative_consistency(GalerkinBasis(16, build_grid(201)))),
+    # modes 1 and up 1e-9 too long: a Gram defect of 2e-9, against 1e-10
+    "basis-orthonormality": (GalerkinBasis, "evaluate_modes", _scaled(1.0 + 1e-9, np.s_[1:]),
+                             lambda: checks.basis_orthonormality(GalerkinBasis(16, build_grid(201)))),
+    # the squared norm scales by alpha**2: a relative defect of 9.99, against 1e-12
+    "norm-homogeneity": (wc, "weighted_l2_norm", lambda fn: lambda *args: fn(*args) ** 2,
+                         lambda: checks.norm_homogeneity(_parabola(201))),
+    # a mass drift of 7.9e-6, against 1e-6 (3.3e-15 without the defect)
+    "mass-conservation": (eulerian, "eulerian_fields", _without_jacobian, _mass_row),
+}
+
+
+@pytest.mark.parametrize("row", list(_PLANTED), ids=list(_PLANTED))
+def test_row_fails_on_a_planted_defect(row):
+    owner, attribute, plant, check = _PLANTED[row]
+    clean = check()
+    with mock.patch.object(owner, attribute, plant(getattr(owner, attribute))):
+        planted = check()
+    assert (clean.name, clean.passed) == (row, True), clean.detail
+    assert (planted.name, planted.passed) == (row, False), planted.detail
+
+
 # each verify row -> the tests that make it fail, just past its bound or on a planted defect
 _FAILING_CASES = {
     "physical-vacuum": ["test_cli.py::TestVerificationSuite::test_corrupted_profile_fails_by_name",
@@ -76,14 +157,13 @@ _FAILING_CASES = {
     "roundtrip-inverse-map":
         ["test_cli.py::TestVerificationSuite::test_roundtrip_row_catches_an_inverse_without_newton"],
     "apriori-ceiling": ["test_checks.py::test_check_fails_just_past_its_bound[apriori-ceiling]"],
+    **{row: [f"test_checks.py::test_row_fails_on_a_planted_defect[{row}]"] for row in _PLANTED},
 }
 # the rows no test makes fail yet; embedding-constants is informational and always passes
 _NO_CASE_YET = {
-    "grid-uniformity", "quadrature-cubic-exactness", "spectral-derivative-consistency",
-    "basis-orthonormality", "assembly-mass-closed-form", "forcing-zero-mode", "weighted-sobolev-family",
-    "h-half-weighted-family", "interpolation-inequality-family", "sobolev-embedding-quarter",
-    "interpolation-identity-gap", "norm-homogeneity", "energy-identity-residual", "mass-conservation",
-    "boundary-neumann-spectral", "embedding-constants",
+    "grid-uniformity", "forcing-zero-mode", "weighted-sobolev-family", "h-half-weighted-family",
+    "interpolation-inequality-family", "sobolev-embedding-quarter", "interpolation-identity-gap",
+    "energy-identity-residual", "boundary-neumann-spectral", "embedding-constants",
 }
 
 

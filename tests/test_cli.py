@@ -382,6 +382,14 @@ class TestMainExitCodes:
         ({"scheme": "rk4"}, "scheme"),
         ({"solver": ["galerkin"]}, "solver"),
         ({"initial_guess": "zero"}, "initial_guess"),
+        ({"u0": "zero"}, "'u0'"),
+        ({"emit": {"energy": 1}}, "emit.energy"),
+        ({"profile": {"kind": "custom"}}, "expr"),
+        ({"u0": {"kind": "custom"}}, "expr"),
+        ({"u0": {"kind": "sawtooth"}}, "velocity kind"),
+        ({"profile": {"kind": "custom", "expr": "x*(1-x)*(x-0.5)**2"}}, "height profile"),
+        ({"u0": {"kind": "custom", "expr": "E(1)"}}, "expr"),
+        ({"u0": {"kind": "custom", "expr": "x(x)"}}, "expr"),
     ])
     def test_bad_field_type_is_3_and_named(self, tmp_path, monkeypatch, capsys, patch, field):
         monkeypatch.setenv("SVFREE_OUT", str(tmp_path / "out"))

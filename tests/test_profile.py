@@ -1,3 +1,7 @@
+import ast
+import math
+import operator
+import tokenize
 from unittest import mock
 
 import numpy as np
@@ -124,21 +128,40 @@ class TestHeightProfiles:
         assert (dist401.c1, dist401.c2) == (1.0, 1.0)
 
 
+CLOSED_FORMS = [
+    "x*(1-x)*(1 + x/2)", "x**2*(1-x)**2", "x*(1-x) + 1/10", "1", "x", "cos(pi*x)**2",
+    "-x + E", "+2.5e-1*sqrt(x)*exp(-x)", "log(1 + x) - tanh(x)/3",
+]
+NOT_CLOSED_FORMS = [
+    "__import__('os')", "x*(1-x", "os.system", "sin", "x^2", "1j", "'x'", "True",
+    "lambda: x", "x if x else 1", "[x]", "x.real", "sin(x=1)", "y", "x < 1", 5, "sin(*[x])",
+    "log(x, base=2)",
+]
+# calls of a name that is not a function: the three-pass reader below let
+# x(x) through as an undefined function and E(1) out as an AttributeError
+CALLS_OF_NAMES = ["x(x)", "E(1)", "pi(x)"]
+
+
 class TestExpressionGrammar:
-    @pytest.mark.parametrize("expr", [
-        "x*(1-x)*(1 + x/2)", "x**2*(1-x)**2", "x*(1-x) + 1/10", "1", "x", "cos(pi*x)**2",
-        "-x + E", "+2.5e-1*sqrt(x)*exp(-x)", "log(1 + x) - tanh(x)/3",
-    ])
+    @pytest.mark.parametrize("expr", CLOSED_FORMS)
     def test_closed_forms_parse(self, expr):
         assert _parse_expr(expr).free_symbols <= {sp.Symbol("x", real=True)}
 
-    @pytest.mark.parametrize("expr", [
-        "__import__('os')", "x*(1-x", "os.system", "sin", "x^2", "1j", "'x'", "True",
-        "lambda: x", "x if x else 1", "[x]", "x.real", "sin(x=1)", "y", "x < 1", 5,
-    ])
+    @pytest.mark.parametrize("expr", NOT_CLOSED_FORMS + CALLS_OF_NAMES)
     def test_anything_else_is_a_configuration_error(self, grid201, expr):
         with pytest.raises(ConfigurationError, match="expr"):
             sample_height_profile("custom", {"expr": expr}, grid201)
+
+    def test_no_text_reaches_eval_or_sympys_parser(self):
+        refuse = mock.Mock(side_effect=AssertionError("a closed form was run as Python"))
+        with mock.patch("builtins.eval", refuse), mock.patch.object(sp, "sympify", refuse), \
+                mock.patch("sympy.parsing.sympy_parser.parse_expr", refuse):
+            parsed = [_parse_expr(expr) for expr in CLOSED_FORMS]
+            for expr in NOT_CLOSED_FORMS + CALLS_OF_NAMES:
+                with pytest.raises(ConfigurationError, match="expr"):
+                    _parse_expr(expr)
+        assert refuse.call_count == 0
+        assert all(expr.free_symbols <= {sp.Symbol("x", real=True)} for expr in parsed)
 
 
 class TestQuadrature:
@@ -283,3 +306,139 @@ class TestClosedFormsMatchSympy:
         for x0 in (0.0, 1.0):
             ours, ref = field.endpoint_derivatives(x0, 18), _taylor(expr, x0, 18)
             assert np.all(np.abs(ours - ref) <= 1e-14 * np.abs(ref)), x0
+
+
+# --- the reference for _parse_expr: the three-pass reader it replaced. An
+# allow-list check over ast.walk, a fold of each constant subtree in float
+# arithmetic, then sympy's parser on the unparsed text.
+
+_REF_NAMES = frozenset({"x", "pi", "E"})
+_REF_FUNCTIONS = frozenset("sin cos tan asin acos atan sinh cosh tanh exp log sqrt".split())
+_REF_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub)
+_REF_CONSTANTS = {"pi": math.pi, "E": math.e}
+_REF_FLOAT_OPS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.Pow: operator.pow,
+    ast.UAdd: operator.pos, ast.USub: operator.neg,
+}
+
+
+def _ref_fold(node):
+    leaf = isinstance(node, (ast.Constant, ast.Name))
+    if isinstance(node, ast.Constant):
+        value = float(node.value)
+    elif isinstance(node, ast.Name):
+        value = _REF_CONSTANTS.get(node.id)
+    elif isinstance(node, ast.UnaryOp):
+        operand, v = _ref_fold(node.operand)
+        node = ast.UnaryOp(node.op, operand)
+        value = None if v is None else _REF_FLOAT_OPS[type(node.op)](v)
+    elif isinstance(node, ast.BinOp):
+        (left, a), (right, b) = _ref_fold(node.left), _ref_fold(node.right)
+        node = ast.BinOp(left, node.op, right)
+        value = None if a is None or b is None else _REF_FLOAT_OPS[type(node.op)](a, b)
+    else:
+        folded = [_ref_fold(arg) for arg in node.args]
+        node = ast.Call(node.func, [arg for arg, _ in folded], [])
+        values = [v for _, v in folded]
+        value = None if None in values else getattr(math, node.func.id)(*values)
+    if value is None:
+        return node, None
+    if isinstance(value, complex) or not math.isfinite(value):
+        raise ValueError(f"{ast.unparse(node)!r} is not a finite real number")
+    if leaf:
+        return node, value
+    number = int(value) if value.is_integer() else value
+    literal = ast.Constant(abs(number))
+    return (ast.UnaryOp(ast.USub(), literal) if number < 0 else literal), value
+
+
+def _ref_check_grammar(text):
+    tree = ast.parse(text, mode="eval")
+    nodes = list(ast.walk(tree))
+    called = {id(n.func) for n in nodes if isinstance(n, ast.Call)}
+    for node in nodes:
+        if isinstance(node, ast.Name):
+            ok = node.id in _REF_NAMES or (id(node) in called and node.id in _REF_FUNCTIONS)
+        elif isinstance(node, ast.Call):
+            ok = isinstance(node.func, ast.Name) and not node.keywords
+        elif isinstance(node, ast.Constant):
+            ok = type(node.value) in (int, float)
+        else:
+            ok = isinstance(node, (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Load, *_REF_OPS))
+        if not ok:
+            what = ast.unparse(node) if isinstance(node, ast.expr) else type(node).__name__
+            raise ValueError(f"{what!r} is not allowed")
+    body, _ = _ref_fold(tree.body)
+    return ast.unparse(body)
+
+
+def _reference_parse(expr):
+    if not isinstance(expr, str):
+        raise ConfigurationError(f"'expr' must be a string, got {expr!r}")
+    try:
+        return sp.sympify(_ref_check_grammar(expr)).subs(sp.Symbol("x"), sp.Symbol("x", real=True))
+    except (SyntaxError, ValueError, TypeError, ArithmeticError, RecursionError,
+            sp.SympifyError, tokenize.TokenError) as exc:
+        raise ConfigurationError(f"'expr' {expr!r} is not a closed form in x: {exc}") from None
+
+
+def _outcome(parse, expr):
+    """sympy's srepr of the parsed expression, or ConfigurationError."""
+    try:
+        return sp.srepr(parse(expr))
+    except ConfigurationError:
+        return ConfigurationError
+
+
+# numbers as written (ints, floats in any notation), names, and constants that
+# overflow, are not finite or are not real
+_NUMBERS = st.one_of(
+    st.integers(0, 100).map(str),
+    st.floats(0.0, 1e3, allow_subnormal=False).map(repr),
+    st.sampled_from(["2.5e-1", "1e300", "0.1", "3.0", "1e-320", "1_000", "0x1F", "007.5"]),
+)
+_BAD_CONSTANTS = st.sampled_from([
+    "1e999", "1" + "0" * 400, "10**10**10", "1e308*10", "(-8)**(1/3)", "sqrt(-1)", "log(0)",
+    "1/0", "0**-1", "exp(1000)", "asin(2)", "2**(10**10)",
+])
+_LEAVES = st.one_of(_NUMBERS, st.sampled_from(["x", "pi", "E"]), _BAD_CONSTANTS)
+# a power's exponent stays small: a subtree sympy reduces to an exact
+# integer, such as (x - x + 9), is not folded, and a tower of such powers
+# asks sympy for a huge exact integer
+_EXPONENTS = st.one_of(
+    st.integers(-3, 4).map(str), st.sampled_from(["0.5", "(1/3)", "(-1.5)", "x", "pi", "(x + 1)"]),
+)
+
+
+def _compound(inner):
+    wrap = st.sampled_from(["{}", "({})"])
+    return st.one_of(
+        st.tuples(st.sampled_from(["+", "-"]), wrap, inner).map(lambda t: t[0] + t[1].format(t[2])),
+        st.tuples(wrap, inner, st.sampled_from([" + ", " - ", "*", "/"]), wrap, inner).map(
+            lambda t: t[0].format(t[1]) + t[2] + t[3].format(t[4])),
+        st.tuples(st.sampled_from(["({})", "x", "{}"]), inner, _EXPONENTS).map(
+            lambda t: (t[0] if t[0] == "x" else t[0].format(t[1])) + "**" + t[2]),
+        st.tuples(st.sampled_from(sorted(_REF_FUNCTIONS)), inner).map(lambda t: f"{t[0]}({t[1]})"),
+    )
+
+
+_GRAMMAR = st.recursive(_LEAVES, _compound, max_leaves=10)
+
+
+# powers of a base whose sign sympy reads off x: built in the real x from the
+# start, sympy splits them differently
+POWER_SPLITS = ["(2**x/(-1.37))**(-0.5)", "((-(1/3)**x)**0.5)**2.5"]
+
+
+class TestOneWalkMatchesTheReference:
+    """_parse_expr builds what the three-pass reader built, and rejects what it rejected."""
+
+    @pytest.mark.parametrize("expr", CLOSED_FORMS + NOT_CLOSED_FORMS + POWER_SPLITS)
+    def test_corpus(self, expr):
+        assert _outcome(_parse_expr, expr) == _outcome(_reference_parse, expr)
+
+    @settings(max_examples=400, deadline=None)
+    @given(expr=_GRAMMAR)
+    def test_grammar(self, expr):
+        assert _outcome(_parse_expr, expr) == _outcome(_reference_parse, expr)

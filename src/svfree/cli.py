@@ -162,6 +162,9 @@ def config_from_dict(data: dict) -> RunConfig:
     unknown = set(data) - known
     if unknown:
         raise ConfigurationError(f"unknown config field(s): {sorted(unknown)}")
+    version = data.get("schema_version", SCHEMA_VERSION)
+    if not _is_int(version) or version != SCHEMA_VERSION:
+        raise ConfigurationError(f"config field 'schema_version' must be {SCHEMA_VERSION}, got {version!r}")
     return _validate_config(RunConfig(**{k: v for k, v in data.items() if k != "schema_version"}))
 
 
@@ -385,31 +388,20 @@ def run_simulation(cfg: RunConfig) -> RunSummary:
         if cfg.emit["energy"]:
             max_gap = _emit_energy(out, sol)
     elif cfg.emit["energy"]:
-        log.info(
-            "energy monitoring needs the spectral solution; skipped for "
-            "the finite-difference oracle"
-        )
+        log.info("energy monitoring needs the spectral solution; skipped for the finite-difference oracle")
     # boundary and snapshot reports follow the spectral solution when there is one
     primary = sol if sol is not None else fd
     if cfg.emit["boundary"]:
-        reps = eulerian.boundary_reports(profile, primary, primary.times)
+        reps = eulerian.boundary_reports(primary, primary.times)
         emit_report("boundary", reps, out / "boundary.csv")
     for k, t in enumerate(_snapshot_times(cfg)):
-        snap = eulerian.eulerian_fields(profile, primary, t, n_samples=401)
+        snap = eulerian.eulerian_fields(primary, t, n_samples=401)
         emit_report("snapshot", snap, out / f"snapshot_{k:03d}.csv")
         emit_report("snapshot-header", snap, out / f"snapshot_{k:03d}.json")
-    if sol is not None:
-        emit_report(
-            "trajectory",
-            (sol.times, sol.coeffs @ sol.basis.table(0)),
-            out / ("trajectory_galerkin.csv" if cfg.solver == "both" else "trajectory.csv"),
-        )
-    if fd is not None:
-        emit_report(
-            "trajectory",
-            (fd.times, fd.v),
-            out / ("trajectory_fd.csv" if cfg.solver == "both" else "trajectory.csv"),
-        )
+    for label, traj in (("galerkin", sol), ("fd", fd)):
+        if traj is not None:
+            name = f"trajectory_{label}.csv" if cfg.solver == "both" else "trajectory.csv"
+            emit_report("trajectory", (traj.times, traj.v), out / name)
     if sol is not None and fd is not None:
         sampled = list(sol.times[:: max(1, len(sol.times) // 50)]) + [sol.times[-1]]
         # weighted L2 gap of the two velocities at T, then at the sampled times
@@ -455,13 +447,13 @@ def run_verification_suite(cfg: RunConfig) -> list[checks.CheckResult]:
         rows.append(checks.contraction_monotonicity(sol.history))
         rows.append(checks.eta_bound(sol))
         t_end = settings.t_final
-        rows.append(checks.mass_conservation(profile, sol, (0.0, sol.times[len(sol.times) // 2], t_end)))
+        rows.append(checks.mass_conservation(sol, (0.0, sol.times[len(sol.times) // 2], t_end)))
         rows.append(checks.roundtrip_inverse_map(sol, t_end))
-        rows.append(checks.boundary_neumann_spectral(profile, sol, t_end))
+        rows.append(checks.boundary_neumann_spectral(sol, t_end))
         # every 5th of the 126 stored times: the sample ends at T
         reports = jet.energy_reports(sol, sol.times[:: max(1, len(sol.times) // 25)])
         rows.append(checks.apriori_ceiling(reports))
-        rows.append(checks.embedding_constants(profile, sol, reports))
+        rows.append(checks.embedding_constants(sol, reports))
     except SvfreeError as exc:
         rows.append(checks.CheckResult("nonlinear-run", False, f"small nonlinear run failed: {exc}"))
     return rows
@@ -511,34 +503,33 @@ def _sweep_row(settled: tuple) -> tuple:
 def run_sweep(cfg: RunConfig, spec: str):
     """Solve the nonlinear problem across a t_final range, write sweep.csv, and return its rows.
 
-    Each point solves to its t_final rounded to whole steps (at least one);
-    the nodal stack grows with t_final, so the last point's size check covers
-    every point. Points of one step count share a horizon, and every horizon
-    settles in one call of picard.solve_horizons, whose passes march only to
-    the longest horizon still open: a shorter horizon's iterates are prefixes
-    of the longest's. The sweep holds one row per horizon and no list of its
-    points, which it reads off the spec again to write sweep.csv in spec order
-    (logging each point's warning) and to build the returned row iterator.
+    The spec is parsed once, each point's t_final rounded to whole steps (at
+    least one); the nodal stack grows with t_final, so the last point's size
+    check covers every point. Points of one step count share a horizon, and
+    all settle in one call of picard.solve_horizons, whose passes march only
+    to the longest horizon still open. The rounded times never decrease, so
+    each horizon's points are one run of the spec: the sweep holds one row
+    and one count per horizon and no list of its points, and repeats each
+    row by its count to write sweep.csv in spec order (logging each point's
+    warning) and to build the returned row iterator.
     """
-    def whole_steps():
-        """The spec's final times, each rounded to whole steps (at least one), in spec order."""
-        return (max(1.0, np.rint(float(t) / cfg.dt)) * cfg.dt for t in parse_sweep_range(spec))
-
-    horizons = set(whole_steps())
-    _check_run_size(max(horizons), cfg.dt, cfg.n_nodes, cfg.n_modes)
+    horizons, counts = np.unique(np.maximum(1.0, np.rint(parse_sweep_range(spec) / cfg.dt)) * cfg.dt,
+                                 return_counts=True)
+    _check_run_size(horizons[-1], cfg.dt, cfg.n_nodes, cfg.n_modes)
     grid, profile, u0 = build_problem(cfg)
     out = _out_dir(cfg)
     settled = dict(map(_sweep_row, picard.solve_horizons(profile, u0, cfg, horizons)))
 
     def logged():
-        for t in whole_steps():
+        for t, count in zip(horizons, counts):
             row, warning = settled[t]
-            if warning is not None:
-                log.warning("%s", warning)
-            yield row
+            for _ in range(count):
+                if warning is not None:
+                    log.warning("%s", warning)
+                yield row
 
     emit_report("sweep", logged(), out / "sweep.csv")
-    return (settled[t][0] for t in whole_steps())
+    return (settled[t][0] for t, count in zip(horizons, counts) for _ in range(count))
 
 
 # ---------------------------------------------------------------------------

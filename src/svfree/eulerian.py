@@ -6,11 +6,13 @@ height and velocity are pullbacks through its inverse,
     rho(y, t) = rho0(x) / eta_x(x, t),   u(y, t) = v(x, t),   x = inverse(y).
 
 The inverse starts from the piecewise-linear inverse of the nodal flow row and
-takes three Newton steps on the trajectory's own smooth map: the modal sum for
-the spectral solution, a PCHIP interpolant for the finite-difference oracle
-(the Jacobian bound keeps eta strictly increasing). Boundary diagnostics
-report the endpoint Neumann defect, the stress with its factors, and the
-one-sided sound-speed-squared slope, all as one-sided limits.
+takes three Newton steps on the solution's own smooth map, which the solution
+gives (flow_at): the modal sum for the spectral solution, a PCHIP interpolant
+for the finite-difference oracle. Boundary diagnostics report the endpoint
+Neumann defect, the stress with its factors, and the one-sided
+sound-speed-squared slope, all as one-sided limits, from the end slopes the
+solution gives (end_slopes). Any solution with those two reads and a profile
+serves; nothing here asks which solver made it.
 """
 
 from __future__ import annotations
@@ -21,19 +23,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, FlowMapDegeneracyError
-from .fd_oracle import FDTrajectory
-from .picard import SolutionTrajectory
-from .profile import HeightProfile, simpson_weights
+from .profile import simpson_weights
 
-__all__ = [
-    "EulerianSnapshot",
-    "BoundaryReport",
-    "eulerian_fields",
-    "inverse_flow",
-    "boundary_reports",
-    "boundary_diagnostics",
-    "eulerian_mass",
-]
+__all__ = ["EulerianSnapshot", "BoundaryReport", "eulerian_fields", "flow_map", "boundary_reports",
+           "boundary_diagnostics", "eulerian_mass"]
 
 
 @dataclass(frozen=True)
@@ -77,41 +70,23 @@ class _FlowMap(NamedTuple):
         return x
 
 
-def _flow_map(traj, idx: int) -> _FlowMap:
-    if isinstance(traj, SolutionTrajectory):
-        basis = traj.basis
-        mu = traj.flow_coeffs[idx]
-        lam = traj.coeffs[idx]
-        nodes = basis.grid.nodes
-        return _FlowMap(
-            nodes,
-            nodes + mu @ basis.table(0),
-            lambda x: x + basis.evaluate(mu, x, 0),
-            lambda x: 1.0 + basis.evaluate(mu, x, 1),
-            lambda x: basis.evaluate(lam, x, 0),
-        )
-    if isinstance(traj, FDTrajectory):
-        from scipy.interpolate import PchipInterpolator  # only FD runs load scipy
-
-        nodes = traj.grid.nodes
-        v = traj.v[idx]
-        eta = PchipInterpolator(nodes, traj.eta[idx])
-        return _FlowMap(nodes, traj.eta[idx], eta, eta.derivative(), lambda x: np.interp(x, nodes, v))
-    raise ConfigurationError(f"unsupported trajectory type {type(traj).__name__}")
+def _with_flow(traj):
+    """traj, if it carries a flow map; a bare modal velocity record has none to pull back through."""
+    if not hasattr(traj, "flow_at"):
+        raise ConfigurationError(f"unsupported trajectory type {type(traj).__name__}")
+    return traj
 
 
-def inverse_flow(traj, idx: int, y: np.ndarray) -> np.ndarray:
-    """The x with eta(x) = y at stored step idx, for samples y running from eta(0) to eta(1)."""
-    return _flow_map(traj, idx).inverse(y)
+def flow_map(traj, idx: int) -> _FlowMap:
+    """The flow of a solution (spectral or finite-difference) at stored step idx."""
+    return _FlowMap(*_with_flow(traj).flow_at(idx))
 
 
-def eulerian_fields(
-    profile: HeightProfile, traj, t: float, n_samples: int = 401
-) -> EulerianSnapshot:
+def eulerian_fields(traj, t: float, n_samples: int = 401) -> EulerianSnapshot:
     """Sample the Eulerian height and velocity on a uniform grid of the domain."""
     if n_samples < 3 or n_samples % 2 == 0:
         raise ConfigurationError("n_samples must be odd and >= 3 (Simpson sampling)")
-    flow = _flow_map(traj, traj.index_of(t))
+    flow = flow_map(traj, traj.index_of(t))
     ends = np.array([0.0, 1.0])
     left, right = flow.eta(ends).tolist()
     if not left < right:
@@ -121,11 +96,9 @@ def eulerian_fields(
     eta_x = flow.eta_x(x)
     if np.any(eta_x <= 0.0):
         raise FlowMapDegeneracyError("flow map is not monotone at the samples")
-    rho = profile.sample(x) / eta_x
-    rho[0] = 0.0
-    rho[-1] = 0.0
-    v_ends = flow.v(ends).tolist()
-    return EulerianSnapshot(t, (left, right), tuple(v_ends), y, rho, flow.v(x))
+    rho = traj.profile.sample(x) / eta_x
+    rho[[0, -1]] = 0.0
+    return EulerianSnapshot(t, (left, right), tuple(flow.v(ends).tolist()), y, rho, flow.v(x))
 
 
 def eulerian_mass(snapshot: EulerianSnapshot) -> float:
@@ -135,29 +108,18 @@ def eulerian_mass(snapshot: EulerianSnapshot) -> float:
     return float(np.dot(simpson_weights(n, h), snapshot.rho))
 
 
-def boundary_reports(profile: HeightProfile, traj, times) -> list[BoundaryReport]:
+def boundary_reports(traj, times) -> list[BoundaryReport]:
     """Endpoint Neumann defect, stress factors, and sound-speed slope at stored times.
 
-    For spectral trajectories the endpoint slope of every mode vanishes
-    identically, so vx is exactly zero; the finite-difference oracle reports
-    its genuine O(h^2) defect. The stress rho^2 - rho*u_x is identically zero
-    because rho vanishes there; the u_x factor is reported alongside.
+    The solution gives v_x and eta_x at both ends: a spectral one exactly
+    zero and one (the endpoint slope of every mode vanishes), the
+    finite-difference oracle its genuine O(h^2) defect. The stress
+    rho^2 - rho*u_x is identically zero because rho vanishes there; the u_x
+    factor is reported alongside.
     """
-    if isinstance(traj, SolutionTrajectory):
-        idx = [traj.index_of(t) for t in times]
-        basis = traj.basis
-        # (rows, 2) first derivatives at x = 0 and x = 1: one product per end and field
-        vx, eta_xb = (
-            np.stack([basis.endpoint_derivatives(c[idx], s, 2)[:, 1] for s in (0.0, 1.0)], axis=1)
-            for c in (traj.coeffs, traj.flow_coeffs)
-        )
-        eta_xb += 1.0
-    elif isinstance(traj, FDTrajectory):
-        vx = np.array([traj.boundary_vx(t) for t in times])
-        eta_xb = np.array([traj.boundary_eta_x(t) for t in times])
-    else:
-        raise ConfigurationError(f"unsupported trajectory type {type(traj).__name__}")
-    slopes = np.abs([profile.endpoint_derivatives(s, 2)[1] for s in (0.0, 1.0)]) / eta_xb**2
+    traj = _with_flow(traj)
+    vx, eta_xb = traj.end_slopes([traj.index_of(t) for t in times])
+    slopes = np.abs([traj.profile.endpoint_derivatives(s, 2)[1] for s in (0.0, 1.0)]) / eta_xb**2
     ux = vx / eta_xb
     stress = (0.0, 0.0)  # rho^2 - rho*u_x with rho = 0 on the moving boundary
     return [
@@ -166,6 +128,6 @@ def boundary_reports(profile: HeightProfile, traj, times) -> list[BoundaryReport
     ]
 
 
-def boundary_diagnostics(profile: HeightProfile, traj, t: float) -> BoundaryReport:
+def boundary_diagnostics(traj, t: float) -> BoundaryReport:
     """The boundary report at one stored time."""
-    return boundary_reports(profile, traj, [t])[0]
+    return boundary_reports(traj, [t])[0]

@@ -44,27 +44,30 @@ class FDTrajectory:
         """Nodal velocity at the stored time t (a copy)."""
         return self.v[self.index_of(t)].copy()
 
-    def _end_slopes(self, row: np.ndarray, stencil) -> tuple[float, float]:
-        """Slopes of a nodal row at x = 0 and x = 1: a one-sided stencil (in units
-        of 1/h) at the left end, its negated reverse at the right end.
+    def flow_at(self, idx: int):
+        """The nodes, the flow row at stored step idx, and eta (its PCHIP interpolant,
+        monotone as the row increases), eta_x and v (linear in the row) at any points."""
+        from scipy.interpolate import PchipInterpolator  # only FD runs load scipy
 
-        The products are summed left to right, as np.gradient sums its edge rows.
+        nodes, v = self.grid.nodes, self.v[idx]
+        eta = PchipInterpolator(nodes, self.eta[idx])
+        return nodes, self.eta[idx], eta, eta.derivative(), lambda x: np.interp(x, nodes, v)
+
+    def end_slopes(self, idx) -> tuple[np.ndarray, np.ndarray]:
+        """v_x and eta_x at x = 0 and x = 1 on the stored rows idx, each of shape (rows, 2).
+
+        A one-sided stencil (in units of 1/h) at the left end and its negated
+        reverse at the right, the products summed left to right from 0 as
+        np.gradient sums its edge rows. v_x's (-11/6, 3, -3/2, 1/3) is wider
+        than the solver's Neumann closure, so it measures the genuine O(h^2)
+        defect instead of reproducing the constraint; eta_x's is (-3/2, 2, -1/2).
         """
-        w = np.array(stencil) / self.grid.spacing
-        return float(sum(w * row[: len(w)])), float(sum(-w[::-1] * row[-len(w):]))
+        def ends(stack, w):
+            w = np.array(w) / self.grid.spacing
+            products = (w * stack[idx, :len(w)], -w[::-1] * stack[idx, -len(w):])
+            return np.stack([sum(p.T) for p in products], axis=1)
 
-    def boundary_vx(self, t: float) -> tuple[float, float]:
-        """One-sided endpoint slopes of v from the four-point stencil (-11/6, 3, -3/2, 1/3)/h.
-
-        Deliberately a wider stencil than the solver's three-point Neumann
-        closure, so the reported value measures the genuine O(h^2) defect
-        instead of reproducing the constraint identically.
-        """
-        return self._end_slopes(self.v[self.index_of(t)], (-11.0 / 6.0, 3.0, -1.5, 1.0 / 3.0))
-
-    def boundary_eta_x(self, t: float) -> tuple[float, float]:
-        """Endpoint Jacobians from the second-order three-point stencil (-3/2, 2, -1/2)/h."""
-        return self._end_slopes(self.eta[self.index_of(t)], (-1.5, 2.0, -0.5))
+        return ends(self.v, (-11.0 / 6.0, 3.0, -1.5, 1.0 / 3.0)), ends(self.eta, (-1.5, 2.0, -0.5))
 
 
 def fd_oracle_solve(

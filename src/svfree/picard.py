@@ -90,6 +90,11 @@ class SolutionTrajectory(ModalTrajectory):
         return True
 
     @property
+    def v(self) -> np.ndarray:
+        """(steps+1, n_nodes) nodal velocity."""
+        return self.coeffs @ self.basis.table(0)
+
+    @property
     def eta(self) -> np.ndarray:
         """(steps+1, n_nodes) nodal flow map."""
         return self.basis.grid.nodes + self.flow_coeffs @ self.basis.table(0)
@@ -98,6 +103,20 @@ class SolutionTrajectory(ModalTrajectory):
     def eta_x(self) -> np.ndarray:
         """(steps+1, n_nodes) nodal flow-map Jacobian."""
         return 1.0 + self.flow_coeffs @ self.basis.table(1)
+
+    def flow_at(self, idx: int):
+        """The nodes, the flow row at stored step idx, and eta, eta_x and v at any points (modal sums)."""
+        basis, mu, lam = self.basis, self.flow_coeffs[idx], self.coeffs[idx]
+        nodes = basis.grid.nodes
+        return (nodes, nodes + mu @ basis.table(0), lambda x: x + basis.evaluate(mu, x, 0),
+                lambda x: 1.0 + basis.evaluate(mu, x, 1), lambda x: basis.evaluate(lam, x, 0))
+
+    def end_slopes(self, idx) -> tuple[np.ndarray, np.ndarray]:
+        """v_x and eta_x at x = 0 and x = 1 on the stored rows idx, each of shape (rows, 2):
+        one endpoint product per end and field, exactly 0 and 1 as every mode's end slope vanishes."""
+        vx, mu_x = (np.stack([self.basis.endpoint_derivatives(c[idx], s, 2)[:, 1] for s in (0.0, 1.0)], axis=1)
+                    for c in (self.coeffs, self.flow_coeffs))
+        return vx, 1.0 + mu_x
 
 
 @dataclass(frozen=True)

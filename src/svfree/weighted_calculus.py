@@ -12,6 +12,7 @@ differences nodal values.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,11 +90,16 @@ def weighted_h1_norm(f, weight_power: int, profile: HeightProfile, field_x) -> f
     return math.sqrt(max(quadrature(vals * vals + grad * grad, weight_power, profile), 0.0))
 
 
+@functools.lru_cache(maxsize=1)  # one verify reads one node count; its table is up to 2^27 values
+def _hs_basis(n_nodes: int) -> GalerkinBasis:
+    """The H^s norm's cosine modes on build_grid(n_nodes), the nodes and weights of every such profile grid."""
+    return GalerkinBasis(min((n_nodes - 1) // 2, _HS_MODES), build_grid(n_nodes))
+
+
 def _hs_norm(f, profile: HeightProfile, s: float) -> float:
     """Cosine-spectral H^s norm of a nodal field: sqrt(sum (1 + (n pi)^2)^s c_n^2)."""
-    grid = profile.grid
-    basis = GalerkinBasis(min((grid.n_nodes - 1) // 2, _HS_MODES), grid)
-    coeffs = project_initial(_nodal_values(f, grid), basis, grid)
+    basis = _hs_basis(profile.grid.n_nodes)
+    coeffs = project_initial(_nodal_values(f, basis.grid), basis, basis.grid)
     n = np.arange(len(coeffs))
     return math.sqrt(float(np.dot((1.0 + (n * np.pi) ** 2) ** s, coeffs**2)))
 

@@ -117,10 +117,10 @@ def test_criterion_6_oracle_equivalence():
 
 def test_criterion_7_conservation_and_boundary(canonical_solution, para401):
     sol = canonical_solution
-    mass = checks.mass_conservation(para401, sol, list(sol.times[::25]) + [sol.times[-1]])
+    mass = checks.mass_conservation(sol, list(sol.times[::25]) + [sol.times[-1]])
     assert mass.passed, mass.detail
     for t in (0.0, 0.025, 0.05):
-        neumann = checks.boundary_neumann_spectral(para401, sol, t)
+        neumann = checks.boundary_neumann_spectral(sol, t)
         assert neumann.passed, neumann.detail
 
     fd_defects = []
@@ -129,7 +129,7 @@ def test_criterion_7_conservation_and_boundary(canonical_solution, para401):
         para = sample_height_profile("parabolic", {"amplitude": 1.0}, grid)
         u0 = sample_velocity("zero", {}, grid)
         fd = fd_oracle_solve(para, u0, 0.02, 1e-4)
-        rep = eulerian.boundary_diagnostics(para, fd, 0.02)
+        rep = eulerian.boundary_diagnostics(fd, 0.02)
         fd_defects.append(max(abs(v) for v in rep.vx_at_boundary))
     assert fd_defects[0] <= 5.0 * (1.0 / 100.0) ** 2
     assert fd_defects[1] < fd_defects[0] / 2.0

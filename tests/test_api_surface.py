@@ -1,10 +1,12 @@
 """Every exported name resolves, and so does every call the benchmark tracer wraps.
 
-A Galerkin run loads no scipy, a run from the built-in profile and velocity
-kinds loads no sympy, and a custom expression's numpy lambdify does not
-star-import numpy.
+eulerian reads a solution without importing either solver, and only the
+finite-difference oracle imports scipy. A Galerkin run loads no scipy, a
+run from the built-in profile and velocity kinds loads no sympy, and a
+custom expression's numpy lambdify does not star-import numpy.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -22,6 +24,7 @@ MODULES = sorted(
     f"svfree.{m.name}" for m in pkgutil.iter_modules(svfree.__path__) if not m.name.startswith("_")
 )
 ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "svfree").glob("*.py"))
 TRACING = ROOT / "perfbench" / "tracing.py"
 
 # set up canonical as a run does, then optionally run a short FD solve, set
@@ -128,3 +131,28 @@ def test_fd_solve_loads_scipy_linalg_lazily():
     probe = _probe("fd")
     assert probe["before"] == []
     assert "scipy.linalg" in probe["after"]
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Every module an svfree source file imports, at any depth (function bodies too).
+
+    A relative import names its svfree module: `from .picard import x` and
+    `from . import picard` both give 'svfree.picard'.
+    """
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module)
+        elif isinstance(node, ast.ImportFrom):
+            found |= ({f"svfree.{node.module}"} if node.module
+                      else {f"svfree.{alias.name}" for alias in node.names})
+    return found
+
+
+def test_eulerian_imports_no_solver_and_only_fd_oracle_imports_scipy():
+    imports = {path.stem: _imported_modules(path) for path in SOURCES}
+    assert imports["eulerian"] & {"svfree.picard", "svfree.fd_oracle"} == set()
+    assert [name for name, found in imports.items()
+            if any(m.split(".")[0] == "scipy" for m in found)] == ["fd_oracle"]

@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from svfree import checks, eulerian, jet, weighted_calculus as wc
+from svfree import checks, eulerian, galerkin, jet, weighted_calculus as wc
 from svfree.cli import config_from_dict, run_verification_suite
 from svfree.galerkin import GalerkinBasis, assemble_stiffness
 from svfree.picard import ContractionReport, PicardSettings, solve_nonlinear
@@ -50,7 +50,7 @@ def test_embedding_constant_uses_the_spectral_h3_norm():
     lam = sol.coeffs[sol.index_of(reports[-1].t)]
     h3 = math.sqrt(sum(quadrature(sol.basis.evaluate(lam, grid.nodes, k) ** 2, 0, para) for k in range(4)))
     c2 = h3 / math.sqrt(reports[-1].E_total)
-    assert f"c2~{c2:.3g}," in checks.embedding_constants(para, sol, reports).detail
+    assert f"c2~{c2:.3g}," in checks.embedding_constants(sol, reports).detail
 
 
 def test_stiffness_row_catches_a_scaled_stiffness():
@@ -87,11 +87,18 @@ def _trapezoid(f, weight_power, profile):
 
 def _without_jacobian(fields):
     """eulerian_fields with rho0 pulled back but not divided by eta_x."""
-    def pulled_back(profile, traj, t, n_samples=401):
-        snap = fields(profile, traj, t, n_samples)
-        x = eulerian.inverse_flow(traj, traj.index_of(t), snap.y)
-        return dataclasses.replace(snap, rho=profile.sample(x))
+    def pulled_back(traj, t, n_samples=401):
+        snap = fields(traj, t, n_samples)
+        x = eulerian.flow_map(traj, traj.index_of(t)).inverse(snap.y)
+        return dataclasses.replace(snap, rho=traj.profile.sample(x))
     return pulled_back
+
+
+def _stepping_with_mass(factor):
+    """A planter: step_linearized -> the same step with its mass matrix scaled by factor."""
+    def plant(step):
+        return lambda lam, dt, mass, *rest: step(lam, dt, mass * factor, *rest)
+    return plant
 
 
 def _parabola(n_nodes):
@@ -103,12 +110,12 @@ def _parabolic_run():
     """A 201-node, 16-mode parabolic run from rest to T = 5e-3."""
     profile = _parabola(201)
     u0 = sample_velocity("zero", {}, profile.grid)
-    return profile, solve_nonlinear(profile, u0, PicardSettings(t_final=5e-3, dt=1e-4, n_modes=16))
+    return solve_nonlinear(profile, u0, PicardSettings(t_final=5e-3, dt=1e-4, n_modes=16))
 
 
 def _mass_row():
-    profile, sol = _parabolic_run()
-    return checks.mass_conservation(profile, sol, (0.0, sol.times[len(sol.times) // 2], sol.times[-1]))
+    sol = _parabolic_run()
+    return checks.mass_conservation(sol, (0.0, sol.times[len(sol.times) // 2], sol.times[-1]))
 
 
 # row -> (owner, attribute, planter of the defect in it, the row's check)
@@ -131,6 +138,10 @@ _PLANTED = {
                          lambda: checks.norm_homogeneity(_parabola(201))),
     # a mass drift of 7.9e-6, against 1e-6 (3.3e-15 without the defect)
     "mass-conservation": (eulerian, "eulerian_fields", _without_jacobian, _mass_row),
+    # each step solved with the mass 1e-3 too large: a gap of 9.1e-2 between the
+    # residual and the jump dissipation, against 1e-10 (9.3e-14 without the defect)
+    "energy-identity-residual": (galerkin, "step_linearized", _stepping_with_mass(1.0 + 1e-3),
+                                 checks.energy_identity),
 }
 
 
@@ -163,7 +174,7 @@ _FAILING_CASES = {
 _NO_CASE_YET = {
     "grid-uniformity", "forcing-zero-mode", "weighted-sobolev-family", "h-half-weighted-family",
     "interpolation-inequality-family", "sobolev-embedding-quarter", "interpolation-identity-gap",
-    "energy-identity-residual", "boundary-neumann-spectral", "embedding-constants",
+    "boundary-neumann-spectral", "embedding-constants",
 }
 
 

@@ -390,6 +390,10 @@ class TestMainExitCodes:
         ({"profile": {"kind": "custom", "expr": "x*(1-x)*(x-0.5)**2"}}, "height profile"),
         ({"u0": {"kind": "custom", "expr": "E(1)"}}, "expr"),
         ({"u0": {"kind": "custom", "expr": "x(x)"}}, "expr"),
+        ({"schema_version": 2}, "schema_version"),
+        ({"schema_version": "x"}, "schema_version"),
+        ({"schema_version": True}, "schema_version"),
+        ({"schema_version": 1.0}, "schema_version"),
     ])
     def test_bad_field_type_is_3_and_named(self, tmp_path, monkeypatch, capsys, patch, field):
         monkeypatch.setenv("SVFREE_OUT", str(tmp_path / "out"))
@@ -870,7 +874,7 @@ _FIELDS = {
             "energy": _WRONG, "snapshots": st.sampled_from([-1, 1.5, True]), "plots": st.booleans(),
         }),
     ),
-    "schema_version": (st.just(1), st.nothing()),
+    "schema_version": (st.just(1), st.sampled_from([0, 2, 1.0, "1"])),
     "bogus": (st.nothing(), st.just(1)),
 }
 

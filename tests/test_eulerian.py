@@ -59,7 +59,7 @@ class TestFlowMap:
 
 class TestEulerianFields:
     def test_identity_at_t_zero(self, small_solution, para201):
-        snap = eulerian_fields(para201, small_solution, 0.0, 201)
+        snap = eulerian_fields(small_solution, 0.0, 201)
         assert snap.boundary == (0.0, 1.0)
         assert np.max(np.abs(snap.rho - para201.sample(snap.y))) < 1e-10
         assert np.all(snap.u == 0.0) or np.max(np.abs(snap.u)) < 1e-12
@@ -68,7 +68,7 @@ class TestEulerianFields:
         t = 0.25
         traj = _constant_modal_trajectory(grid201, np.array([1.0, 0.0]), t_final=t)
         sol = _solution_from_modal(traj, para201)
-        snap = eulerian_fields(para201, sol, t, 101)
+        snap = eulerian_fields(sol, t, 101)
         assert snap.boundary[0] == pytest.approx(t, abs=1e-14)
         assert snap.boundary[1] == pytest.approx(1.0 + t, abs=1e-14)
         assert np.max(np.abs(snap.rho - para201.sample(snap.y - t))) < 1e-9
@@ -77,21 +77,21 @@ class TestEulerianFields:
     def test_mass_conservation_change_of_variables(self, small_solution, para201):
         mass0 = quadrature(np.ones(201), 1, para201)
         for t in (0.0, small_solution.times[-1]):
-            snap = eulerian_fields(para201, small_solution, float(t), 401)
+            snap = eulerian_fields(small_solution, float(t), 401)
             assert abs(eulerian_mass(snap) - mass0) < 1e-9
 
-    def test_density_structure(self, small_solution, para201):
-        snap = eulerian_fields(para201, small_solution, small_solution.times[-1], 101)
+    def test_density_structure(self, small_solution):
+        snap = eulerian_fields(small_solution, small_solution.times[-1], 101)
         assert snap.rho[0] == 0.0 and snap.rho[-1] == 0.0
         assert np.all(snap.rho[1:-1] > 0.0)
         assert snap.boundary[0] < snap.boundary[1]
 
     def test_round_trip_inverse(self, small_solution, grid201):
-        from svfree.eulerian import inverse_flow
+        from svfree.eulerian import flow_map
 
         idx = len(small_solution.times) - 1
         y = small_solution.eta[idx]
-        x = inverse_flow(small_solution, idx, y)
+        x = flow_map(small_solution, idx).inverse(y)
         assert np.max(np.abs(x - grid201.nodes)) < 1e-10
 
     @given(
@@ -101,7 +101,7 @@ class TestEulerianFields:
     )
     @example(shift=0.0, shape=[0.0] * 14 + [1.0], size=1.0)  # the most curved admissible flow
     def test_inverse_matches_bisection(self, grid201, para201, shift, shape, size):
-        from svfree.eulerian import inverse_flow
+        from svfree.eulerian import flow_map
 
         # |eta_x - 1| <= size/2 by the bound |e_n'| <= sqrt(2) n pi, so eta_x stays in [1/2, 3/2]
         basis = GalerkinBasis(16, grid201)
@@ -123,48 +123,49 @@ class TestEulerianFields:
             mid = 0.5 * (lo + hi)
             less = eta(mid) < y
             lo, hi = np.where(less, mid, lo), np.where(less, hi, mid)
-        assert np.max(np.abs(inverse_flow(sol, 0, y) - 0.5 * (lo + hi))) <= 1e-14
+        assert np.max(np.abs(flow_map(sol, 0).inverse(y) - 0.5 * (lo + hi))) <= 1e-14
 
     def test_fd_inverse_solves_the_pchip_flow(self, para201):
         from scipy.interpolate import PchipInterpolator
 
-        from svfree.eulerian import inverse_flow
+        from svfree.eulerian import flow_map
 
         fd = fd_oracle_solve(para201, sample_velocity("cosine", {"amplitude": 0.5}, para201.grid),
                              0.01, 1e-3)
         for idx, t in enumerate(fd.times):
-            snap = eulerian_fields(para201, fd, float(t), 401)
-            x = inverse_flow(fd, idx, snap.y)
+            snap = eulerian_fields(fd, float(t), 401)
+            x = flow_map(fd, idx).inverse(snap.y)
             eta = PchipInterpolator(fd.grid.nodes, fd.eta[idx])
             assert np.max(np.abs(eta(x) - snap.y)) <= 1e-14
 
-    def test_even_sample_count_rejected(self, small_solution, para201):
+    def test_even_sample_count_rejected(self, small_solution):
         with pytest.raises(ConfigurationError):
-            eulerian_fields(para201, small_solution, 0.0, 100)
+            eulerian_fields(small_solution, 0.0, 100)
 
-    def test_velocity_without_flow_rejected(self, grid201, para201):
+    def test_velocity_without_flow_rejected(self, grid201):
         # a plain modal velocity record carries no flow map to pull back through
         traj = _constant_modal_trajectory(grid201, np.zeros(4))
-        with pytest.raises(ConfigurationError, match="unsupported trajectory type ModalTrajectory"):
-            eulerian_fields(para201, traj, 0.0, 101)
+        for read in (lambda: eulerian_fields(traj, 0.0, 101), lambda: boundary_reports(traj, [0.0])):
+            with pytest.raises(ConfigurationError, match="unsupported trajectory type ModalTrajectory"):
+                read()
 
     def test_fd_trajectory_supported(self, para201, u0zero201):
         fd = fd_oracle_solve(para201, u0zero201, 0.01, 1e-3)
-        snap = eulerian_fields(para201, fd, 0.01, 101)
+        snap = eulerian_fields(fd, 0.01, 101)
         mass0 = quadrature(np.ones(201), 1, para201)
         assert abs(eulerian_mass(snap) - mass0) < 1e-5
 
 
 class TestBoundaryDiagnostics:
-    def test_spectral_neumann_exact_zero(self, small_solution, para201):
+    def test_spectral_neumann_exact_zero(self, small_solution):
         for t in (0.0, small_solution.times[-1]):
-            rep = boundary_diagnostics(para201, small_solution, float(t))
+            rep = boundary_diagnostics(small_solution, float(t))
             assert rep.vx_at_boundary == (0.0, 0.0)
             assert rep.ux_at_boundary == (0.0, 0.0)
             assert rep.stress_at_boundary == (0.0, 0.0)
 
-    def test_soundspeed_slope_initial(self, small_solution, para201):
-        rep = boundary_diagnostics(para201, small_solution, 0.0)
+    def test_soundspeed_slope_initial(self, small_solution):
+        rep = boundary_diagnostics(small_solution, 0.0)
         assert rep.soundspeed_slope[0] == pytest.approx(1.0, abs=1e-12)
         assert rep.soundspeed_slope[1] == pytest.approx(1.0, abs=1e-12)
 
@@ -175,7 +176,7 @@ class TestBoundaryDiagnostics:
             para = sample_height_profile("parabolic", {"amplitude": 1.0}, grid)
             u0 = sample_velocity("zero", {}, grid)
             fd = fd_oracle_solve(para, u0, 0.01, 1e-4)
-            rep = boundary_diagnostics(para, fd, 0.01)
+            rep = boundary_diagnostics(fd, 0.01)
             defects.append(max(abs(rep.vx_at_boundary[0]), abs(rep.vx_at_boundary[1])))
         assert defects[1] < defects[0] / 2.0
         assert defects[0] <= 5.0 * (1.0 / 100.0) ** 2
@@ -188,31 +189,48 @@ class TestBoundaryDiagnostics:
         v = 1.0 - 2.0 * x + 3.0 * x**2 - 4.0 * x**3  # v_x = -2 at 0, -8 at 1
         eta = x + 0.1 * x * x  # eta_x = 1 at 0, 1.2 at 1
         fd = FDTrajectory(np.array([0.0]), v[None, :], eta[None, :], 1e-3, para, 1.0, 1.2)
-        assert fd.boundary_vx(0.0) == pytest.approx((-2.0, -8.0), rel=1e-12)
-        assert fd.boundary_eta_x(0.0) == pytest.approx((1.0, 1.2), rel=1e-12)
+        vx, eta_x = fd.end_slopes([0])
+        assert tuple(vx[0]) == pytest.approx((-2.0, -8.0), rel=1e-12)
+        assert tuple(eta_x[0]) == pytest.approx((1.0, 1.2), rel=1e-12)
 
     def test_fd_report_reads_the_flow_map_row(self, para201, u0zero201):
         fd = fd_oracle_solve(para201, u0zero201, 0.01, 1e-3)
         eta_x = np.gradient(fd.eta, fd.grid.spacing, axis=1, edge_order=2)
         slopes = [abs(para201.endpoint_derivatives(s, 2)[1]) for s in (0.0, 1.0)]
         for idx in (0, 3, 10):
-            rep = boundary_diagnostics(para201, fd, float(fd.times[idx]))
+            rep = boundary_diagnostics(fd, float(fd.times[idx]))
             ends = (eta_x[idx][0], eta_x[idx][-1])
-            vx = fd.boundary_vx(float(fd.times[idx]))
+            vx = fd.end_slopes([idx])[0][0]
             assert rep.ux_at_boundary == (vx[0] / ends[0], vx[1] / ends[1])
             assert rep.soundspeed_slope == (slopes[0] / ends[0] ** 2, slopes[1] / ends[1] ** 2)
 
     def test_fd_reports_at_all_times_match_one_time(self, para201, u0zero201):
         fd = fd_oracle_solve(para201, u0zero201, 0.01, 1e-3)
         times = [float(t) for t in fd.times[::-1]]
-        single = [boundary_diagnostics(para201, fd, t) for t in times]
+        single = [boundary_diagnostics(fd, t) for t in times]
         # repr tells -0.0 from 0.0
-        assert repr(boundary_reports(para201, fd, times)) == repr(single)
+        assert repr(boundary_reports(fd, times)) == repr(single)
+
+    @pytest.mark.parametrize("kind, params", [("zero", {}), ("cosine", {"amplitude": 0.5})])
+    def test_fd_end_slopes_follow_the_per_time_stencil_rule(self, para201, kind, params):
+        # the rule one stored time at a time: a stencil in units of 1/h at the
+        # left end, its negated reverse at the right, summed left to right from 0
+        def per_time(row, stencil):
+            w = np.array(stencil) / fd.grid.spacing
+            return float(sum(w * row[: len(w)])), float(sum(-w[::-1] * row[-len(w):]))
+
+        fd = fd_oracle_solve(para201, sample_velocity(kind, params, para201.grid), 0.01, 1e-3)
+        vx, eta_x = fd.end_slopes(list(range(len(fd.times))))
+        # repr tells -0.0 from 0.0
+        assert repr([tuple(r) for r in vx.tolist()]) == repr(
+            [per_time(row, (-11.0 / 6.0, 3.0, -1.5, 1.0 / 3.0)) for row in fd.v])
+        assert repr([tuple(r) for r in eta_x.tolist()]) == repr(
+            [per_time(row, (-1.5, 2.0, -0.5)) for row in fd.eta])
 
     def test_vacuum_slope_persistence(self, small_solution, para201):
         # |d(c^2)/dy| at the moving boundary stays within [c1/2, 2 c2]
         for t in small_solution.times[::25]:
-            rep = boundary_diagnostics(para201, small_solution, float(t))
+            rep = boundary_diagnostics(small_solution, float(t))
             for s in rep.soundspeed_slope:
                 assert para201.c1 / 2.0 <= s <= 2.0 * para201.c2
 

@@ -318,8 +318,8 @@ def test_two_passes_match_one_row_evaluation(small_solution, canonical_solution,
         for label, value in ref.summands.items():
             assert rep.summands[label] == pytest.approx(value, rel=1e-12, abs=0.0), label
 
-    batched = eulerian.boundary_reports(sol.profile, sol, times)
-    single = [eulerian.boundary_diagnostics(sol.profile, sol, t) for t in times]
+    batched = eulerian.boundary_reports(sol, times)
+    single = [eulerian.boundary_diagnostics(sol, t) for t in times]
     # repr tells -0.0 from 0.0
     assert repr(batched) == repr(single)
 

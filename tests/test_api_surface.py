@@ -1,9 +1,11 @@
 """Every exported name resolves, and so does every call the benchmark tracer wraps.
 
-eulerian reads a solution without importing either solver, and only the
-finite-difference oracle imports scipy. A Galerkin run loads no scipy, a
-run from the built-in profile and velocity kinds loads no sympy, and a
-custom expression's numpy lambdify does not star-import numpy.
+eulerian reads a solution without importing either solver, and no module
+imports scipy, which only the tests use: neither a Galerkin run nor a
+finite-difference run with Eulerian snapshots loads it. The runtime
+dependencies in pyproject.toml are exactly the third-party modules svfree
+imports. A run from the built-in profile and velocity kinds loads no sympy,
+and a custom expression's numpy lambdify does not star-import numpy.
 """
 
 import ast
@@ -12,6 +14,7 @@ import importlib.util
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,16 +30,17 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "svfree").glob("*.py"))
 TRACING = ROOT / "perfbench" / "tracing.py"
 
-# set up canonical as a run does, then optionally run a short FD solve, set
-# up the sine config, or build a custom profile; prints the scipy modules
-# loaded before and after, whether sympy was loaded after each stage, the
-# names in svfree.jet bound to sympy objects, and which modules that only
-# `from numpy import *` pulls in were loaded by the set-up
+# set up canonical as a run does, then optionally run a short FD solve and
+# take an Eulerian snapshot of it, set up the sine config, or build a custom
+# profile; prints the scipy modules loaded before and after, whether sympy
+# was loaded after each stage, the names in svfree.jet bound to sympy
+# objects, and which modules that only `from numpy import *` pulls in were
+# loaded by the set-up
 _IMPORT_PROBE = """
 import json, sys, types
 import svfree
 sympy = {"import": "sympy" in sys.modules}
-from svfree import cli, fd_oracle, jet
+from svfree import cli, eulerian, fd_oracle, jet
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -56,7 +60,7 @@ sympy["canonical"] = "sympy" in sys.modules
 before = scipy_modules()
 star = sorted(m for m in ("numpy.f2py", "numpy.testing", "unittest") if m in sys.modules)
 if sys.argv[1] == "fd":
-    fd_oracle.fd_oracle_solve(profile, u0, 1e-3, 1e-4)
+    eulerian.eulerian_fields(fd_oracle.fd_oracle_solve(profile, u0, 1e-3, 1e-4), 1e-3)
 elif sys.argv[1] == "sine":
     _, profile, u0 = cli.build_problem(cli.load_config("configs/sine_compatible.json"))
     jet.initial_jet(profile, u0)
@@ -127,10 +131,9 @@ def test_custom_expression_loads_sympy():
     assert _probe("custom")["sympy"] == {"import": False, "canonical": False, "custom": True}
 
 
-def test_fd_solve_loads_scipy_linalg_lazily():
+def test_fd_solve_and_snapshot_load_no_scipy():
     probe = _probe("fd")
-    assert probe["before"] == []
-    assert "scipy.linalg" in probe["after"]
+    assert probe["before"] == [] and probe["after"] == []
 
 
 def _imported_modules(path: Path) -> set[str]:
@@ -151,8 +154,19 @@ def _imported_modules(path: Path) -> set[str]:
     return found
 
 
-def test_eulerian_imports_no_solver_and_only_fd_oracle_imports_scipy():
+def _third_party_imports() -> set[str]:
+    found = set().union(*(_imported_modules(path) for path in SOURCES))
+    return {m.split(".")[0] for m in found} - set(sys.stdlib_module_names) - {"svfree"}
+
+
+def test_eulerian_imports_no_solver_and_no_module_imports_scipy():
     imports = {path.stem: _imported_modules(path) for path in SOURCES}
     assert imports["eulerian"] & {"svfree.picard", "svfree.fd_oracle"} == set()
-    assert [name for name, found in imports.items()
-            if any(m.split(".")[0] == "scipy" for m in found)] == ["fd_oracle"]
+    assert "scipy" not in _third_party_imports()
+
+
+def test_runtime_dependencies_are_the_imported_modules():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    names = {re.match(r"[A-Za-z0-9_.-]+", dep)[0] for dep in project["dependencies"]}
+    assert names == _third_party_imports() == {"numpy", "sympy"}

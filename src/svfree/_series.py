@@ -28,7 +28,9 @@ momentum equation it propagates the time derivatives, so its t^1 and t^2
 coefficients give v_tt and v_ttt / 2. Taylor and Laurent series
 differentiate: a series of f carries f's x-derivatives as its coefficients
 times factorials, which is how ``svfree.jet`` reads a1..a4 and b1, b2 off
-the series of a0 and b0.
+the series of a0 and b0. ``TaylorSeries`` also takes exp, sin and cos,
+real powers and integrals, which is how ``svfree.profile`` takes every
+derivative of a custom closed form.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ _POLE_DUST = 1e-8
 
 _SCALARS = (int, float, np.integer, np.floating)
 
-_FACTORIALS = np.array([float(math.factorial(k)) for k in range(N_TERMS)])
+# enough for the 18-term endpoint series of a custom profile (svfree.profile)
+_FACTORIALS = np.array([float(math.factorial(k)) for k in range(2 * N_TERMS)])
 
 # the truncated Cauchy product sums a_i b_j over i + j = k < N_TERMS: the
 # (i, j) pairs of that triangle, and the 0/1 matrix sending each to its k
@@ -324,7 +327,7 @@ class TaylorSeries(_TermsSeries):
     on the batch it is evaluated in.
     """
 
-    __slots__ = ()
+    __slots__ = ("exponent",)  # exp() sets it to its argument
     _CONSTANTS = _SCALARS
 
     @classmethod
@@ -348,6 +351,43 @@ class TaylorSeries(_TermsSeries):
         return TaylorSeries(
             c * (_FACTORIALS[m + k] / _FACTORIALS[m]) for m, c in enumerate(self.terms[k:])
         )
+
+    def integral(self, c0):
+        """The series whose derivative is self and whose constant term is c0: one term more."""
+        return TaylorSeries((c0, *(c / (m + 1) for m, c in enumerate(self.terms))))
+
+    # exp, sin/cos and u**r by the recurrences of their differential
+    # equations (Griewank & Walther, ch. 13); y' = u' g(y) is _rate's
+
+    def exp(self):
+        u, y = self.terms, [np.exp(self.terms[0])]
+        for k in range(1, len(u)):
+            y.append(_rate(u, y, k))
+        out = TaylorSeries(y)
+        out.exponent = self
+        return out
+
+    def sin_cos(self):
+        u, s, c = self.terms, [np.sin(self.terms[0])], [np.cos(self.terms[0])]
+        for k in range(1, len(u)):
+            s.append(_rate(u, c, k))
+            c.append(-_rate(u, s, k))
+        return TaylorSeries(s), TaylorSeries(c)
+
+    def power(self, r: float):
+        """u**r for a real r: u y' = r u' y gives u_0 k y_k = sum_{j=1..k} (r j - (k - j)) u_j y_(k-j).
+
+        u_j r j is taken in the precision of the terms, not as (r j) u_j.
+        """
+        u, y = self.terms, [self.terms[0] ** r]
+        for k in range(1, len(u)):
+            y.append(sum((u[j] * r * j - (k - j) * u[j]) * y[k - j] for j in range(1, k + 1)) / (k * u[0]))
+        return TaylorSeries(y)
+
+
+def _rate(u, g, k):
+    """sum_{j=1..k} j u_j g_(k-j) / k: term k of y where y' = u' g."""
+    return sum(j * u[j] * g[k - j] for j in range(1, k + 1)) / k
 
 
 class TimeSeries(_TermsSeries):

@@ -6,7 +6,7 @@ distance d(x) = min(x, 1-x) with a finite nonzero one-sided slope (the
 physical-vacuum condition: the squared sound speed vanishes linearly at the
 boundary). Profiles carry closed-form derivatives so downstream jet formulas
 never see differencing noise: the built-in kinds in numpy, and a ``custom``
-expression through sympy, which only that kind imports.
+expression in truncated Taylor arithmetic (``svfree._series.TaylorSeries``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from ._series import N_TERMS
+from ._series import _VALUATION_DUST, N_TERMS, TaylorSeries
 
 __all__ = [
     "Grid",
@@ -47,15 +47,104 @@ def _zero_tolerance(vals: np.ndarray) -> float:
     return _ZERO_SNAP * max(1.0, float(np.max(np.abs(vals))))
 
 
-# the grammar of a closed-form `expr` string: numbers, x, pi, E, calls of the
-# functions below, unary +/- and + - * / **; each operator acts on floats and
-# sympy objects alike
-_NAME_VALUES = {"x": None, "pi": math.pi, "E": math.e}
-_EXPR_FUNCTIONS = frozenset("sin cos tan asin acos atan sinh cosh tanh exp log sqrt".split())
-_EXPR_OPS = {
+# the grammar of a closed-form `expr` string: numbers, x, pi, E, calls of
+# the functions below on one argument, unary +/- and + - * / **; a constant
+# is a float and x is its Taylor series (x0, 1, 0, ...) about the points x0
+_NAME_VALUES = {"x": lambda xs: xs, "pi": math.pi, "E": math.e}
+_FLOAT_OPS = {
     ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
     ast.Div: operator.truediv, ast.Pow: operator.pow,
     ast.UAdd: operator.pos, ast.USub: operator.neg,
+}
+
+
+class _Pole(ArithmeticError):
+    """A divisor, or the base of a log, root or non-integer power, vanishes where args[0] is true."""
+
+
+def _regular(base):
+    """base, a float or series, unless its constant term is dust next to its first-order term."""
+    c0, c1 = (base, 0.0) if isinstance(base, float) else base.terms[:2]
+    pole = np.abs(c0) <= _VALUATION_DUST * np.abs(c1)
+    if np.any(pole):
+        raise _Pole(pole)
+    return base
+
+
+def _exponent(u):
+    """v if u is a series made as exp(v), else None.
+
+    A product, quotient, power or log of such series is taken from v, as
+    sympy rewrites them: the recurrences on exp(v)'s own terms lose digits
+    that v keeps (1e-9 of the order-16 derivative of exp(x)**0.5 at 0).
+    """
+    return getattr(u, "exponent", None)
+
+
+def _product(a, b):
+    va, vb = _exponent(a), _exponent(b)
+    return a * b if va is None or vb is None else (va + vb).exp()
+
+
+def _quotient(a, b):
+    va, vb = _exponent(a), _exponent(b)
+    if vb is None:
+        return a / _regular(b)
+    return a * (-vb).exp() if va is None else (va - vb).exp()
+
+
+def _power(base, exponent):
+    """base**exponent; an integer-valued float exponent is an integer power, regular at 0.
+
+    u**w for a series w is u**w0 exp((w - w0) log u): the power recurrence
+    takes the part close to a polynomial, which exp alone reaches by cancellation.
+    """
+    if _exponent(base) is not None:
+        return (_exponent(base) * exponent).exp()
+    if isinstance(exponent, float):
+        if exponent.is_integer():
+            return (base if exponent >= 0 else _regular(base)) ** int(exponent)
+        return _regular(base).power(exponent)
+    if isinstance(base, float) and base > 0.0:
+        return (exponent * math.log(base)).exp()
+    base, w0 = _regular(base + 0.0 * exponent), exponent.terms[0]
+    return base.power(w0) * (TaylorSeries((0.0 * w0, *exponent.terms[1:])) * _log(base)).exp()
+
+
+def _integrated(f, rate):
+    """f(u), whose derivative is u' rate(u), as that series integrated from f(u0)."""
+    return lambda u: (u.derivative(1) * rate(u)).integral(f(u.terms[0]))
+
+
+_log = _integrated(np.log, lambda u: 1.0 / _regular(u))
+
+
+def _tanh(u):
+    """s (1 - e)/(1 + e) for e = exp(-2 s u) and s the sign of u0.
+
+    e cannot overflow, and the quotient keeps tanh's slope where tanh rounds to 1.
+    """
+    s = np.where(u.terms[0] < 0.0, -1.0, 1.0)
+    e = TaylorSeries(-2.0 * s * c for c in u.terms).exp()
+    return TaylorSeries((np.tanh(u.terms[0]), *(s * c for c in ((1.0 - e) / (1.0 + e)).terms[1:])))
+
+
+_SERIES_OPS = {
+    **_FLOAT_OPS, ast.Mult: _product, ast.Div: _quotient, ast.Pow: _power, ast.UAdd: lambda u: u,
+}
+_SERIES_FUNCTIONS = {
+    "sin": lambda u: u.sin_cos()[0],
+    "cos": lambda u: u.sin_cos()[1],
+    "tan": lambda u: _quotient(*u.sin_cos()),
+    "asin": _integrated(np.arcsin, lambda u: _power(1.0 - u * u, -0.5)),
+    "acos": _integrated(np.arccos, lambda u: -_power(1.0 - u * u, -0.5)),
+    "atan": _integrated(np.arctan, lambda u: 1.0 / (1.0 + u * u)),
+    "sinh": lambda u: (u.exp() - (-u).exp()) * 0.5,
+    "cosh": lambda u: (u.exp() + (-u).exp()) * 0.5,
+    "tanh": _tanh,
+    "exp": TaylorSeries.exp,
+    "log": lambda u: _exponent(u) or _log(u),
+    "sqrt": lambda u: _power(u, 0.5),
 }
 
 
@@ -66,55 +155,43 @@ def _finite(value, node: ast.expr) -> float:
     return value
 
 
-def _walk_expr(node: ast.expr, sp) -> tuple[object, float | None]:
-    """The sympy expression of node, in the plain symbol x, and its float value.
+def _walk_expr(node: ast.expr):
+    """node as a float if it is constant, else as a function of the Taylor series of x.
 
-    The value is None when node depends on x. A node outside the grammar
-    raises ValueError. A constant subtree that is not a leaf is folded in
-    float arithmetic, so an oversized constant such as 10**10**10 raises
-    OverflowError here instead of asking sympy for its exact digits. Each
-    number becomes what sympy's parser makes of its literal: an Integer if
-    integral, else the Float of its repr.
+    A node outside the grammar raises ValueError. A constant subtree is
+    folded in float arithmetic, so an oversized constant such as 10**10**10
+    raises OverflowError here. The function evaluates the rest on series and
+    floats, and raises _Pole where a divisor or a base vanishes.
     """
     if isinstance(node, ast.Name) and node.id in _NAME_VALUES:
-        value = _NAME_VALUES[node.id]
-        return (sp.Symbol("x") if value is None else getattr(sp, node.id)), value
+        return _NAME_VALUES[node.id]
     if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-        value = _finite(float(node.value), node)
-        return (sp.Integer(node.value) if type(node.value) is int else sp.Float(repr(node.value))), value
-    if isinstance(node, (ast.UnaryOp, ast.BinOp)) and type(node.op) in _EXPR_OPS:
+        return _finite(float(node.value), node)
+    if isinstance(node, (ast.UnaryOp, ast.BinOp)) and type(node.op) in _FLOAT_OPS:
         args = [node.operand] if isinstance(node, ast.UnaryOp) else [node.left, node.right]
-        on_sympy = on_float = _EXPR_OPS[type(node.op)]
+        on_float, on_series = _FLOAT_OPS[type(node.op)], _SERIES_OPS[type(node.op)]
     elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-          and node.func.id in _EXPR_FUNCTIONS and not node.keywords):
+          and node.func.id in _SERIES_FUNCTIONS and len(node.args) == 1 and not node.keywords):
         args = node.args
-        on_sympy, on_float = getattr(sp, node.func.id), getattr(math, node.func.id)
+        on_float, on_series = getattr(math, node.func.id), _SERIES_FUNCTIONS[node.func.id]
     else:
         raise ValueError(f"{ast.unparse(node)!r} is not allowed")
-    walked = [_walk_expr(arg, sp) for arg in args]
-    values = [value for _, value in walked]
-    if None in values:
-        return on_sympy(*[built for built, _ in walked]), None
-    value = _finite(on_float(*values), node)
-    return (sp.Integer(int(value)) if value.is_integer() else sp.Float(repr(value))), value
+    walked = [_walk_expr(arg) for arg in args]
+    if not any(map(callable, walked)):
+        return _finite(on_float(*walked), node)
+    return lambda xs: on_series(*[w(xs) if callable(w) else w for w in walked])
 
 
 def _parse_expr(expr: str):
-    """A sympy expression in the real symbol x.
+    """expr as a function of the Taylor series of x (see _walk_expr), a constant's too.
 
-    The string is only parsed by ast; one walk of its tree checks the
-    grammar, folds constants in floating point and builds the sympy
-    expression, so no text reaches sympy's parser or eval.
+    The string is only parsed by ast, so no text reaches eval.
     """
-    import sympy as sp
-
     if not isinstance(expr, str):
         raise ConfigurationError(f"'expr' must be a string, got {expr!r}")
     try:
-        built, _ = _walk_expr(ast.parse(expr, mode="eval").body, sp)
-        # built in the plain x, as sympy's parser built it: with the real x
-        # from the start, sympy splits some powers differently
-        return built.subs(sp.Symbol("x"), sp.Symbol("x", real=True))
+        walked = _walk_expr(ast.parse(expr, mode="eval").body)
+        return walked if callable(walked) else lambda xs: 0.0 * xs + walked
     except (SyntaxError, ValueError, TypeError, ArithmeticError, RecursionError) as exc:
         raise ConfigurationError(f"'expr' {expr!r} is not a closed form in x: {exc}") from None
 
@@ -154,8 +231,8 @@ def build_grid(n_nodes: int) -> Grid:
     return Grid(n_nodes, np.linspace(0.0, 1.0, n_nodes), h, simpson_weights(n_nodes, h))
 
 
-def _not_finite(text: str, order: int, where: str) -> ConfigurationError:
-    return ConfigurationError(f"'expr' {text} is not finite: its derivative of order {order} {where}")
+def _not_finite(text: str, what: str) -> ConfigurationError:
+    return ConfigurationError(f"'expr' {text} is not finite: {what}")
 
 
 class _ClosedForm(NamedTuple):
@@ -163,7 +240,7 @@ class _ClosedForm(NamedTuple):
 
     sample(x, order) is its order-th derivative at the points x (a scalar for
     a constant); taylor(x0, n) is its one-sided derivatives of orders 0..n-1
-    at the endpoint x0.
+    at the endpoint x0 (for a custom expr, its derivatives at any points x0).
     """
 
     text: str
@@ -171,49 +248,27 @@ class _ClosedForm(NamedTuple):
     taylor: Callable[[float, int], np.ndarray]
 
 
-class _Custom:
-    """A custom expression: sympy parses it once and differentiates it on demand."""
+def _custom(expr) -> _ClosedForm:
+    """A custom expr: its derivatives are the terms of its Taylor series times k!."""
+    fn, text = _parse_expr(expr), repr(expr)
 
-    def __init__(self, expr: str):
-        self.expr = _parse_expr(expr)
-        self.text = repr(expr)  # the config text, which sympy may have reduced
-        self._fn_cache: dict[int, object] = {}
-
-    def _callable(self, order: int):
-        fn = self._fn_cache.get(order)
-        if fn is None:
-            import sympy as sp
-
-            d = sp.diff(self.expr, sp.Symbol("x", real=True), order)
-            if d.has(sp.zoo, sp.oo, -sp.oo, sp.nan):
-                raise _not_finite(self.text, order, f"(it is {d})")
-            # the numpy namespace as a module object, not "numpy", which star-imports it
-            fn = sp.lambdify(sp.Symbol("x", real=True), d, [np])
-            self._fn_cache[order] = fn
-        return fn
-
-    def sample(self, x: np.ndarray, order: int):
+    def derivatives(x, n):
+        """Orders 0..n-1 at the points x, in their dtype; two terms at least, for the pole rule."""
+        x = np.asarray(x)
+        seed = TaylorSeries([x, np.ones_like(x), *[np.zeros_like(x)] * (max(n, 2) - 2)])
         try:
-            return self._callable(order)(x)
-        except NameError as exc:  # a sympy function numpy lacks, such as DiracDelta
-            what = f"'expr' {self.text}: numpy cannot evaluate its derivative of order {order}"
-            raise ConfigurationError(f"{what} ({exc})") from None
+            with np.errstate(all="ignore"):
+                terms = fn(seed).terms
+        except _Pole as pole:
+            at, mask = np.broadcast_arrays(x, pole.args[0])
+            where = f"a divisor, or the base of a log, root or power, vanishes at x={at[mask][0]:g}"
+            raise _not_finite(text, where) from None
+        except RecursionError:  # its evaluation nests deeper than its walk
+            raise ConfigurationError(f"'expr' {text} is nested too deeply to evaluate") from None
+        return [c * math.factorial(k) for k, c in enumerate(terms[:n])]
 
-    def taylor(self, x0: float, n: int) -> np.ndarray:
-        import sympy as sp
-
-        x = sp.Symbol("x", real=True)
-        derivs = []
-        d = self.expr
-        for _ in range(n):
-            try:
-                derivs.append(float(d.subs(x, sp.Rational(x0))))
-            except (TypeError, ValueError):  # complex infinity, or not a number
-                derivs.append(math.nan)
-            if not math.isfinite(derivs[-1]):
-                break
-            d = sp.diff(d, x)
-        return np.asarray(derivs)
+    return _ClosedForm(text, lambda x, order: derivatives(x, order + 1)[order],
+                       lambda x0, n: np.array(derivatives(x0, n)))
 
 
 # pi to 60 digits: the endpoint data of the trig kinds round c*pi**k once, as
@@ -311,7 +366,7 @@ class AnalyticField:
     """
 
     def __init__(self, expr, grid: Grid, kind: str = "custom"):
-        self._form = expr if isinstance(expr, _ClosedForm) else _Custom(expr)
+        self._form = expr if isinstance(expr, _ClosedForm) else _custom(expr)
         self.grid = grid
         self.kind = kind
         self._deriv_cache: dict[int, np.ndarray] = {}
@@ -331,7 +386,7 @@ class AnalyticField:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 cached = self.sample(self.grid.nodes, order)
             if not np.all(np.isfinite(cached)):
-                raise _not_finite(self._form.text, order, "at a grid node")
+                raise _not_finite(self._form.text, f"its derivative of order {order} at a grid node")
             self._deriv_cache[order] = cached
         return cached
 
@@ -348,10 +403,9 @@ class AnalyticField:
         cached = self._taylor_cache.get(x0)
         if cached is None:
             cached = self._taylor_cache[x0] = self._form.taylor(x0, _ENDPOINT_ORDERS)
-        # a custom form stops at its first non-finite order, which it keeps
         bad = np.flatnonzero(~np.isfinite(cached[:n]))
         if bad.size:
-            raise _not_finite(self._form.text, int(bad[0]), f"at x={x0:g}")
+            raise _not_finite(self._form.text, f"its derivative of order {bad[0]} at x={x0:g}")
         return cached[:n]
 
 

@@ -1,11 +1,11 @@
 """Every exported name resolves, and so does every call the benchmark tracer wraps.
 
 eulerian reads a solution without importing either solver, and no module
-imports scipy, which only the tests use: neither a Galerkin run nor a
-finite-difference run with Eulerian snapshots loads it. The runtime
-dependencies in pyproject.toml are exactly the third-party modules svfree
-imports. A run from the built-in profile and velocity kinds loads no sympy,
-and a custom expression's numpy lambdify does not star-import numpy.
+imports scipy or sympy, which only the tests use: neither a Galerkin run nor
+a finite-difference run with Eulerian snapshots loads scipy, and no run, not
+even one from a custom expression, loads sympy. The runtime dependencies in
+pyproject.toml are exactly the third-party modules svfree imports: numpy
+alone. Set-up does not star-import numpy.
 """
 
 import ast
@@ -31,15 +31,18 @@ SOURCES = sorted((ROOT / "src" / "svfree").glob("*.py"))
 TRACING = ROOT / "perfbench" / "tracing.py"
 
 # set up canonical as a run does, then optionally run a short FD solve and
-# take an Eulerian snapshot of it, set up the sine config, or build a custom
-# profile; prints the scipy modules loaded before and after, whether sympy
-# was loaded after each stage, the names in svfree.jet bound to sympy
-# objects, and which modules that only `from numpy import *` pulls in were
-# loaded by the set-up
+# take an Eulerian snapshot of it, set up the sine config, or set up a config
+# of a custom profile and velocity; prints the scipy modules loaded before and
+# after, whether any sympy module was loaded after each stage, the names in
+# svfree.jet bound to sympy objects, and which modules that only
+# `from numpy import *` pulls in were loaded by the set-up
 _IMPORT_PROBE = """
 import json, sys, types
 import svfree
-sympy = {"import": "sympy" in sys.modules}
+def sympy_loaded():
+    return any(m.split(".")[0] == "sympy" for m in sys.modules)
+
+sympy = {"import": sympy_loaded()}
 from svfree import cli, eulerian, fd_oracle, jet
 
 def scipy_modules():
@@ -56,7 +59,7 @@ def from_sympy(value):
 
 _, profile, u0 = cli.build_problem(cli.load_config("configs/canonical.json"))
 jet.initial_jet(profile, u0)
-sympy["canonical"] = "sympy" in sys.modules
+sympy["canonical"] = sympy_loaded()
 before = scipy_modules()
 star = sorted(m for m in ("numpy.f2py", "numpy.testing", "unittest") if m in sys.modules)
 if sys.argv[1] == "fd":
@@ -65,9 +68,12 @@ elif sys.argv[1] == "sine":
     _, profile, u0 = cli.build_problem(cli.load_config("configs/sine_compatible.json"))
     jet.initial_jet(profile, u0)
 elif sys.argv[1] == "custom":
-    from svfree.profile import sample_height_profile
-    sample_height_profile("custom", {"expr": "x*(1-x)*(1 + x/2)"}, profile.grid)
-sympy[sys.argv[1]] = "sympy" in sys.modules
+    _, profile, u0 = cli.build_problem(cli.config_from_dict({
+        "profile": {"kind": "custom", "expr": "x*(1-x)*(1 + x/2)"},
+        "u0": {"kind": "custom", "expr": "0.5*cos(pi*x)**2"},
+    }))
+    jet.initial_jet(profile, u0)
+sympy[sys.argv[1]] = sympy_loaded()
 print(json.dumps({
     "before": before,
     "after": scipy_modules(),
@@ -127,8 +133,8 @@ def test_builtin_kinds_load_no_sympy():
     assert _probe("sine")["sympy"]["sine"] is False
 
 
-def test_custom_expression_loads_sympy():
-    assert _probe("custom")["sympy"] == {"import": False, "canonical": False, "custom": True}
+def test_custom_expression_loads_no_sympy():
+    assert _probe("custom")["sympy"] == {"import": False, "canonical": False, "custom": False}
 
 
 def test_fd_solve_and_snapshot_load_no_scipy():
@@ -169,4 +175,4 @@ def test_runtime_dependencies_are_the_imported_modules():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     names = {re.match(r"[A-Za-z0-9_.-]+", dep)[0] for dep in project["dependencies"]}
-    assert names == _third_party_imports() == {"numpy", "sympy"}
+    assert names == _third_party_imports() == {"numpy"}

@@ -394,6 +394,9 @@ class TestMainExitCodes:
         ({"schema_version": "x"}, "schema_version"),
         ({"schema_version": True}, "schema_version"),
         ({"schema_version": 1.0}, "schema_version"),
+        # poles that floats see only as 1/6.1e-17 and 1/1.2e-16 at x = 1
+        ({"profile": {"kind": "custom", "expr": "x*(1-x)*(2 + 1/cos(pi*x/2))"}}, "expr"),
+        ({"profile": {"kind": "custom", "expr": "x*(1-x)*(2 + 1/sin(pi*(x+1)/2))"}}, "expr"),
     ])
     def test_bad_field_type_is_3_and_named(self, tmp_path, monkeypatch, capsys, patch, field):
         monkeypatch.setenv("SVFREE_OUT", str(tmp_path / "out"))
@@ -535,13 +538,14 @@ class TestMainExitCodes:
         assert err.startswith("config error:") and f"'{path}'" in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
-                        reason="root reads a file whatever its mode")
     def test_config_without_read_permission_is_3(self, tmp_path, monkeypatch, capsys):
+        # open raises as it does for a file of mode 0, which root could still read
         monkeypatch.setenv("SVFREE_OUT", str(tmp_path / "out"))
         cfg = _write_config(tmp_path, SMALL)
-        cfg.chmod(0)
-        assert main(["simulate", "--config", str(cfg)]) == 3
+        denied = mock.Mock(side_effect=PermissionError(13, "Permission denied", str(cfg)))
+        with mock.patch("svfree.cli.open", denied, create=True):
+            assert main(["simulate", "--config", str(cfg)]) == 3
+        assert denied.call_count == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"'{cfg}'" in err
         assert not (tmp_path / "out").exists()
@@ -559,6 +563,16 @@ class TestMainExitCodes:
         cfg = _write_config(tmp_path, {**SMALL, "profile": profile})
         assert main([*argv, "--config", str(cfg)]) == 3
         assert f"config field 'profile': its weight rho0**{power} overflows" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["simulate"], ["verify"], ["sweep", "T=0.002:0.004:2"]])
+    def test_overflowing_profile_slope_is_3_before_out_dir(self, tmp_path, monkeypatch, capsys, argv):
+        # 2a overflows, so the slope a - 2a*x is inf*0 at x = 0: a nan, not a
+        # numpy warning, which filterwarnings = error would raise
+        monkeypatch.setenv("SVFREE_OUT", str(tmp_path / "out"))
+        cfg = _write_config(tmp_path, {**SMALL, "profile": {"kind": "parabolic", "amplitude": 1e308}})
+        assert main([*argv, "--config", str(cfg)]) == 3
+        assert "is not finite: its derivative of order 1 at a grid node" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_missing_sweep_spec_is_a_usage_error(self, capsys):

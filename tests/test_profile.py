@@ -4,15 +4,19 @@ import operator
 import tokenize
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+from svfree._series import TaylorSeries
 from svfree.errors import ConfigurationError, ValidationError
 from svfree.galerkin import GalerkinBasis
 from svfree.profile import (
+    AnalyticField,
     HeightProfile,
+    _custom,
     _parse_expr,
     _validate_vacuum_profile,
     build_grid,
@@ -93,11 +97,9 @@ class TestHeightProfiles:
             sample_height_profile("gaussian", {}, grid201)
 
     def test_custom_expression_parsed_and_compiled_once(self, grid201):
-        with mock.patch("svfree.profile._parse_expr", wraps=_parse_expr) as parse, \
-                mock.patch.object(sp, "lambdify", wraps=sp.lambdify) as lambdify:
+        with mock.patch("svfree.profile._parse_expr", wraps=_parse_expr) as parse:
             sample_height_profile("custom", {"expr": "x*(1-x)*(1 + x/2)"}, grid201)
         assert parse.call_count == 1
-        assert lambdify.call_count == 2  # the values and the slopes
 
     def test_hand_built_nonvanishing_boundary_fails_validator(self, grid201):
         # the endpoint snap only removes rounding dust, not a real boundary value
@@ -142,15 +144,34 @@ NOT_CLOSED_FORMS = [
 CALLS_OF_NAMES = ["x(x)", "E(1)", "pi(x)"]
 
 
+def _value_at(parsed, x0):
+    """The value at x0 of what _parse_expr returns, a function of the Taylor series of x."""
+    return float(parsed(TaylorSeries([np.float64(x0), 1.0])).terms[0])
+
+
 class TestExpressionGrammar:
     @pytest.mark.parametrize("expr", CLOSED_FORMS)
     def test_closed_forms_parse(self, expr):
-        assert _parse_expr(expr).free_symbols <= {sp.Symbol("x", real=True)}
+        # the value of the walked tree at x = 0.3 is sympy's value of the text
+        reference = float(sp.sympify(expr).subs(sp.Symbol("x"), sp.Rational(3, 10)))
+        assert _value_at(_parse_expr(expr), 0.3) == pytest.approx(reference, rel=1e-15)
 
     @pytest.mark.parametrize("expr", NOT_CLOSED_FORMS + CALLS_OF_NAMES)
     def test_anything_else_is_a_configuration_error(self, grid201, expr):
         with pytest.raises(ConfigurationError, match="expr"):
             sample_height_profile("custom", {"expr": expr}, grid201)
+
+    def test_deep_nesting_is_a_configuration_error_not_a_traceback(self, grid201):
+        # a run evaluates a field some frames deeper than it parsed it, so an
+        # expression the walk just fits in can overflow the stack when evaluated
+        def deeper(frames, field):
+            return field.values if frames == 0 else deeper(frames - 1, field)
+
+        for depth in range(100, 1500, 10):
+            try:
+                deeper(100, AnalyticField("x*(1-x)" + "+0*x" * depth, grid201))
+            except ConfigurationError as exc:
+                assert "'expr'" in str(exc)
 
     def test_no_text_reaches_eval_or_sympys_parser(self):
         refuse = mock.Mock(side_effect=AssertionError("a closed form was run as Python"))
@@ -161,7 +182,7 @@ class TestExpressionGrammar:
                 with pytest.raises(ConfigurationError, match="expr"):
                     _parse_expr(expr)
         assert refuse.call_count == 0
-        assert all(expr.free_symbols <= {sp.Symbol("x", real=True)} for expr in parsed)
+        assert all(math.isfinite(_value_at(fn, 0.3)) for fn in parsed)
 
 
 class TestQuadrature:
@@ -383,12 +404,134 @@ def _reference_parse(expr):
         raise ConfigurationError(f"'expr' {expr!r} is not a closed form in x: {exc}") from None
 
 
-def _outcome(parse, expr):
-    """sympy's srepr of the parsed expression, or ConfigurationError."""
+def _reference_values(ref, points, n, extra_digits=0, exact_constants=False):
+    """Derivatives of orders < n of the sympy expression ref at each point: a (points, n) array.
+
+    ref's numbers become the doubles svfree reads (pi is math.pi; with
+    exact_constants, pi and E stay exact), and mpmath differentiates its
+    mpmath form numerically, so an endpoint order of 17 costs no symbolic
+    swell. Its steps lose the digits of a large added constant and cannot
+    resolve a large factor (sin(1e12*x)), so it works 30 digits, plus
+    extra_digits, beyond the largest number ref adds or multiplies. nan
+    marks a value that is not a finite real number, or a point where the
+    form cannot be evaluated.
+    """
+    out = np.full((len(points), n), np.nan)
+    if ref.has(sp.zoo, sp.oo, -sp.oo, sp.nan):  # sympy reduced a part to an infinity
+        return out
+    numbers = ref.atoms(sp.Float) | (set() if exact_constants else ref.atoms(sp.NumberSymbol))
+    f = sp.lambdify(X, ref.xreplace({c: sp.Float(float(c), 40) for c in numbers}), "mpmath")
+    largest = max([1.0, *(abs(float(c)) for op in ref.atoms(sp.Add, sp.Mul) for c in op.args if c.is_Number)])
+    # exp(710 + x) makes inf
+    with mpmath.workdps(30 + extra_digits + math.ceil(math.log10(min(largest, 1e308)))):
+        for i, x0 in enumerate(points):
+            try:
+                derivs = np.array([complex(d) for d in mpmath.diffs(f, float(x0), n - 1)])
+            except (ArithmeticError, ValueError):  # a pole at x0
+                continue
+            out[i] = np.where(np.isfinite(derivs) & (derivs.imag == 0), derivs.real, np.nan)
+    return out
+
+
+def _exactly_finite(ref, points, n):
+    """Whether every derivative of ref of orders < n at the points is a finite real in exact arithmetic.
+
+    With pi exact, tan(pi*x/2) at x = 1 is a pole; 20 more digits move
+    such a value by orders of magnitude, where a finite one stays put.
+    """
+    a, b = (_reference_values(ref, points, n, extra, exact_constants=True) for extra in (0, 20))
+    return bool(np.all(np.isfinite(a) & np.isfinite(b) & (np.abs(a - b) <= 1e-6 * np.fmax(1.0, np.abs(b)))))
+
+
+def _our_values(form, points, n):
+    """form's derivatives of orders < n at each point; nan where it finds a pole."""
+    out = np.full((len(points), n), np.nan)
+    for i, x0 in enumerate(points):
+        try:
+            out[i] = form.taylor(x0, n)
+        except ConfigurationError:
+            pass
+    return out
+
+
+def _nodal_scale(ref):
+    """Per order: max(1, the largest |ref| of that order over the points)."""
+    return np.fmax.reduce(ref, axis=0, initial=1.0)
+
+
+def _endpoint_scale(ref):
+    """Per end and order k: max(1, the largest |ref| of orders <= k+1)."""
+    upto = np.fmax.accumulate(np.fmax(ref, 1.0), axis=1)
+    return np.concatenate([upto[:, 1:], upto[:, -1:]], axis=1)
+
+
+# (points, orders, bound, scale) of the nodal and the endpoint comparison
+_BOUNDS = ((build_grid(41).nodes, 7, 1e-13, _nodal_scale), ((0.0, 1.0), 18, 1e-12, _endpoint_scale))
+
+
+def _misses(values, exact, bound, scale_of):
+    """Where values, finite, miss the finite reals exact by more than bound times the scale."""
+    with np.errstate(invalid="ignore"):
+        allowed = bound * scale_of(np.abs(exact))
+        return np.isfinite(exact) & np.isfinite(values) & ~(np.abs(values - exact) <= allowed)
+
+
+# finite reals in sympy, which simplifies them, but rejected by svfree,
+# which evaluates them as written: the base of a root or log vanishes at
+# x = 0 (sqrt(x)**2 and exp(log(x)) are x to sympy, 0*x**x is 0), or acos
+# meets the constant 1 (x**0), where its series has no derivative; the
+# last three are draws of test_grammar
+REJECTED_THOUGH_FINITE = [
+    "x*(1-x)*(1 + sqrt(x)**2)", "x*(1-x)*(1 + exp(log(x)))",
+    "(x**x)*(-0.0)**0.5", "acos(x**0)", "acos((x)**0)",
+]
+# closed forms whose series lose digits to the recurrences on exp(v)'s
+# own terms, or to exp alone for a power with an exponent in x
+DIGIT_LOSING_FORMS = [
+    "(exp(x))**0.5", "(5**(x + 1))**(1/3)", "0.25/36**x", "log((sqrt(7.5))**x)",
+    "20**(x + 1)/20**(x + 1)", "exp(3*x)*exp(-3*x)", "x**(x + 1)",
+]
+# values that no evaluation in doubles brings within the bounds, sympy's
+# own derivative formulas included (test_ill_conditioned_in_doubles): at
+# x = 0.025, cos(x) rounds near 1, where acos's slope multiplies its
+# rounding; at x = 1 the series of 1/sqrt(1 - cos(x)**2) has terms near 1
+# that cancel to 0, and order k multiplies that rounding by k!. A draw
+# of test_grammar.
+ILL_CONDITIONED = ["+acos(cos(x))"]
+
+
+def _assert_value_parity(expr):
+    """svfree accepts expr iff the reference does, and then takes sympy's values.
+
+    Where sympy's derivatives are finite reals at every point, svfree must
+    find no pole there; REJECTED_THOUGH_FINITE are the exceptions, pinned
+    by their own test. Wherever both values are finite, they agree within
+    1e-13 of max(1, the largest |ref| of that order over the nodes) for
+    orders 0-6 on 41 nodes, and within 1e-12 of max(1, the largest |ref|
+    of orders <= k+1 at that end) for endpoint order k of 0-17, save for
+    ILL_CONDITIONED, pinned by their own test. An entry's own |ref| is no scale: an odd
+    order of cos(pi*x)**2 at x = 1 reads 4.5e-3 where sympy's is 0, since
+    sin(pi) rounds to 1.2e-16, beside even orders of 1e13.
+    """
     try:
-        return sp.srepr(parse(expr))
+        ref = _reference_parse(expr)
     except ConfigurationError:
-        return ConfigurationError
+        # sympy may reduce x-dependent parts first: x**0*0.25/0.0 is its
+        # 0.25/0.0, and to svfree a division by zero wherever it is evaluated
+        with pytest.raises(ConfigurationError):
+            AnalyticField(expr, build_grid(41)).values
+        return
+    if expr in REJECTED_THOUGH_FINITE:
+        return
+    form = _custom(expr)
+    for points, n, bound, scale_of in _BOUNDS:
+        ref_values = _reference_values(ref, points, n)
+        ours = _our_values(form, points, n)
+        if not np.all(np.isfinite(ours)):
+            assert not _exactly_finite(ref, points, n), ("svfree rejects", np.argwhere(~np.isfinite(ours))[:3])
+        if expr not in ILL_CONDITIONED:
+            bad = _misses(ours, ref_values, bound, scale_of)
+            assert not bad.any(), (np.argwhere(bad)[:3], ours[bad][:3], ref_values[bad][:3])
 
 
 # numbers as written (ints, floats in any notation), names, and constants that
@@ -432,13 +575,34 @@ POWER_SPLITS = ["(2**x/(-1.37))**(-0.5)", "((-(1/3)**x)**0.5)**2.5"]
 
 
 class TestOneWalkMatchesTheReference:
-    """_parse_expr builds what the three-pass reader built, and rejects what it rejected."""
+    """svfree refuses what the three-pass reader refused, and its series take sympy's values."""
 
-    @pytest.mark.parametrize("expr", CLOSED_FORMS + NOT_CLOSED_FORMS + POWER_SPLITS)
+    @pytest.mark.parametrize(
+        "expr", CLOSED_FORMS + NOT_CLOSED_FORMS + POWER_SPLITS + DIGIT_LOSING_FORMS + ILL_CONDITIONED)
     def test_corpus(self, expr):
-        assert _outcome(_parse_expr, expr) == _outcome(_reference_parse, expr)
+        _assert_value_parity(expr)
+
+    @pytest.mark.parametrize("expr", REJECTED_THOUGH_FINITE)
+    def test_rejected_though_finite(self, expr):
+        ref, grid = _reference_parse(expr), build_grid(41)
+        assert _exactly_finite(ref, grid.nodes, 7) and _exactly_finite(ref, (0.0, 1.0), 18)
+        with pytest.raises(ConfigurationError, match="'expr'"):
+            AnalyticField(expr, grid).values
+
+    @pytest.mark.parametrize("expr", ILL_CONDITIONED)
+    def test_ill_conditioned_in_doubles(self, expr):
+        # where svfree misses a bound, sympy's formulas evaluated in doubles miss it too
+        ref, form = _reference_parse(expr), _custom(expr)
+        for points, n, bound, scale_of in _BOUNDS:
+            exact, formulas, derivative = _reference_values(ref, points, n), np.empty((len(points), n)), ref
+            for k in range(n):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    formulas[:, k] = sp.lambdify(X, derivative)(np.asarray(points))
+                derivative = sp.diff(derivative, X)
+            missed = _misses(_our_values(form, points, n), exact, bound, scale_of)
+            assert np.all(_misses(formulas, exact, bound, scale_of)[missed])
 
     @settings(max_examples=400, deadline=None)
     @given(expr=_GRAMMAR)
     def test_grammar(self, expr):
-        assert _outcome(_parse_expr, expr) == _outcome(_reference_parse, expr)
+        _assert_value_parity(expr)

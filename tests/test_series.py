@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from svfree._series import N_TERMS, LaurentSeries, MixedValuationError, TaylorSeries, TimeSeries
+from svfree.profile import _SERIES_FUNCTIONS
 
 
 def _poly(*coeffs):
@@ -337,3 +338,57 @@ class TestTimeSeries:
             constant[0] = cb[0]
             expect = (_product_matrix(constant) @ ca.ravel()).reshape(ca.shape)
             assert np.max(np.abs(scaled[p] - expect)) <= 1e-12 * max(np.max(np.abs(expect)), 1.0)
+
+
+def _about(x0, n=12):
+    """The Taylor series of x about the points x0: (x0, 1, 0, ...)."""
+    x0 = np.asarray(x0, dtype=float)
+    return TaylorSeries([x0, np.ones_like(x0), *[np.zeros_like(x0)] * (n - 2)])
+
+
+X0 = np.array([0.1, 0.5, 0.9])
+_TANH = _SERIES_FUNCTIONS["tanh"]
+_ELEMENTARY = {
+    # name -> (the series function of u, the closed-form k-th derivative at x)
+    "exp": (TaylorSeries.exp, lambda x, k: np.exp(x)),
+    "sin": (lambda u: u.sin_cos()[0], lambda x, k: np.sin(x + k * np.pi / 2)),
+    "cos": (lambda u: u.sin_cos()[1], lambda x, k: np.cos(x + k * np.pi / 2)),
+    "log": (_SERIES_FUNCTIONS["log"], lambda x, k: np.log(x) if k == 0 else (-1.0) ** (k - 1) * math.factorial(k - 1) / x**k),
+    "x**-1.5": (lambda u: u.power(-1.5), lambda x, k: math.prod(-1.5 - i for i in range(k)) * x ** (-1.5 - k)),
+    "x**0.5": (lambda u: u.power(0.5), lambda x, k: math.prod(0.5 - i for i in range(k)) * x ** (0.5 - k)),
+}
+
+
+class TestElementaryFunctions:
+    """The recurrences against closed-form derivatives of orders 0..11 about interior points."""
+
+    @pytest.mark.parametrize("name", list(_ELEMENTARY))
+    def test_derivatives_match_the_closed_form(self, name):
+        fn, exact = _ELEMENTARY[name]
+        terms = fn(_about(X0)).terms
+        for k, c in enumerate(terms):
+            ref = exact(X0, k)
+            assert np.allclose(c * math.factorial(k), ref, rtol=1e-13, atol=0), (k, c, ref)
+
+    def test_tanh_matches_its_exponential_form(self):
+        # two float evaluations, each with its own rounding: 1e-12, not 1e-13
+        u = _about(X0) * 3.0 - 1.0
+        e = (u * 2.0).exp()
+        ref = (e - 1.0) / (e + 1.0)
+        assert all(np.allclose(a, b, rtol=1e-12, atol=1e-15) for a, b in zip(_TANH(u).terms, ref.terms))
+
+    @pytest.mark.parametrize("u0", [25.0, -25.0])
+    def test_tanh_keeps_its_slope_where_it_rounds_to_one(self, u0):
+        # tanh(25) rounds to 1.0, yet its slope is sech(25)**2 = 7.7e-22
+        slope = _TANH(_about(np.array([u0]), 2)).terms[1]
+        assert slope == pytest.approx(1.0 / math.cosh(25.0) ** 2, rel=1e-14)
+
+    def test_tanh_of_a_large_argument_is_its_sign(self):
+        # exp(2000) overflows; exp(-2000) does not
+        terms = _TANH(_about(np.array([1000.0, -1000.0]), 4)).terms
+        assert np.array_equal(np.array(terms), [[1.0, -1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+
+    def test_integral_inverts_derivative(self):
+        s = _about(X0).exp()
+        back = s.derivative(1).integral(s.terms[0])
+        assert all(np.allclose(a, b, rtol=1e-15) for a, b in zip(back.terms, s.terms))

@@ -127,7 +127,9 @@ def interpolation_identities() -> list[CheckResult]:
 
 def norm_homogeneity(profile) -> CheckResult:
     """||alpha f|| = |alpha| ||f|| in the rho0-weighted L2 norm, f a seeded random smooth field."""
-    modes = np.random.default_rng(2718).standard_normal(8)
+    # np.random.default_rng(2718).standard_normal(8), written out so verify loads no numpy.random
+    modes = (0.32043402959201306, -0.05200788094214986, -2.2046693613680954, 0.4775391683906853,
+             0.20907176133393773, 0.441516097605168, -0.060252575121272064, -0.5235335625135844)
     f = sum(c * np.cos(k * np.pi * profile.grid.nodes) for k, c in enumerate(modes))
     alpha, norm = 3.7, wc.weighted_l2_norm(f, 1, profile)
     h_err = abs(wc.weighted_l2_norm(alpha * f, 1, profile) - abs(alpha) * norm) / max(norm, 1e-30)
@@ -143,13 +145,13 @@ def energy_identity() -> CheckResult:
     """
     grid = build_grid(201)
     para = sample_height_profile("parabolic", {"amplitude": 1.0}, grid)
-    u0, ones = sample_velocity("zero", {}, grid), np.ones(grid.n_nodes)
+    u0, identity = sample_velocity("zero", {}, grid), np.zeros(16)  # the flow eta = x, 16 modes
     residuals, gaps = [], []
     for dt in (2e-4, 1e-4):
-        traj = solve_linearized(para, u0, ones, 0.01, dt, 16)
+        traj = solve_linearized(para, u0, identity, 0.01, dt, 16)
         jumps = np.diff(traj.coeffs, axis=0)
         dissipation = 0.5 * np.einsum("ti,ij,tj->", jumps, assemble_mass(para, traj.basis), jumps)
-        residuals.append(energy_identity_residual(traj, para, ones))
+        residuals.append(energy_identity_residual(traj, para, identity))
         gaps.append(abs(residuals[-1] - dissipation) / residuals[-1])
     (r1, r2), gap = residuals, max(gaps)
     return _row("energy-identity-residual", r1 <= 5.0 * 2e-4 and r2 <= 0.75 * r1 and gap <= 1e-10,

@@ -321,7 +321,7 @@ def _snapshot_times(cfg: RunConfig) -> list[float]:
     if count <= 0:
         return []
     steps = cfg.n_steps()
-    idx = np.unique(np.round(np.linspace(0, steps, min(count, steps + 1))).astype(int))
+    idx = sorted(set(np.round(np.linspace(0, steps, min(count, steps + 1))).astype(int).tolist()))
     return [i * cfg.dt for i in idx]
 
 

@@ -1,6 +1,7 @@
 """Spectral Galerkin machinery for the linearized vacuum momentum equation.
 
-The linearization freezes the flow-map Jacobian at a guess eta_bar_x and solves
+The linearization freezes the flow-map Jacobian at a guess
+eta_bar_x = 1 + sum_n mu_n (e_n)_x, mu the guess flow's modal displacement, and solves
 
     rho0 v_t + (rho0^2 / eta_bar_x^2)_x = (rho0 v_x / eta_bar_x^2)_x
 
@@ -260,21 +261,27 @@ def n_steps_for(t_final: float, dt: float) -> int:
     return steps
 
 
-def _operator_blocks(profile, basis, eta_x, steps: int, first: int = 0):
-    """Yield (row, stiffness, forcing stacks) for Jacobian rows first..steps, in blocks.
+def _jacobian_blocks(basis: GalerkinBasis, flow, steps: int, first: int = 0):
+    """Yield (row, nodal Jacobians 1 + flow @ table(1)) for rows first..steps, in blocks.
 
-    eta_x must broadcast to (steps+1, n_nodes): one nodal row per step time,
-    or one row for every step.
+    flow holds the modal displacement coefficients mu of the guess flow and
+    must broadcast to (steps+1, n_modes): one row per step time, or one row
+    for every step. No more than _BLOCK_STEPS nodal rows exist at once.
     """
-    shape = (steps + 1, profile.grid.n_nodes)
+    shape = (steps + 1, basis.n_modes)
     try:
-        rows = np.broadcast_to(np.asarray(eta_x, dtype=float), shape)
+        mu = np.broadcast_to(np.asarray(flow, dtype=float), shape)
     except ValueError:
         raise ConfigurationError(
-            f"eta_x must broadcast to (steps+1, n_nodes) = {shape}, got shape {np.shape(eta_x)}"
+            f"flow must broadcast to (steps+1, n_modes) = {shape}, got shape {np.shape(flow)}"
         ) from None
     for start in range(first, steps + 1, _BLOCK_STEPS):
-        block = rows[start:start + _BLOCK_STEPS]
+        yield start, 1.0 + mu[start:start + _BLOCK_STEPS] @ basis.table(1)
+
+
+def _operator_blocks(profile, basis, flow, steps: int, first: int = 0):
+    """Yield (row, stiffness, forcing stacks) for rows first..steps of the guess flow, in blocks."""
+    for start, block in _jacobian_blocks(basis, flow, steps, first):
         force = assemble_forcing(profile, basis, block)
         yield start, assemble_stiffness(profile, basis, block), force
 
@@ -282,7 +289,7 @@ def _operator_blocks(profile, basis, eta_x, steps: int, first: int = 0):
 def solve_linearized(
     profile: HeightProfile,
     u0,
-    eta_x,
+    flow,
     t_final: float,
     dt: float,
     n_modes: int,
@@ -292,8 +299,9 @@ def solve_linearized(
     """March the modal system over [0, t_final] against a frozen flow guess.
 
     F is the pressure forcing (rho0^2 / eta_bar_x^2)_x, which every run includes.
-    eta_x is the nodal Jacobian of the guess flow at the step times: an array
-    that broadcasts to (steps+1, n_nodes), so one row serves every step.
+    flow is the guess flow's modal displacement mu(t) = eta_bar - x at the
+    step times: an array that broadcasts to (steps+1, n_modes), so one row,
+    such as np.zeros(n_modes) for the identity map, serves every step.
     """
     grid = profile.grid
     if basis is None:
@@ -307,7 +315,7 @@ def solve_linearized(
     # operators of row m are the "next" ones of step m and the "current" ones
     # of step m + 1 (Crank-Nicolson), also across block seams
     cur = (None, None)
-    for start, stiff, force in _operator_blocks(profile, basis, eta_x, steps):
+    for start, stiff, force in _operator_blocks(profile, basis, flow, steps):
         for k, ops in enumerate(zip(stiff, force)):
             m = start + k
             if m > 0:
@@ -319,14 +327,14 @@ def solve_linearized(
 def energy_identity_residual(
     traj: ModalTrajectory,
     profile: HeightProfile,
-    eta_x,
+    flow,
 ) -> float:
     """Residual of the discrete balance obtained by testing with the solution:
 
         1/2 ||sqrt(rho0) v(T)||^2 + sum dt int rho0 v_x^2 / eta_bar_x^2
             = 1/2 ||sqrt(rho0) v(0)||^2 + sum dt int rho0^2 v_x / eta_bar_x^2,
 
-    sums over step right-endpoints. eta_x broadcasts to (steps+1, n_nodes) as
+    sums over step right-endpoints. flow broadcasts to (steps+1, n_modes) as
     in solve_linearized. For the backward-Euler trajectory the residual
     equals the accumulated jump dissipation, O(dt).
     """
@@ -336,7 +344,7 @@ def energy_identity_residual(
     dt = traj.dt
     dissip = 0.0
     work = 0.0
-    for start, stiff, force in _operator_blocks(profile, basis, eta_x, len(lam) - 1, first=1):
+    for start, stiff, force in _operator_blocks(profile, basis, flow, len(lam) - 1, first=1):
         lam_b = lam[start:start + len(stiff)]
         dissip += dt * np.einsum("ti,tij,tj->", lam_b, stiff, lam_b)
         work += dt * np.einsum("ti,ti->", force, lam_b)

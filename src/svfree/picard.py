@@ -32,6 +32,7 @@ from .errors import (
 from .galerkin import (
     GalerkinBasis,
     ModalTrajectory,
+    _jacobian_blocks,
     assemble_mass,
     assemble_stiffness,
     n_steps_for,
@@ -209,13 +210,13 @@ def solve_horizons(profile: HeightProfile, u0: AnalyticField, settings: PicardSe
             yield t_final, exc
     if not open_:
         return
+    # the guess flow as modal displacement coefficients mu = eta - x
     if settings.initial_guess == "identity":
-        eta_x = np.ones((1, profile.grid.n_nodes))  # one row serves every step
+        mu = np.zeros((1, settings.n_modes))  # one row serves every step
     elif settings.initial_guess == "u0":
         longest = open_[-1]
         times = np.linspace(0.0, longest.t_final, longest.steps + 1)
-        lam_init = project_initial(u0.values, basis, profile.grid)
-        eta_x = 1.0 + (times[:, None] * lam_init[None, :]) @ basis.table(1)
+        mu = times[:, None] * project_initial(u0.values, basis, profile.grid)[None, :]
     else:
         raise ConfigurationError(f"unknown initial_guess {settings.initial_guess!r}")
 
@@ -225,7 +226,7 @@ def solve_horizons(profile: HeightProfile, u0: AnalyticField, settings: PicardSe
             marched = open_[-1]
             try:
                 traj = solve_linearized(
-                    profile, u0, eta_x[:marched.steps + 1], marched.t_final, dt,
+                    profile, u0, mu[:marched.steps + 1], marched.t_final, dt,
                     settings.n_modes, settings.scheme, basis=basis,
                 )
                 break
@@ -235,8 +236,6 @@ def solve_horizons(profile: HeightProfile, u0: AnalyticField, settings: PicardSe
                 if not open_:
                     return
         mu = _integrate_flow_coeffs(traj)
-        del eta_x  # spent: freed before its successor is formed, which lowers the peak
-        eta_x = 1.0 + mu @ basis.table(1)
         if prev is None:
             # after a march, so a mass matrix that does not factor has failed its horizons already
             norms = _norm_matrices(profile, basis)
@@ -250,7 +249,9 @@ def solve_horizons(profile: HeightProfile, u0: AnalyticField, settings: PicardSe
                 h.prev_total = report.total
                 if report.total < settings.picard_tol:
                     if row_lo is None:
-                        row_lo, row_hi = np.min(eta_x, axis=1), np.max(eta_x, axis=1)
+                        extremes = [(np.min(block, axis=1), np.max(block, axis=1))
+                                    for _, block in _jacobian_blocks(basis, mu, len(mu) - 1)]
+                        row_lo, row_hi = map(np.concatenate, zip(*extremes))
                     open_.remove(h)
                     yield h.t_final, _settle(
                         profile, basis, h, dt, traj.coeffs[:rows], mu[:rows],

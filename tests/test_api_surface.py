@@ -5,7 +5,8 @@ imports scipy or sympy, which only the tests use: neither a Galerkin run nor
 a finite-difference run with Eulerian snapshots loads scipy, and no run, not
 even one from a custom expression, loads sympy. The runtime dependencies in
 pyproject.toml are exactly the third-party modules svfree imports: numpy
-alone. Set-up does not star-import numpy.
+alone. Set-up does not star-import numpy, and neither the verify suite nor
+the canonical simulation loads numpy.random or numpy.ma.
 """
 
 import ast
@@ -31,11 +32,13 @@ SOURCES = sorted((ROOT / "src" / "svfree").glob("*.py"))
 TRACING = ROOT / "perfbench" / "tracing.py"
 
 # set up canonical as a run does, then optionally run a short FD solve and
-# take an Eulerian snapshot of it, set up the sine config, or set up a config
-# of a custom profile and velocity; prints the scipy modules loaded before and
-# after, whether any sympy module was loaded after each stage, the names in
-# svfree.jet bound to sympy objects, and which modules that only
-# `from numpy import *` pulls in were loaded by the set-up
+# take an Eulerian snapshot of it, set up the sine config, set up a config
+# of a custom profile and velocity, run the verify suite, or run the canonical
+# simulation; prints the scipy modules loaded before and after, whether any
+# sympy module was loaded after each stage, the names in svfree.jet bound to
+# sympy objects, which modules that only `from numpy import *` pulls in were
+# loaded by the set-up, and the numpy.random and numpy.ma modules loaded at
+# the end
 _IMPORT_PROBE = """
 import json, sys, types
 import svfree
@@ -73,6 +76,10 @@ elif sys.argv[1] == "custom":
         "u0": {"kind": "custom", "expr": "0.5*cos(pi*x)**2"},
     }))
     jet.initial_jet(profile, u0)
+elif sys.argv[1] == "verify":
+    cli.run_verification_suite(cli.load_config("configs/canonical.json"))
+elif sys.argv[1] == "simulate":
+    cli.run_simulation(cli.load_config("configs/canonical.json"))
 sympy[sys.argv[1]] = sympy_loaded()
 print(json.dumps({
     "before": before,
@@ -80,13 +87,16 @@ print(json.dumps({
     "sympy": sympy,
     "jet_sympy": sorted(k for k, v in vars(jet).items() if from_sympy(v)),
     "star": star,
+    "numpy_extras": sorted(m for m in sys.modules if m.split(".")[:2] in (["numpy", "random"], ["numpy", "ma"])),
 }))
 """
 
 
-def _probe(mode: str) -> dict:
+def _probe(mode: str, out_dir: Path | None = None) -> dict:
     src = str(ROOT / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    if out_dir is not None:
+        env["SVFREE_OUT"] = str(out_dir)
     done = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, mode],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120, check=True,
@@ -135,6 +145,14 @@ def test_builtin_kinds_load_no_sympy():
 
 def test_custom_expression_loads_no_sympy():
     assert _probe("custom")["sympy"] == {"import": False, "canonical": False, "custom": False}
+
+
+def test_verify_loads_no_numpy_random_or_masked_arrays():
+    assert _probe("verify")["numpy_extras"] == []
+
+
+def test_simulate_loads_no_numpy_random_or_masked_arrays(tmp_path):
+    assert _probe("simulate", tmp_path)["numpy_extras"] == []
 
 
 def test_fd_solve_and_snapshot_load_no_scipy():

@@ -658,7 +658,7 @@ class _FirstPoint(Exception):
     pass
 
 
-def _stop_at_first_march(profile, u0, eta_x, t_final, *args, **kwargs):
+def _stop_at_first_march(profile, u0, flow, t_final, *args, **kwargs):
     raise _FirstPoint(t_final)
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
@@ -215,35 +215,66 @@ class TestStepping:
 
 
 class TestSolveLinearized:
+    @staticmethod
+    def _assert_matches_per_step_reference(traj, profile, u0, flow, scheme):
+        """The march against steps whose operators are assembled from rows of the full product."""
+        b, dt = traj.basis, traj.dt
+        eta_x = 1.0 + flow @ b.table(1)
+        mass = assemble_mass(profile, b)
+        lam = [project_initial(u0.values, b, profile.grid)]
+        for m in range(len(flow) - 1):
+            lam.append(step_linearized(
+                lam[-1], dt, mass,
+                assemble_stiffness(profile, b, eta_x[m + 1]),
+                assemble_forcing(profile, b, eta_x[m + 1]),
+                scheme,
+                assemble_stiffness(profile, b, eta_x[m]),
+                assemble_forcing(profile, b, eta_x[m]),
+            ))
+        ref = np.array(lam)
+        assert np.max(np.abs(traj.coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
     def test_blocked_march_matches_per_step_reference(self, grid201, para201, scheme):
         # 300 steps span three assembly blocks, the last one partial; a
         # Jacobian that changes every step exposes a wrong block seam
         steps, dt, n_modes = 300, 1e-4, 8
         u0 = sample_velocity("cosine", {"amplitude": 1.0, "mode": 2}, grid201)
-        phase = np.cos(0.1 * np.arange(steps + 1))[:, None]
-        eta_x = 1.0 + 0.4 * phase * np.sin(np.pi * grid201.nodes)[None, :]
-        traj = solve_linearized(para201, u0, eta_x, steps * dt, dt, n_modes, scheme)
+        phase = np.cos(0.1 * np.arange(steps + 1))
+        # Jacobian 1 + 0.4 phase sin(pi x): mode 1's slope is -sqrt(2) pi sin(pi x)
+        flow = np.zeros((steps + 1, n_modes))
+        flow[:, 1] = -0.4 * phase / (np.sqrt(2.0) * np.pi)
+        traj = solve_linearized(para201, u0, flow, steps * dt, dt, n_modes, scheme)
+        eta_x = 1.0 + flow @ traj.basis.table(1)
+        assert np.allclose(eta_x, 1.0 + 0.4 * phase[:, None] * np.sin(np.pi * grid201.nodes), atol=1e-14)
+        self._assert_matches_per_step_reference(traj, para201, u0, flow, scheme)
 
-        b = traj.basis
-        mass = assemble_mass(para201, b)
-        lam = [project_initial(u0.values, b, grid201)]
-        for m in range(steps):
-            lam.append(step_linearized(
-                lam[-1], dt, mass,
-                assemble_stiffness(para201, b, eta_x[m + 1]),
-                assemble_forcing(para201, b, eta_x[m + 1]),
-                scheme,
-                assemble_stiffness(para201, b, eta_x[m]),
-                assemble_forcing(para201, b, eta_x[m]),
-            ))
-        ref = np.array(lam)
-        assert np.max(np.abs(traj.coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))
+    @settings(max_examples=30, deadline=None)
+    @given(
+        steps=st.integers(1, 400),
+        seed=st.integers(0, 2**32 - 1),
+        size=st.floats(0.0, 0.01),
+        scheme=st.sampled_from(["implicit-euler", "crank-nicolson"]),
+    )
+    # one short of, exactly, and one past one and two assembly blocks
+    @example(127, 1, 0.01, "implicit-euler")
+    @example(128, 2, 0.01, "crank-nicolson")
+    @example(129, 3, 0.01, "crank-nicolson")
+    @example(256, 4, 0.01, "implicit-euler")
+    @example(257, 5, 0.01, "crank-nicolson")
+    def test_block_seams_match_per_step_reference(self, grid201, para201, steps, seed, size, scheme):
+        # a small modal flow that differs at every step; |mu_n| <= 0.01 over
+        # 6 modes keeps the Jacobian within 1 +- 0.7
+        n_modes, dt = 6, 1e-4
+        u0 = sample_velocity("cosine", {"amplitude": 1.0, "mode": 2}, grid201)
+        flow = size * np.random.default_rng(seed).uniform(-1.0, 1.0, (steps + 1, n_modes))
+        traj = solve_linearized(para201, u0, flow, steps * dt, dt, n_modes, scheme)
+        self._assert_matches_per_step_reference(traj, para201, u0, flow, scheme)
 
     def test_residual_rejects_jacobian_of_wrong_shape(self, para201, u0zero201):
-        traj = solve_linearized(para201, u0zero201, np.ones(201), 0.01, 1e-3, 8)
-        with pytest.raises(ConfigurationError, match="broadcast"):
-            energy_identity_residual(traj, para201, np.ones((5, 201)))
+        traj = solve_linearized(para201, u0zero201, np.zeros(8), 0.01, 1e-3, 8)
+        with pytest.raises(ConfigurationError, match=r"\(steps\+1, n_modes\) = \(11, 8\)"):
+            energy_identity_residual(traj, para201, np.zeros((5, 8)))
 
     def test_step_count_validation(self):
         with pytest.raises(ConfigurationError):
@@ -251,11 +282,11 @@ class TestSolveLinearized:
         assert n_steps_for(0.05, 1e-4) == 500
 
     def test_energy_identity_residual_first_order(self, grid201, para201, u0zero201):
-        ones = np.ones(201)
+        identity = np.zeros(16)
         residuals = []
         for dt in (2e-4, 1e-4):
-            traj = solve_linearized(para201, u0zero201, ones, 0.01, dt, 16)
-            residuals.append(energy_identity_residual(traj, para201, ones))
+            traj = solve_linearized(para201, u0zero201, identity, 0.01, dt, 16)
+            residuals.append(energy_identity_residual(traj, para201, identity))
         assert residuals[0] <= 5.0 * 2e-4
         assert residuals[1] <= 0.6 * residuals[0]
 
@@ -265,7 +296,7 @@ class TestSolveLinearized:
         t_final, dt = 0.01, 1e-4
         for kind, params in (("zero", {}), ("cosine", {"amplitude": 1.0, "mode": 2})):
             u0 = sample_velocity(kind, params, build_grid(201))
-            traj = solve_linearized(para201, u0, ones, t_final, dt, 16)
+            traj = solve_linearized(para201, u0, np.zeros(16), t_final, dt, 16)
             b = traj.basis
             mass = assemble_mass(para201, b)
             grad = assemble_stiffness(para201, b, ones)
@@ -277,10 +308,9 @@ class TestSolveLinearized:
             assert sup_sq + diss <= 10.0 * (u0_sq + t_final)
 
     def test_spectral_convergence_in_mode_count(self, grid201, para201, u0zero201):
-        ones = np.ones(201)
         norms = []
         for n_modes in (4, 8, 16, 32):
-            traj = solve_linearized(para201, u0zero201, ones, 0.01, 2e-4, n_modes)
+            traj = solve_linearized(para201, u0zero201, np.zeros(n_modes), 0.01, 2e-4, n_modes)
             b = traj.basis
             mass = assemble_mass(para201, b)
             lam = traj.coeffs[-1]
@@ -294,8 +324,7 @@ class TestSolveLinearized:
 class TestTimeConvergenceOrder:
     @staticmethod
     def _final_state(scheme, dt, para, u0):
-        ones = np.ones(201)
-        traj = solve_linearized(para, u0, ones, 0.02, dt, 8, scheme)
+        traj = solve_linearized(para, u0, np.zeros(8), 0.02, dt, 8, scheme)
         return traj.coeffs[-1]
 
     def test_backward_euler_is_first_order(self, para201):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from scipy.integrate import trapezoid
 from svfree.errors import ConfigurationError, FlowMapDegeneracyError, NonConvergenceError, SvfreeError
 from svfree.fd_oracle import fd_oracle_solve
 from svfree.galerkin import (
+    GalerkinBasis,
     assemble_forcing,
     assemble_mass,
     assemble_stiffness,
+    project_initial,
     solve_linearized,
 )
 from svfree.picard import PicardSettings, contraction_metrics, solve_horizons, solve_nonlinear
@@ -58,17 +61,18 @@ class TestPicardStep:
         self, grid201, para201, u0zero201
     ):
         times = np.linspace(0.0, 0.01, 101)
-        _, eta_x0 = guess_flow(u0zero201, times, grid201)  # u0=0: eta = x
-        v1 = solve_linearized(para201, u0zero201, eta_x0, 0.01, 1e-4, 8)
+        lam0 = project_initial(u0zero201.values, GalerkinBasis(8, grid201), grid201)
+        flow0 = times[:, None] * lam0[None, :]  # the u0 guess; u0=0: eta = x
+        v1 = solve_linearized(para201, u0zero201, flow0, 0.01, 1e-4, 8)
         ref = solve_linearized(
-            para201, u0zero201, np.ones(201), 0.01, 1e-4, 8
+            para201, u0zero201, np.zeros(8), 0.01, 1e-4, 8
         )
         assert np.array_equal(v1.coeffs, ref.coeffs)
 
     def test_converged_flow_is_a_fixed_point(self, small_solution, para201, u0zero201):
         sol = small_solution
         v_next = solve_linearized(
-            para201, u0zero201, sol.eta_x, float(sol.times[-1]), sol.dt,
+            para201, u0zero201, sol.flow_coeffs, float(sol.times[-1]), sol.dt,
             sol.basis.n_modes, basis=sol.basis,
         )
         rep = contraction_metrics(sol, v_next, para201)
@@ -78,14 +82,14 @@ class TestPicardStep:
 class TestContractionMetrics:
     def test_identical_trajectories_zero(self, para201, u0zero201):
         traj = solve_linearized(
-            para201, u0zero201, np.ones(201), 0.01, 1e-3, 8
+            para201, u0zero201, np.zeros(8), 0.01, 1e-3, 8
         )
         rep = contraction_metrics(traj, traj, para201)
         assert rep.sup_diff == 0.0 and rep.grad_diff == 0.0
 
     def test_single_mode_perturbation_closed_form(self, para201, u0zero201):
         t_final, dt, eps = 0.02, 1e-3, 1e-3
-        base = solve_linearized(para201, u0zero201, np.ones(201), t_final, dt, 4)
+        base = solve_linearized(para201, u0zero201, np.zeros(4), t_final, dt, 4)
         pert = type(base)(base.times, base.coeffs.copy(), base.dt, base.basis)
         pert.coeffs[:, 1] += eps
         rep = contraction_metrics(base, pert, para201)
@@ -93,8 +97,8 @@ class TestContractionMetrics:
         assert rep.grad_diff == pytest.approx(eps * math.sqrt(t_final * S11), rel=1e-6)
 
     def test_mismatched_grids_rejected(self, para201, u0zero201):
-        a = solve_linearized(para201, u0zero201, np.ones(201), 0.01, 1e-3, 8)
-        b = solve_linearized(para201, u0zero201, np.ones(201), 0.01, 5e-4, 8)
+        a = solve_linearized(para201, u0zero201, np.zeros(8), 0.01, 1e-3, 8)
+        b = solve_linearized(para201, u0zero201, np.zeros(8), 0.01, 5e-4, 8)
         with pytest.raises(ConfigurationError):
             contraction_metrics(a, b, para201)
 
@@ -231,12 +235,49 @@ class TestSharedHorizons:
             assert got.eta_x_min == pytest.approx(alone.eta_x_min, rel=1e-12)
             assert got.eta_x_max == pytest.approx(alone.eta_x_max, rel=1e-12)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        scheme=st.sampled_from(["implicit-euler", "crank-nicolson"]),
+        amplitude=st.floats(-2.0, 2.0),
+        mode=st.integers(1, 3),
+        steps=st.lists(st.integers(1, 400), min_size=1, max_size=4, unique=True),
+    )
+    # horizons one short of, exactly at and one past one and two assembly blocks
+    @example("implicit-euler", 1.0, 1, [127, 128, 129])
+    @example("crank-nicolson", -1.5, 2, [256, 257])
+    def test_jacobian_extremes_are_those_of_the_full_product(self, scheme, amplitude, mode, steps):
+        # the loop forms a march's nodal Jacobians block by block; every
+        # horizon's extremes must be those of its whole flow, seams included
+        dt = 1e-4
+        u0 = sample_velocity("cosine", {"amplitude": amplitude, "mode": mode}, self.GRID)
+        base = PicardSettings(dt=dt, n_modes=6, scheme=scheme)
+        for t_final, sol in solve_horizons(self.PROFILE, u0, base, [n * dt for n in steps]):
+            eta_x = 1.0 + sol.flow_coeffs @ sol.basis.table(1)
+            # a one-row block (a march of 129, 257, ... rows) is a matrix-vector
+            # product, whose n_modes-term sums may round a few ulps apart
+            for got, want in ((sol.eta_x_min, np.min(eta_x)), (sol.eta_x_max, np.max(eta_x))):
+                assert abs(got - want) <= base.n_modes * np.spacing(want), t_final
+
     def test_t_final_off_the_step_grid_fails_only_its_horizon(self, para201, u0zero201):
         base = PicardSettings(dt=1e-3, n_modes=8)
         shared = dict(solve_horizons(para201, u0zero201, base, [2e-3, 2.5e-3, 4e-3]))
         assert isinstance(shared[2.5e-3], ConfigurationError)
         assert "must divide evenly" in str(shared[2.5e-3])
         assert shared[2e-3].iterations >= 1 and shared[4e-3].iterations >= 1
+
+
+def test_long_horizon_adds_no_nodal_history(para401, u0zero401):
+    # the loop holds the flow as (steps+1, n_modes) coefficients: quadrupling
+    # the canonical horizon may not add half of a (2001, 401) nodal history
+    peaks = []
+    for t_final in (0.05, 0.2):
+        tracemalloc.start()
+        try:
+            solve_nonlinear(para401, u0zero401, PicardSettings(t_final=t_final))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 0.5 * 2001 * 401 * 8
 
 
 class TestFdOracle:
@@ -280,9 +321,8 @@ class TestSchemeAndFlowInterp:
         # the schemes differ at O(dt) but solve the same problem
         assert 0.0 < math.sqrt(quadrature(d * d, 1, para201)) < 1e-3
 
-    def test_flow_outside_window_rejected(self, grid201, para201, u0zero201):
+    def test_flow_outside_window_rejected(self, para201, u0zero201):
         # a flow stored at 2 times cannot drive a 10-step march
-        times = np.array([0.0, 0.01])
-        _, eta_x = guess_flow(u0zero201, times, grid201)
-        with pytest.raises(ConfigurationError, match=r"\(steps\+1, n_nodes\) = \(11, 201\)"):
-            solve_linearized(para201, u0zero201, eta_x, 0.01, 1e-3, 8)
+        flow = np.zeros((2, 8))
+        with pytest.raises(ConfigurationError, match=r"\(steps\+1, n_modes\) = \(11, 8\)"):
+            solve_linearized(para201, u0zero201, flow, 0.01, 1e-3, 8)

@@ -15,6 +15,13 @@ The modal system is
     F_j = int rho0^2 (e_j)_x / eta_bar_x^2,
 
 stepped implicitly (backward Euler by default, Crank-Nicolson optional).
+
+When every row of the guess flow is the same, as for data at rest or the
+identity guess, S and F do not change in time and every step is one affine
+map lam -> B lam + c. The march then assembles the one row once, takes B and
+c from two calls of step_linearized (at lam = I with no forcing, and at
+lam = 0) and steps by a matrix-vector product; a flow that varies is
+assembled in blocks and solved step by step.
 """
 
 from __future__ import annotations
@@ -261,20 +268,27 @@ def n_steps_for(t_final: float, dt: float) -> int:
     return steps
 
 
-def _jacobian_blocks(basis: GalerkinBasis, flow, steps: int, first: int = 0):
-    """Yield (row, nodal Jacobians 1 + flow @ table(1)) for rows first..steps, in blocks.
+def _modal_flow(basis: GalerkinBasis, flow, steps: int) -> np.ndarray:
+    """The guess flow's modal displacement coefficients mu as a (steps+1, n_modes) view.
 
-    flow holds the modal displacement coefficients mu of the guess flow and
-    must broadcast to (steps+1, n_modes): one row per step time, or one row
-    for every step. No more than _BLOCK_STEPS nodal rows exist at once.
+    flow must broadcast to that shape: one row per step time, or one row
+    for every step.
     """
     shape = (steps + 1, basis.n_modes)
     try:
-        mu = np.broadcast_to(np.asarray(flow, dtype=float), shape)
+        return np.broadcast_to(np.asarray(flow, dtype=float), shape)
     except ValueError:
         raise ConfigurationError(
             f"flow must broadcast to (steps+1, n_modes) = {shape}, got shape {np.shape(flow)}"
         ) from None
+
+
+def _jacobian_blocks(basis: GalerkinBasis, flow, steps: int, first: int = 0):
+    """Yield (row, nodal Jacobians 1 + flow @ table(1)) for rows first..steps, in blocks.
+
+    flow is as in _modal_flow. No more than _BLOCK_STEPS nodal rows exist at once.
+    """
+    mu = _modal_flow(basis, flow, steps)
     for start in range(first, steps + 1, _BLOCK_STEPS):
         yield start, 1.0 + mu[start:start + _BLOCK_STEPS] @ basis.table(1)
 
@@ -302,20 +316,34 @@ def solve_linearized(
     flow is the guess flow's modal displacement mu(t) = eta_bar - x at the
     step times: an array that broadcasts to (steps+1, n_modes), so one row,
     such as np.zeros(n_modes) for the identity map, serves every step.
+    A flow whose rows are all equal is assembled once and stepped by one
+    affine map; any other is assembled block by block and solved per step.
     """
     grid = profile.grid
     if basis is None:
         basis = GalerkinBasis(n_modes, grid)
     steps = n_steps_for(t_final, dt)
     times = np.linspace(0.0, t_final, steps + 1)
+    mu = _modal_flow(basis, flow, steps)
     mass = assemble_mass(profile, basis)
     coeffs = np.zeros((steps + 1, basis.n_modes))
     coeffs[0] = project_initial(u0.values, basis, grid)
 
+    if np.all(mu == mu[0]):
+        # every step has the same operators, so each is one affine map
+        # lam -> B lam + c, read off the step itself at lam = I and at lam = 0
+        _, (stiff,), (force,) = next(_operator_blocks(profile, basis, mu[:1], 0))
+        zero = np.zeros(basis.n_modes)
+        step_map = step_linearized(np.eye(basis.n_modes), dt, mass, stiff, zero, scheme, stiff, zero)
+        shift = step_linearized(zero, dt, mass, stiff, force, scheme, stiff, force)
+        for m in range(1, steps + 1):
+            coeffs[m] = step_map @ coeffs[m - 1] + shift
+        return ModalTrajectory(times, coeffs, dt, basis)
+
     # operators of row m are the "next" ones of step m and the "current" ones
     # of step m + 1 (Crank-Nicolson), also across block seams
     cur = (None, None)
-    for start, stiff, force in _operator_blocks(profile, basis, flow, steps):
+    for start, stiff, force in _operator_blocks(profile, basis, mu, steps):
         for k, ops in enumerate(zip(stiff, force)):
             m = start + k
             if m > 0:
@@ -346,7 +374,7 @@ def energy_identity_residual(
     work = 0.0
     for start, stiff, force in _operator_blocks(profile, basis, flow, len(lam) - 1, first=1):
         lam_b = lam[start:start + len(stiff)]
-        dissip += dt * np.einsum("ti,tij,tj->", lam_b, stiff, lam_b)
+        dissip += dt * np.einsum("ti,ti->", np.einsum("tij,tj->ti", stiff, lam_b), lam_b)
         work += dt * np.einsum("ti,ti->", force, lam_b)
     lhs = 0.5 * lam[-1] @ mass @ lam[-1] + dissip
     rhs = 0.5 * lam[0] @ mass @ lam[0] + work

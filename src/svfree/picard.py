@@ -30,6 +30,7 @@ from .errors import (
     TimeWindowError,
 )
 from .galerkin import (
+    _BLOCK_STEPS,
     GalerkinBasis,
     ModalTrajectory,
     _jacobian_blocks,
@@ -140,11 +141,17 @@ def _integrate_flow_coeffs(traj: ModalTrajectory) -> np.ndarray:
     return mu
 
 
-def _difference_squares(a: np.ndarray, b: np.ndarray, mass: np.ndarray, grad: np.ndarray):
-    """Per-time squares of the two contraction-norm parts of the coefficient difference b - a."""
-    diff = b - a
-    return (np.einsum("ti,ij,tj->t", diff, mass, diff),
-            np.einsum("ti,ij,tj->t", diff, grad, diff))
+def _difference_squares(a: np.ndarray, b: np.ndarray, mass: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Per-time squares of the two contraction-norm parts of the coefficient difference b - a.
+
+    Rows (2, times): the mass part, then the gradient part; formed _BLOCK_STEPS times at a time.
+    """
+    squares = np.empty((2, len(a)))
+    for start in range(0, len(a), _BLOCK_STEPS):
+        d = b[start:start + _BLOCK_STEPS] - a[start:start + _BLOCK_STEPS]
+        for out, matrix in zip(squares, (mass, grad)):
+            out[start:start + len(d)] = np.einsum("ti,ti->t", d @ matrix, d)
+    return squares
 
 
 def _report(sup_sq, grad_sq, dt: float, iteration: int, prev_total: float | None) -> ContractionReport:

@@ -6,7 +6,9 @@ a finite-difference run with Eulerian snapshots loads scipy, and no run, not
 even one from a custom expression, loads sympy. The runtime dependencies in
 pyproject.toml are exactly the third-party modules svfree imports: numpy
 alone. Set-up does not star-import numpy, and neither the verify suite nor
-the canonical simulation loads numpy.random or numpy.ma.
+the canonical simulation loads numpy.random or numpy.ma. No module names a
+private numpy attribute, so a step cannot skip np.linalg.solve's checks by
+calling its gufunc.
 """
 
 import ast
@@ -194,3 +196,52 @@ def test_runtime_dependencies_are_the_imported_modules():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     names = {re.match(r"[A-Za-z0-9_.-]+", dep)[0] for dep in project["dependencies"]}
     assert names == _third_party_imports() == {"numpy"}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_numpy_names(source: str) -> list[str]:
+    """Every dotted numpy name in source with a private part: imports and attribute chains.
+
+    An imported numpy name is a root: after `import numpy as np`,
+    `np.linalg._umath_linalg.solve` gives 'numpy.linalg._umath_linalg.solve'.
+    """
+    tree = ast.parse(source)
+    roots = {"numpy": "numpy"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "numpy":
+                    found.append(alias.name)
+                    if alias.asname:
+                        roots[alias.asname] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "numpy":
+            for alias in node.names:
+                found.append(f"{node.module}.{alias.name}")
+                roots[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            parts = []
+            while isinstance(node, ast.Attribute):
+                parts.append(node.attr)
+                node = node.value
+            if isinstance(node, ast.Name) and node.id in roots:
+                found.append(".".join([roots[node.id], *reversed(parts)]))
+    return sorted({name for name in found if any(_private(part) for part in name.split("."))})
+
+
+def test_no_module_names_a_private_numpy_attribute():
+    shortcuts = ("import numpy as np\nnp.linalg._umath_linalg.solve(a, b)\n"
+                 "from numpy._core import multiarray\nimport numpy.linalg._linalg as la\n"
+                 "from numpy import linalg as L\nL._umath_linalg.inv(a)\n")
+    assert _private_numpy_names(shortcuts) == [
+        "numpy._core.multiarray", "numpy.linalg._linalg", "numpy.linalg._umath_linalg",
+        "numpy.linalg._umath_linalg.inv", "numpy.linalg._umath_linalg.solve",
+    ]
+    assert _private_numpy_names("import numpy as np\nnp.linalg.solve(a, b)\nnp.__version__\n") == []
+    assert {path.name: _private_numpy_names(path.read_text()) for path in SOURCES} == {
+        path.name: [] for path in SOURCES
+    }

@@ -1,4 +1,6 @@
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
+from svfree import galerkin
 from svfree.errors import ConfigurationError, FlowMapDegeneracyError
 from svfree.galerkin import (
     GalerkinBasis,
@@ -271,10 +274,53 @@ class TestSolveLinearized:
         traj = solve_linearized(para201, u0, flow, steps * dt, dt, n_modes, scheme)
         self._assert_matches_per_step_reference(traj, para201, u0, flow, scheme)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        steps=st.integers(1, 400),
+        seed=st.integers(0, 2**32 - 1),
+        size=st.sampled_from([0.0, 0.01]),
+        one_row=st.booleans(),
+        scheme=st.sampled_from(["implicit-euler", "crank-nicolson"]),
+    )
+    @example(127, 1, 0.0, True, "implicit-euler")
+    @example(128, 2, 0.01, False, "crank-nicolson")
+    @example(129, 3, 0.01, True, "crank-nicolson")
+    @example(256, 4, 0.0, False, "crank-nicolson")
+    @example(257, 5, 0.01, False, "implicit-euler")
+    def test_constant_flow_matches_per_step_reference(self, grid201, para201, steps, seed, size, one_row, scheme):
+        # the affine step of a flow that never changes, given as one row or as
+        # steps+1 equal rows, against a step solved from the operators at every row
+        n_modes, dt = 6, 1e-4
+        u0 = sample_velocity("cosine", {"amplitude": 1.0, "mode": 2}, grid201)
+        row = size * np.random.default_rng(seed).uniform(-1.0, 1.0, n_modes)
+        rows = np.tile(row, (steps + 1, 1))
+        traj = solve_linearized(para201, u0, row if one_row else rows, steps * dt, dt, n_modes, scheme)
+        self._assert_matches_per_step_reference(traj, para201, u0, rows, scheme)
+
+    @pytest.mark.parametrize("steps", [1, 128, 300])
+    def test_constant_flow_steps_twice_and_assembles_once(self, para201, u0zero201, steps):
+        def calls(flow):
+            """How often the march calls step_linearized, assemble_stiffness and assemble_forcing."""
+            with contextlib.ExitStack() as stack:
+                spies = [stack.enter_context(mock.patch.object(galerkin, name, wraps=getattr(galerkin, name)))
+                         for name in ("step_linearized", "assemble_stiffness", "assemble_forcing")]
+                solve_linearized(para201, u0zero201, flow, steps * 1e-4, 1e-4, 8)
+            return [spy.call_count for spy in spies]
+
+        flow = np.full((steps + 1, 8), 0.003)
+        assert calls(flow) == [2, 1, 1]
+        # rows that differ only in the middle keep the march per step
+        flow[(steps + 1) // 2, 1] += 1e-3
+        blocks = -(-(steps + 1) // 128)
+        assert calls(flow) == [steps, blocks, blocks]
+
     def test_residual_rejects_jacobian_of_wrong_shape(self, para201, u0zero201):
         traj = solve_linearized(para201, u0zero201, np.zeros(8), 0.01, 1e-3, 8)
         with pytest.raises(ConfigurationError, match=r"\(steps\+1, n_modes\) = \(11, 8\)"):
             energy_identity_residual(traj, para201, np.zeros((5, 8)))
+        # the march checks the shape before it asks whether the rows are equal
+        with pytest.raises(ConfigurationError, match=r"\(steps\+1, n_modes\) = \(11, 8\)"):
+            solve_linearized(para201, u0zero201, np.zeros((5, 8)), 0.01, 1e-3, 8)
 
     def test_step_count_validation(self):
         with pytest.raises(ConfigurationError):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import trapezoid
 
+from svfree import picard
 from svfree.errors import ConfigurationError, FlowMapDegeneracyError, NonConvergenceError, SvfreeError
 from svfree.fd_oracle import fd_oracle_solve
 from svfree.galerkin import (
@@ -116,6 +117,27 @@ class TestContractionMetrics:
         # replaced, forms the same products and sums them the same way
         y = np.array(y)
         assert np.trapezoid(y, dx=dx) == trapezoid(y, dx=dx)
+
+    @settings(max_examples=30, deadline=None)
+    @given(rows=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
+    # one short of, exactly, and one past one and two blocks of rows
+    @example(127, 1)
+    @example(128, 2)
+    @example(129, 3)
+    @example(256, 4)
+    @example(257, 5)
+    def test_blocked_squares_match_the_three_operand_einsum(self, para201, rows, seed):
+        n_modes = 8
+        a, b = np.random.default_rng(seed).standard_normal((2, rows, n_modes))
+        norms = picard._norm_matrices(para201, GalerkinBasis(n_modes, para201.grid))
+        squares = picard._difference_squares(a, b, *norms)
+        assert squares.shape == (2, rows)
+        d = b - a
+        for got, matrix in zip(squares, norms):
+            ref = np.einsum("ti,ij,tj->t", d, matrix, d)
+            # the size of each row's terms bounds the rounding of its sum
+            scale = np.einsum("ti,ij,tj->t", np.abs(d), np.abs(matrix), np.abs(d))
+            assert np.all(np.abs(got - ref) <= 1e-12 * scale)
 
 
 class TestSolveNonlinear:

@@ -20,8 +20,9 @@ When every row of the guess flow is the same, as for data at rest or the
 identity guess, S and F do not change in time and every step is one affine
 map lam -> B lam + c. The march then assembles the one row once, takes B and
 c from two calls of step_linearized (at lam = I with no forcing, and at
-lam = 0) and steps by a matrix-vector product; a flow that varies is
-assembled in blocks and solved step by step.
+lam = 0) and steps by a matrix-vector product; the energy identity residual
+also assembles such a flow once. A flow that varies is assembled in blocks
+and solved step by step, one block of operators alive at a time.
 """
 
 from __future__ import annotations
@@ -81,15 +82,30 @@ class GalerkinBasis:
     def gradient_products(self) -> tuple[np.ndarray, np.ndarray]:
         """(n_nodes, m(m+1)/2) products (e_i)_x (e_j)_x, i <= j, and an (m*m,) column index.
 
-        (w @ table)[..., index] are row-major weighted Gram matrices, exactly symmetric.
+        Column k of the table holds d[:, i[k]] * d[:, j[k]] for (i, j) =
+        np.triu_indices(m) and d = table(1).T, and the table is Fortran ordered:
+        the stiffness GEMM w @ table rounds by that layout, and a C-ordered
+        copy moves its results at rounding level. (w @ table)[..., index] are
+        row-major weighted Gram matrices, exactly symmetric. The table is
+        filled in place once and kept until release_gradient_products().
         """
         if self._gradient_products is None:
             d = self.table(1).T
-            i, j = np.triu_indices(self.n_modes)
-            index = np.empty((self.n_modes, self.n_modes), dtype=np.intp)
+            m = self.n_modes
+            i, j = np.triu_indices(m)
+            index = np.empty((m, m), dtype=np.intp)
             index[i, j] = index[j, i] = np.arange(len(i))
-            self._gradient_products = (d[:, i] * d[:, j], index.ravel())
+            table = np.empty((d.shape[0], len(i)), order="F")
+            start = 0
+            for r in range(m):  # the pairs (r, r..m-1) are contiguous columns
+                np.multiply(d[:, r:r + 1], d[:, r:], out=table[:, start:start + m - r])
+                start += m - r
+            self._gradient_products = (table, index.ravel())
         return self._gradient_products
+
+    def release_gradient_products(self) -> None:
+        """Free the table of gradient_products(); the next call builds it again."""
+        self._gradient_products = None
 
     def evaluate_modes(self, x, order: int = 0) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -294,10 +310,25 @@ def _jacobian_blocks(basis: GalerkinBasis, flow, steps: int, first: int = 0):
 
 
 def _operator_blocks(profile, basis, flow, steps: int, first: int = 0):
-    """Yield (row, stiffness, forcing stacks) for rows first..steps of the guess flow, in blocks."""
-    for start, block in _jacobian_blocks(basis, flow, steps, first):
-        force = assemble_forcing(profile, basis, block)
-        yield start, assemble_stiffness(profile, basis, block), force
+    """Yield (row, stiffness, forcing stacks) for rows first..steps of the guess flow, in blocks.
+
+    A flow whose rows are all equal is assembled once, and its blocks are
+    read-only broadcasts of that row's operators. Otherwise each block is
+    assembled from its nodal Jacobians, which are freed before it is yielded.
+    """
+    mu = _modal_flow(basis, flow, steps)
+    if np.all(mu == mu[0]):
+        row = 1.0 + mu[:1] @ basis.table(1)
+        (stiff,), (force,) = assemble_stiffness(profile, basis, row), assemble_forcing(profile, basis, row)
+        for start in range(first, steps + 1, _BLOCK_STEPS):
+            rows = min(_BLOCK_STEPS, steps + 1 - start)
+            yield start, np.broadcast_to(stiff, (rows, *stiff.shape)), np.broadcast_to(force, (rows, *force.shape))
+        return
+    for start, block in _jacobian_blocks(basis, mu, steps, first):
+        ops = assemble_stiffness(profile, basis, block), assemble_forcing(profile, basis, block)
+        del block
+        yield (start, *ops)
+        del ops  # before the next block is formed
 
 
 def solve_linearized(
@@ -341,7 +372,8 @@ def solve_linearized(
         return ModalTrajectory(times, coeffs, dt, basis)
 
     # operators of row m are the "next" ones of step m and the "current" ones
-    # of step m + 1 (Crank-Nicolson), also across block seams
+    # of step m + 1 (Crank-Nicolson); across a block seam a copy of the last
+    # row's carries over, so one block of operators is alive at a time
     cur = (None, None)
     for start, stiff, force in _operator_blocks(profile, basis, mu, steps):
         for k, ops in enumerate(zip(stiff, force)):
@@ -349,6 +381,8 @@ def solve_linearized(
             if m > 0:
                 coeffs[m] = step_linearized(coeffs[m - 1], dt, mass, *ops, scheme, *cur)
             cur = ops
+        cur = tuple(op.copy() for op in cur)
+        del stiff, force, ops
     return ModalTrajectory(times, coeffs, dt, basis)
 
 
@@ -363,7 +397,7 @@ def energy_identity_residual(
             = 1/2 ||sqrt(rho0) v(0)||^2 + sum dt int rho0^2 v_x / eta_bar_x^2,
 
     sums over step right-endpoints. flow broadcasts to (steps+1, n_modes) as
-    in solve_linearized. For the backward-Euler trajectory the residual
+    in solve_linearized, and one whose rows are all equal is assembled once. For the backward-Euler trajectory the residual
     equals the accumulated jump dissipation, O(dt).
     """
     basis = traj.basis

@@ -231,11 +231,11 @@ def _endpoint_atoms(traj, idx) -> tuple[tuple, tuple]:
 
 def _nodal_stacks(traj, idx) -> tuple[np.ndarray, np.ndarray]:
     """(rows, _DEPTH, n) spatial derivatives of v and of eta at the stored steps idx."""
-    tables = [traj.basis.table(k) for k in range(_DEPTH)]
-    # one row per product: a stacked product rounds differently, and the
-    # summands with a boundary pole amplify that to about 1e-10 relative
-    w = np.array([[row @ tab for tab in tables] for row in traj.coeffs[idx]])
-    j = np.array([[row @ tab for tab in tables] for row in traj.flow_coeffs[idx]])
+    tables = np.stack([traj.basis.table(k) for k in range(_DEPTH)])
+    # one (1, m) @ (m, n) product per row and order, as for a single stored
+    # time: a 2-D (rows, m) @ (m, n) GEMM rounds differently, and the summands
+    # with a boundary pole amplify that to about 1e-10 relative
+    w, j = ((c[idx][:, None, None, :] @ tables)[:, :, 0] for c in (traj.coeffs, traj.flow_coeffs))
     j[:, 0] += traj.profile.grid.nodes
     j[:, 1] += 1.0
     return w, j
@@ -380,10 +380,13 @@ _SUMMAND_COLUMNS = {
 }
 
 # nodal values per interior pass: 16 stored times at 401 nodes, 32 at 201.
-# Such a pass peaks at about 3.2 MB (tracemalloc, canonical and sine
-# configs), about 500 bytes per nodal value, and that chunk sets the peak RSS
-# of the sine simulate run; at 3,500 values a canonical simulate ran about
-# 0.1 s slower, and doubling the chunk saved little more time
+# Such a pass peaks at about 3.1 MB above its nodal stacks (tracemalloc,
+# canonical and sine configs), about 490 bytes per nodal value. That chunk
+# sets the peak RSS of the sine simulate run and of a canonical verify; the
+# Picard march (one 128-step block of operators beside the 1.7 MB gradient
+# products table) sets that of a canonical simulate and sweep (the process's
+# high-water mark read around each layer call). At 3,500 values a canonical
+# simulate ran about 0.1 s slower, and doubling the chunk saved little more time
 _CHUNK_VALUES = 6500
 
 
@@ -406,6 +409,8 @@ def _squares(traj, rows) -> tuple[np.ndarray, np.ndarray]:
             total = _weight_series(profile, side, weight) * s * s
             ends[c, side] = total.finite_part()
             pole |= total.has_pole()
+    # ends and pole hold all the interior chunks read of the endpoint series
+    del series, s, total
 
     squares = np.empty((len(rows), len(_SQUARES)))
     step = max(1, _CHUNK_VALUES // grid.n_nodes)

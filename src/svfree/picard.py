@@ -227,53 +227,58 @@ def solve_horizons(profile: HeightProfile, u0: AnalyticField, settings: PicardSe
     else:
         raise ConfigurationError(f"unknown initial_guess {settings.initial_guess!r}")
 
+    # the marches' products table lives only as long as this loop; the
+    # solutions it hands over share the basis but never read the table
     prev = None
-    for it in range(1, settings.max_iter + 1):
-        while True:
-            marched = open_[-1]
-            try:
-                traj = solve_linearized(
-                    profile, u0, mu[:marched.steps + 1], marched.t_final, dt,
-                    settings.n_modes, settings.scheme, basis=basis,
-                )
-                break
-            except SvfreeError as exc:
-                open_.pop()
-                yield marched.t_final, exc
+    try:
+        for it in range(1, settings.max_iter + 1):
+            while True:
+                marched = open_[-1]
+                try:
+                    traj = solve_linearized(
+                        profile, u0, mu[:marched.steps + 1], marched.t_final, dt,
+                        settings.n_modes, settings.scheme, basis=basis,
+                    )
+                    break
+                except SvfreeError as exc:
+                    open_.pop()
+                    yield marched.t_final, exc
+                    if not open_:
+                        return
+            mu = _integrate_flow_coeffs(traj)
+            if prev is None:
+                # after a march, so a mass matrix that does not factor has failed its horizons already
+                norms = _norm_matrices(profile, basis)
+            else:
+                squares = _difference_squares(prev.coeffs[:len(traj.coeffs)], traj.coeffs, *norms)
+                row_lo = row_hi = None
+                for h in list(open_):
+                    rows = h.steps + 1
+                    report = _report(squares[0][:rows], squares[1][:rows], dt, it - 1, h.prev_total)
+                    h.history.append(report)
+                    h.prev_total = report.total
+                    if report.total < settings.picard_tol:
+                        if row_lo is None:
+                            extremes = [(np.min(block, axis=1), np.max(block, axis=1))
+                                        for _, block in _jacobian_blocks(basis, mu, len(mu) - 1)]
+                            row_lo, row_hi = map(np.concatenate, zip(*extremes))
+                        open_.remove(h)
+                        yield h.t_final, _settle(
+                            profile, basis, h, dt, traj.coeffs[:rows], mu[:rows],
+                            float(np.min(row_lo[:rows])), float(np.max(row_hi[:rows])),
+                        )
                 if not open_:
                     return
-        mu = _integrate_flow_coeffs(traj)
-        if prev is None:
-            # after a march, so a mass matrix that does not factor has failed its horizons already
-            norms = _norm_matrices(profile, basis)
-        else:
-            squares = _difference_squares(prev.coeffs[:len(traj.coeffs)], traj.coeffs, *norms)
-            row_lo = row_hi = None
-            for h in list(open_):
-                rows = h.steps + 1
-                report = _report(squares[0][:rows], squares[1][:rows], dt, it - 1, h.prev_total)
-                h.history.append(report)
-                h.prev_total = report.total
-                if report.total < settings.picard_tol:
-                    if row_lo is None:
-                        extremes = [(np.min(block, axis=1), np.max(block, axis=1))
-                                    for _, block in _jacobian_blocks(basis, mu, len(mu) - 1)]
-                        row_lo, row_hi = map(np.concatenate, zip(*extremes))
-                    open_.remove(h)
-                    yield h.t_final, _settle(
-                        profile, basis, h, dt, traj.coeffs[:rows], mu[:rows],
-                        float(np.min(row_lo[:rows])), float(np.max(row_hi[:rows])),
-                    )
-            if not open_:
-                return
-        prev = traj
-    for h in open_:
-        yield h.t_final, NonConvergenceError(
-            f"no contraction below tol={settings.picard_tol} within "
-            f"{settings.max_iter} iterations (last diff "
-            f"{h.history[-1].total if h.history else float('nan'):.3e})",
-            h.history,
-        )
+            prev = traj
+        for h in open_:
+            yield h.t_final, NonConvergenceError(
+                f"no contraction below tol={settings.picard_tol} within "
+                f"{settings.max_iter} iterations (last diff "
+                f"{h.history[-1].total if h.history else float('nan'):.3e})",
+                h.history,
+            )
+    finally:
+        basis.release_gradient_products()
 
 
 def _settle(profile, basis, h: _Horizon, dt, coeffs, mu, eta_x_min, eta_x_max):

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -69,6 +70,26 @@ class TestBasis:
     def test_bad_mode_count(self, grid401):
         with pytest.raises(ConfigurationError):
             GalerkinBasis(0, grid401)
+
+    def test_gradient_products_fill_one_fortran_table(self, grid401):
+        # canonical size: the (401, 528) table is filled in place, with no
+        # gathered copies of its size, and keeps the layout the stiffness GEMM
+        # rounds by; a C-ordered table moves the canonical outputs
+        b = GalerkinBasis(32, grid401)
+        d = b.table(1).T
+        tracemalloc.start()
+        try:
+            table, _ = b.gradient_products()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        i, j = np.triu_indices(32)
+        assert np.array_equal(table.view(np.int64), (d[:, i] * d[:, j]).view(np.int64))
+        assert table.flags.f_contiguous
+        assert peak < 1.25 * table.nbytes
+        assert b.gradient_products()[0] is table
+        b.release_gradient_products()
+        assert b.gradient_products()[0] is not table
 
 
 class TestAssembly:
@@ -313,6 +334,26 @@ class TestSolveLinearized:
         flow[(steps + 1) // 2, 1] += 1e-3
         blocks = -(-(steps + 1) // 128)
         assert calls(flow) == [steps, blocks, blocks]
+
+    @pytest.mark.parametrize("steps", [1, 128, 300])
+    def test_residual_of_constant_flow_assembles_once(self, para201, steps):
+        dt = 1e-4
+        u0 = sample_velocity("cosine", {"amplitude": 1.0, "mode": 2}, para201.grid)
+        row = np.full(8, 0.003)
+        traj = solve_linearized(para201, u0, row, steps * dt, dt, 8)
+        with contextlib.ExitStack() as stack:
+            spies = [stack.enter_context(mock.patch.object(galerkin, name, wraps=getattr(galerkin, name)))
+                     for name in ("assemble_stiffness", "assemble_forcing")]
+            got = energy_identity_residual(traj, para201, np.tile(row, (steps + 1, 1)))
+        assert [spy.call_count for spy in spies] == [1, 1]
+        # the balance summed step by step from the one row's operators
+        b, lam = traj.basis, traj.coeffs
+        eta_x = 1.0 + row @ b.table(1)
+        stiff, force = assemble_stiffness(para201, b, eta_x), assemble_forcing(para201, b, eta_x)
+        mass = assemble_mass(para201, b)
+        lhs = 0.5 * lam[-1] @ mass @ lam[-1] + dt * sum(l @ stiff @ l for l in lam[1:])
+        rhs = 0.5 * lam[0] @ mass @ lam[0] + dt * sum(force @ l for l in lam[1:])
+        assert abs(got - abs(lhs - rhs)) <= 1e-12 * abs(lhs)
 
     def test_residual_rejects_jacobian_of_wrong_shape(self, para201, u0zero201):
         traj = solve_linearized(para201, u0zero201, np.zeros(8), 0.01, 1e-3, 8)

@@ -302,6 +302,19 @@ def test_long_horizon_adds_no_nodal_history(para401, u0zero401):
     assert peaks[1] - peaks[0] < 0.5 * 2001 * 401 * 8
 
 
+def test_solution_holds_no_products_table(para401, u0zero401):
+    # the (401, 528) gradient products (1.6 MiB) serve the marches alone: once
+    # the loop ends, the solution keeps its coefficient stacks and the basis
+    # tables it reads, about 0.45 MiB
+    tracemalloc.start()
+    try:
+        sol = solve_nonlinear(para401, u0zero401, PicardSettings())
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20
+
+
 class TestFdOracle:
     def test_oracle_equivalence_with_refinement(self):
         # independent discretizations approach each other under joint refinement

@@ -239,9 +239,9 @@ def assemble_forcing(
     return _jacobian_weights(profile, eta_x, 2) @ basis.table(1).T
 
 
-def project_initial(values: np.ndarray, basis: GalerkinBasis, grid: Grid) -> np.ndarray:
-    """Plain (unweighted) L2 modal coefficients of nodal initial velocity values."""
-    return basis.table(0) @ (grid.simpson_weights * values)
+def project_initial(values: np.ndarray, basis: GalerkinBasis) -> np.ndarray:
+    """Plain (unweighted) L2 modal coefficients of values at the basis's grid nodes."""
+    return basis.table(0) @ (basis.grid.simpson_weights * values)
 
 
 def step_linearized(
@@ -350,15 +350,14 @@ def solve_linearized(
     A flow whose rows are all equal is assembled once and stepped by one
     affine map; any other is assembled block by block and solved per step.
     """
-    grid = profile.grid
     if basis is None:
-        basis = GalerkinBasis(n_modes, grid)
+        basis = GalerkinBasis(n_modes, profile.grid)
     steps = n_steps_for(t_final, dt)
     times = np.linspace(0.0, t_final, steps + 1)
     mu = _modal_flow(basis, flow, steps)
     mass = assemble_mass(profile, basis)
     coeffs = np.zeros((steps + 1, basis.n_modes))
-    coeffs[0] = project_initial(u0.values, basis, grid)
+    coeffs[0] = project_initial(u0.values, basis)
 
     if np.all(mu == mu[0]):
         # every step has the same operators, so each is one affine map

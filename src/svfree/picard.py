@@ -223,7 +223,7 @@ def solve_horizons(profile: HeightProfile, u0: AnalyticField, settings: PicardSe
     elif settings.initial_guess == "u0":
         longest = open_[-1]
         times = np.linspace(0.0, longest.t_final, longest.steps + 1)
-        mu = times[:, None] * project_initial(u0.values, basis, profile.grid)[None, :]
+        mu = times[:, None] * project_initial(u0.values, basis)[None, :]
     else:
         raise ConfigurationError(f"unknown initial_guess {settings.initial_guess!r}")
 

@@ -5,14 +5,14 @@ exactly at both endpoints, and is pinched between multiples of the boundary
 distance d(x) = min(x, 1-x) with a finite nonzero one-sided slope (the
 physical-vacuum condition: the squared sound speed vanishes linearly at the
 boundary). Profiles carry closed-form derivatives so downstream jet formulas
-never see differencing noise: the built-in kinds in numpy, and a ``custom``
-expression in truncated Taylor arithmetic (``svfree._series.TaylorSeries``).
+never see differencing noise: each smooth kind, built-in or ``custom``, is an
+expression in x whose derivatives come from truncated Taylor arithmetic
+(``svfree._series.TaylorSeries``).
 """
 
 from __future__ import annotations
 
 import ast
-import decimal
 import math
 import operator
 from dataclasses import dataclass
@@ -240,7 +240,9 @@ class _ClosedForm(NamedTuple):
 
     sample(x, order) is its order-th derivative at the points x (a scalar for
     a constant); taylor(x0, n) is its one-sided derivatives of orders 0..n-1
-    at the endpoint x0 (for a custom expr, its derivatives at any points x0).
+    at the endpoint x0 (for an expression in x, its derivatives at any points
+    x0). _custom builds every smooth field, built-in kinds included; the zero
+    field and the boundary distance, which is not smooth, are written out.
     """
 
     text: str
@@ -249,7 +251,7 @@ class _ClosedForm(NamedTuple):
 
 
 def _custom(expr) -> _ClosedForm:
-    """A custom expr: its derivatives are the terms of its Taylor series times k!."""
+    """An expression in x: its derivatives are the terms of its Taylor series times k!."""
     fn, text = _parse_expr(expr), repr(expr)
 
     def derivatives(x, n):
@@ -269,72 +271,6 @@ def _custom(expr) -> _ClosedForm:
 
     return _ClosedForm(text, lambda x, order: derivatives(x, order + 1)[order],
                        lambda x0, n: np.array(derivatives(x0, n)))
-
-
-# pi to 60 digits: the endpoint data of the trig kinds round c*pi**k once, as
-# sympy's evaluation of the exact derivative does; math.pi**k, the power of a
-# rounded pi, misses that by an ulp (31.006276680299816 for 31.00627668029982
-# at k=3)
-_PI = decimal.Decimal("3.14159265358979323846264338327950288419716939937510582097494")
-_WIDE = decimal.Context(prec=60)
-# how lambdify printed a 53-bit sympy Float into the source it compiled: cut
-# to 18 digits, then rounded half up to 15
-_CUT = decimal.Context(prec=18, rounding=decimal.ROUND_DOWN)
-_PRINTED = decimal.Context(prec=15, rounding=decimal.ROUND_HALF_UP)
-
-
-def _printed(c: float) -> float:
-    return float(_PRINTED.plus(_CUT.plus(decimal.Decimal(c))))
-
-
-def _parabola(a: float) -> _ClosedForm:
-    """a*x*(1-x); at the nodes in the arithmetic of its printed derivatives a*x*(1 - x), a - 2a*x, -2a."""
-    a_p, two_a = _printed(a), _printed(2.0 * a)
-
-    def sample(x, order):
-        if order == 0:
-            return a_p * x * (1 - x)
-        if order == 1:
-            return a_p - two_a * x
-        return -two_a if order == 2 else 0.0
-
-    def taylor(x0, n):
-        out = np.zeros(max(n, 3))
-        out[1:3] = (a if x0 == 0.0 else -a), -2.0 * a
-        return out[:n]
-
-    return _ClosedForm(f"{a!r}*x*(1 - x)", sample, taylor)
-
-
-def _trig(a: float, m: int, phase: int) -> _ClosedForm:
-    """a*sin(m*pi*x) (phase 0) or a*cos(m*pi*x) (phase 1), a != 0.
-
-    The k-th derivative is c_k*pi**k times +-sin or +-cos of m*pi*x. At the
-    nodes c_k is a*m**k, printed as lambdify printed it; at the endpoints it
-    is folded one order at a time, as repeated differentiation does.
-    """
-
-    def turn(k):  # (sign, is_cos) of the k-th derivative in the cycle sin, cos, -sin, -cos
-        quarter = (phase + k) % 4
-        return (-1.0 if quarter >= 2 else 1.0), quarter % 2
-
-    def sample(x, order):
-        sign, is_cos = turn(order)
-        c = sign * _printed(a * m**order) * math.pi**order
-        return c * (np.cos if is_cos else np.sin)(m * math.pi * x)
-
-    def taylor(x0, n):
-        out = np.zeros(n)
-        c = a
-        for k in range(n):
-            sign, is_cos = turn(k)
-            if is_cos:  # sin(m*pi*x0) = 0 at either endpoint; cos is +-1
-                end = -sign if x0 == 1.0 and m % 2 else sign
-                out[k] = float(_WIDE.multiply(decimal.Decimal(end * c), _WIDE.power(_PI, k)))
-            c *= m
-        return out
-
-    return _ClosedForm(f"{a!r}*{('sin', 'cos')[phase]}({m}*pi*x)", sample, taylor)
 
 
 def _distance(x, order):
@@ -360,9 +296,10 @@ _DISTANCE = _ClosedForm("min(x, 1 - x)", _distance, _distance_taylor)
 class AnalyticField:
     """Scalar on the grid with exact derivatives of any order: a velocity, test field or height.
 
-    expr is a built-in kind's _ClosedForm, or the config text of a custom
-    expression in x. A derivative that is not finite at a grid node or an
-    endpoint is a ConfigurationError naming 'expr'.
+    expr is the text of an expression in x (a custom kind's config text, or
+    a smooth built-in kind's), or the zero or distance _ClosedForm. A
+    derivative that is not finite at a grid node or an endpoint is a
+    ConfigurationError naming 'expr'.
     """
 
     def __init__(self, expr, grid: Grid, kind: str = "custom"):
@@ -499,7 +436,9 @@ def sample_height_profile(kind: str, params: dict | None, grid: Grid) -> HeightP
     """Build and validate an initial height profile.
 
     kinds: ``parabolic`` a*x*(1-x); ``sine`` a*sin(pi*x); ``distance``
-    min(x, 1-x); ``custom`` with a closed-form ``expr`` in x.
+    min(x, 1-x); ``custom`` with a closed-form ``expr`` in x. The parabola
+    (expanded, as a*x - a*x**2) and the sine are built from their text as a
+    custom expr is; their c1, c2 are known in closed form.
     """
     if kind in ("parabolic", "sine"):
         what = f"{kind} profile"
@@ -507,9 +446,9 @@ def sample_height_profile(kind: str, params: dict | None, grid: Grid) -> HeightP
         if a <= 0:
             raise ValidationError(f"{what} needs amplitude > 0")
         if kind == "parabolic":
-            profile = HeightProfile(kind, _parabola(a), grid, c1=a / 2.0, c2=a)
+            profile = HeightProfile(kind, f"{a!r}*x - {a!r}*x**2", grid, c1=a / 2.0, c2=a)
         else:
-            profile = HeightProfile(kind, _trig(a, 1, 0), grid, c1=2.0 * a, c2=a * math.pi)
+            profile = HeightProfile(kind, f"{a!r}*sin(pi*x)", grid, c1=2.0 * a, c2=a * math.pi)
     elif kind == "distance":
         _known_params(params, "distance profile")
         return HeightProfile(kind, _DISTANCE, grid, c1=1.0, c2=1.0)
@@ -540,7 +479,11 @@ def sample_height_profile(kind: str, params: dict | None, grid: Grid) -> HeightP
 
 
 def sample_velocity(kind: str, params: dict | None, grid: Grid) -> AnalyticField:
-    """Build an initial velocity with endpoint-Neumann compatibility u0_x = 0."""
+    """Build an initial velocity with endpoint-Neumann compatibility u0_x = 0.
+
+    kinds: ``zero``; ``cosine`` a*cos(m*pi*x), built from that text as a
+    custom expr is; ``custom`` with a closed-form ``expr`` in x.
+    """
     if kind == "zero":
         _known_params(params, "zero velocity")
         return AnalyticField(_ZERO, grid, kind)
@@ -550,7 +493,7 @@ def sample_velocity(kind: str, params: dict | None, grid: Grid) -> AnalyticField
         m = params.get("mode", 1)
         if not _is_int(m) or m < 1:
             raise ValidationError(f"cosine velocity needs an integer 'mode' >= 1, got {m!r}")
-        u0 = AnalyticField(_trig(a, m, 1) if a else _ZERO, grid, kind)
+        u0 = AnalyticField(f"{a!r}*cos({m}*pi*x)" if a else _ZERO, grid, kind)
     elif kind == "custom":
         params = _known_params(params, "custom velocity", "expr")
         if "expr" not in params:

@@ -99,7 +99,7 @@ def _hs_basis(n_nodes: int) -> GalerkinBasis:
 def _hs_norm(f, profile: HeightProfile, s: float) -> float:
     """Cosine-spectral H^s norm of a nodal field: sqrt(sum (1 + (n pi)^2)^s c_n^2)."""
     basis = _hs_basis(profile.grid.n_nodes)
-    coeffs = project_initial(_nodal_values(f, basis.grid), basis, basis.grid)
+    coeffs = project_initial(_nodal_values(f, basis.grid), basis)
     n = np.arange(len(coeffs))
     return math.sqrt(float(np.dot((1.0 + (n * np.pi) ** 2) ** s, coeffs**2)))
 

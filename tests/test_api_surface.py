@@ -65,6 +65,7 @@ def from_sympy(value):
 _, profile, u0 = cli.build_problem(cli.load_config("configs/canonical.json"))
 jet.initial_jet(profile, u0)
 sympy["canonical"] = sympy_loaded()
+decimal = {"canonical": "decimal" in sys.modules}
 before = scipy_modules()
 star = sorted(m for m in ("numpy.f2py", "numpy.testing", "unittest") if m in sys.modules)
 if sys.argv[1] == "fd":
@@ -83,10 +84,12 @@ elif sys.argv[1] == "verify":
 elif sys.argv[1] == "simulate":
     cli.run_simulation(cli.load_config("configs/canonical.json"))
 sympy[sys.argv[1]] = sympy_loaded()
+decimal[sys.argv[1]] = "decimal" in sys.modules
 print(json.dumps({
     "before": before,
     "after": scipy_modules(),
     "sympy": sympy,
+    "decimal": decimal,
     "jet_sympy": sorted(k for k, v in vars(jet).items() if from_sympy(v)),
     "star": star,
     "numpy_extras": sorted(m for m in sys.modules if m.split(".")[:2] in (["numpy", "random"], ["numpy", "ma"])),
@@ -143,6 +146,12 @@ def test_builtin_kinds_load_no_sympy():
     # canonical is parabolic with zero velocity; sine_compatible is sine with cosine
     assert _probe("setup")["sympy"] == {"import": False, "canonical": False, "setup": False}
     assert _probe("sine")["sympy"]["sine"] is False
+
+
+@pytest.mark.parametrize("mode", ["sine", "simulate"])
+def test_builtin_kinds_load_no_decimal(mode, tmp_path):
+    # the built-in kinds are expressions on Taylor series, in float arithmetic
+    assert _probe(mode, tmp_path)["decimal"] == {"canonical": False, mode: False}
 
 
 def test_custom_expression_loads_no_sympy():

@@ -180,19 +180,19 @@ class TestAssembly:
 
 class TestProjection:
     def test_zero_velocity(self, grid401, para401, u0zero401):
-        lam = project_initial(u0zero401.values, GalerkinBasis(8, grid401), grid401)
+        lam = project_initial(u0zero401.values, GalerkinBasis(8, grid401))
         assert np.all(lam == 0.0)
 
     def test_plain_cosine(self, grid401):
         u0 = sample_velocity("cosine", {"amplitude": 1.0, "mode": 1}, grid401)
-        lam = project_initial(u0.values, GalerkinBasis(4, grid401), grid401)
+        lam = project_initial(u0.values, GalerkinBasis(4, grid401))
         assert lam[1] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-10)
         assert np.max(np.abs(np.delete(lam, 1))) < 1e-10
 
     def test_orthonormal_expansion(self, grid401):
         b = GalerkinBasis(4, grid401)
         vals = b.table(0)[0] + b.table(0)[1]
-        lam = project_initial(vals, b, grid401)
+        lam = project_initial(vals, b)
         assert np.allclose(lam, [1.0, 1.0, 0.0, 0.0], atol=1e-10)
 
 
@@ -245,7 +245,7 @@ class TestSolveLinearized:
         b, dt = traj.basis, traj.dt
         eta_x = 1.0 + flow @ b.table(1)
         mass = assemble_mass(profile, b)
-        lam = [project_initial(u0.values, b, profile.grid)]
+        lam = [project_initial(u0.values, b)]
         for m in range(len(flow) - 1):
             lam.append(step_linearized(
                 lam[-1], dt, mass,

@@ -62,7 +62,7 @@ class TestPicardStep:
         self, grid201, para201, u0zero201
     ):
         times = np.linspace(0.0, 0.01, 101)
-        lam0 = project_initial(u0zero201.values, GalerkinBasis(8, grid201), grid201)
+        lam0 = project_initial(u0zero201.values, GalerkinBasis(8, grid201))
         flow0 = times[:, None] * lam0[None, :]  # the u0 guess; u0=0: eta = x
         v1 = solve_linearized(para201, u0zero201, flow0, 0.01, 1e-4, 8)
         ref = solve_linearized(

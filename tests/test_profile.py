@@ -255,78 +255,6 @@ class TestVelocity:
 
 
 X = sp.Symbol("x", real=True)
-# amplitudes with at most 15 significant digits, in [1e-6, 1e3): a sine of
-# 1e4 leaves boundary dust above the snap, which the validator rejects
-AMPLITUDES = st.builds(lambda digits, exp: float(f"0.{digits}e{exp}"),
-                       st.integers(1, 10**15 - 1), st.integers(-5, 3))
-MODES = st.integers(1, 4)
-
-
-def _built_in(kind, a, m, grid):
-    """The field the run builds for a built-in kind, and the sympy expression it replaces."""
-    if kind == "parabolic":
-        return sample_height_profile(kind, {"amplitude": a}, grid), a * X * (1 - X)
-    if kind == "sine":
-        return sample_height_profile(kind, {"amplitude": a}, grid), a * sp.sin(sp.pi * X)
-    if kind == "cosine":
-        return sample_velocity(kind, {"amplitude": a, "mode": m}, grid), a * sp.cos(m * sp.pi * X)
-    return sample_velocity(kind, {}, grid), sp.Integer(0)
-
-
-def _lambdified(expr, order, x):
-    vals = np.asarray(sp.lambdify(X, sp.diff(expr, X, order), [np])(x), dtype=float)
-    return np.full(x.shape, float(vals)) if vals.ndim == 0 else vals
-
-
-def _taylor(expr, x0, n):
-    out, d = [], expr
-    for _ in range(n):
-        out.append(float(d.subs(X, sp.Rational(x0))))
-        d = sp.diff(d, X)
-    return np.array(out)
-
-
-def _assert_nodal_bitwise(kind, a, m):
-    grid = build_grid(41)
-    field, expr = _built_in(kind, a, m, grid)
-    for order in range(7):
-        ours, ref = field.sample(grid.nodes, order), _lambdified(expr, order, grid.nodes)
-        assert ours.tobytes() == ref.tobytes(), (order, np.max(np.abs(ours - ref)))
-
-
-class TestClosedFormsMatchSympy:
-    """The numpy closed forms of the built-in kinds against sympy's derivatives.
-
-    Nodal values are what lambdify compiled from sympy's derivative, bit for
-    bit. Endpoint data are sympy's exact derivative rounded once: bit for bit
-    at the shipped amplitudes, where c*pi**k is a power of two times pi**k;
-    elsewhere sympy's own evaluation is not always correctly rounded, so they
-    agree to 1e-14 relative.
-    """
-
-    @pytest.mark.parametrize("kind, a, m", [
-        ("parabolic", 1.0, 1), ("parabolic", 0.5, 1), ("sine", 1.0, 1), ("sine", 0.5, 1),
-        ("cosine", 1.0, 1), ("cosine", 0.5, 1), ("zero", 0.0, 1),
-    ])
-    def test_shipped_fields_bitwise(self, kind, a, m):
-        _assert_nodal_bitwise(kind, a, m)
-        field, expr = _built_in(kind, a, m, build_grid(41))
-        for x0 in (0.0, 1.0):
-            assert field.endpoint_derivatives(x0, 18).tobytes() == _taylor(expr, x0, 18).tobytes()
-
-    @settings(max_examples=25)
-    @given(kind=st.sampled_from(["parabolic", "sine", "cosine"]), a=AMPLITUDES, m=MODES,
-           negative=st.booleans())
-    def test_nodal_values_bitwise(self, kind, a, m, negative):
-        _assert_nodal_bitwise(kind, -a if negative and kind == "cosine" else a, m)
-
-    @settings(max_examples=15)
-    @given(kind=st.sampled_from(["parabolic", "sine", "cosine"]), a=AMPLITUDES, m=MODES)
-    def test_endpoint_data_within_1e14(self, kind, a, m):
-        field, expr = _built_in(kind, a, m, build_grid(41))
-        for x0 in (0.0, 1.0):
-            ours, ref = field.endpoint_derivatives(x0, 18), _taylor(expr, x0, 18)
-            assert np.all(np.abs(ours - ref) <= 1e-14 * np.abs(ref)), x0
 
 
 # --- the reference for _parse_expr: the three-pass reader it replaced. An
@@ -606,3 +534,60 @@ class TestOneWalkMatchesTheReference:
     @given(expr=_GRAMMAR)
     def test_grammar(self, expr):
         _assert_value_parity(expr)
+
+
+# amplitudes across nine decades, either sign for a velocity, and modes 1-4
+AMPLITUDES = st.floats(1e-6, 1e3)
+MODES = st.integers(1, 4)
+SHIPPED = [("parabolic", 1.0, 1), ("parabolic", 0.5, 1), ("sine", 1.0, 1), ("sine", 0.5, 1),
+           ("cosine", 1.0, 1), ("cosine", 0.5, 1), ("cosine", -2.5, 4)]
+
+
+def _built_in(kind, a, m, grid):
+    """The field a run builds for a smooth built-in kind, the same text as a custom kind's, and its sympy form."""
+    if kind == "parabolic":
+        text, ref = f"{a!r}*x - {a!r}*x**2", a * X * (1 - X)
+    elif kind == "sine":
+        text, ref = f"{a!r}*sin(pi*x)", a * sp.sin(sp.pi * X)
+    else:
+        text, ref = f"{a!r}*cos({m}*pi*x)", a * sp.cos(m * sp.pi * X)
+    if kind == "cosine":
+        built = sample_velocity(kind, {"amplitude": a, "mode": m}, grid)
+        return built, sample_velocity("custom", {"expr": text}, grid), ref
+    built = sample_height_profile(kind, {"amplitude": a}, grid)
+    return built, sample_height_profile("custom", {"expr": text}, grid), ref
+
+
+def _field_values(field, points, n):
+    """field's nodal derivatives of orders < n, or its endpoint data at (0, 1): a (points, n) array."""
+    if len(points) == field.grid.n_nodes:
+        return np.stack([field.derivative_values(order) for order in range(n)], axis=1)
+    return np.stack([field.endpoint_derivatives(x0, n) for x0 in points])
+
+
+def _assert_built_in_parity(kind, a, m):
+    """The built-in field is its text as a custom expr bit for bit, and takes sympy's values.
+
+    Bitwise: nodal orders 0-6 and endpoint orders 0-17 at both ends. Against
+    sympy: the bounds of TestOneWalkMatchesTheReference (_BOUNDS).
+    """
+    built, custom, ref = _built_in(kind, a, m, build_grid(41))
+    for points, n, bound, scale_of in _BOUNDS:
+        ours = _field_values(built, points, n)
+        assert ours.tobytes() == _field_values(custom, points, n).tobytes(), (kind, a, m, len(points))
+        bad = _misses(ours, _reference_values(ref, points, n), bound, scale_of)
+        assert np.all(np.isfinite(ours)) and not bad.any(), (np.argwhere(bad)[:3], ours[bad][:3])
+
+
+class TestBuiltInKindsAreExpressions:
+    """parabolic, sine and cosine are built as a custom expr is, and match sympy's derivatives."""
+
+    @pytest.mark.parametrize("kind, a, m", SHIPPED)
+    def test_shipped_fields(self, kind, a, m):
+        _assert_built_in_parity(kind, a, m)
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["parabolic", "sine", "cosine"]), a=AMPLITUDES, m=MODES,
+           negative=st.booleans())
+    def test_any_amplitude_and_mode(self, kind, a, m, negative):
+        _assert_built_in_parity(kind, -a if negative and kind == "cosine" else a, m)
